@@ -347,4 +347,10 @@ rm -f "$perf_json"
 # The committed baseline must stay schema-valid too.
 target/release/ncar-bench perf --validate BENCH_7.json
 
+echo "==> servebench tests (the serving benchmark's gates build and pass against this tree)"
+# servebench is a package outside the workspace that calls sxd, ccm-proxy
+# and sxsim through their public APIs; an API change must not leave the
+# benchmark unbuildable or its gates red.
+cargo test --release --offline -q --manifest-path servebench/Cargo.toml
+
 echo "==> CI OK"

@@ -1,7 +1,7 @@
 //! Application experiments: Table 4, Figure 8, Table 5, Table 6 (CCM2),
 //! Table 7 (MOM) and the POP Mflops headline (§4.7).
 
-use ccm_proxy::{Ccm2Config, Ccm2Proxy, Resolution};
+use ccm_proxy::{Ccm2Config, Ccm2Proxy, Resolution, StepTiming};
 use ncar_suite::{Artifact, Figure, Series, Table};
 use ocean_models::{Mom, MomConfig, Pop, PopConfig};
 use superux::Sfs;
@@ -24,32 +24,25 @@ pub fn table4() -> Vec<Artifact> {
     vec![Artifact::Table(t)]
 }
 
-/// Measure one steady-state CCM2 step at a resolution/processor count.
-fn ccm2_step(res: Resolution, procs: usize) -> ccm_proxy::StepTiming {
-    let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(res), presets::sx4_benchmarked());
-    m.step(procs); // forward (spin-up) step
-    m.step(procs)
+/// How an experiment obtains one steady-state CCM2 step at a
+/// resolution/processor count.
+type StepFn = fn(Resolution, usize) -> StepTiming;
+
+/// One steady-state CCM2 step (the second step of a fresh model), served
+/// from the process-wide step memo: the first request per configuration
+/// steps a model, every later one replays the recorded step.
+fn ccm2_step(res: Resolution, procs: usize) -> StepTiming {
+    ccm_proxy::steady_step(&Ccm2Config::benchmark(res), &presets::sx4_benchmarked(), procs)
 }
 
 /// Figure 8: CCM2 sustained Cray-equivalent Gflops vs processors, for
 /// T42, T106 and T170.
 pub fn fig8() -> Vec<Artifact> {
-    let clock = presets::sx4_benchmarked().clock_ns;
     let mut fig = Figure::new(
         "Figure 8: CCM2 performance (Cray-equivalent Gflops) vs processors on the SX-4/32",
     );
     for res in [Resolution::T42, Resolution::T106, Resolution::T170] {
-        // Each (resolution, procs) run is an independent model: fan the six
-        // processor counts out across host cores.
-        let pts: Vec<(f64, f64)> = ncar_suite::par_map(vec![1usize, 2, 4, 8, 16, 32], |procs| {
-            let t = ccm2_step(res, procs);
-            (procs as f64, t.timing.cray_gflops(clock))
-        });
-        let mut s = Series::new(res.name(), "processors", "Cray-equivalent Gflops");
-        for (x, y) in pts {
-            s.push(x, y);
-        }
-        fig.push(s);
+        fig.push(fig8_series(res, ccm2_step));
     }
     vec![
         Artifact::Figure(fig),
@@ -61,17 +54,37 @@ pub fn fig8() -> Vec<Artifact> {
     ]
 }
 
+/// One resolution's Figure 8 curve.
+fn fig8_series(res: Resolution, step: StepFn) -> Series {
+    let clock = presets::sx4_benchmarked().clock_ns;
+    // Each (resolution, procs) run is an independent model: fan the six
+    // processor counts out across host cores.
+    let pts: Vec<(f64, f64)> = ncar_suite::par_map(vec![1usize, 2, 4, 8, 16, 32], |procs| {
+        let t = step(res, procs);
+        (procs as f64, t.timing.cray_gflops(clock))
+    });
+    let mut s = Series::new(res.name(), "processors", "Cray-equivalent Gflops");
+    for (x, y) in pts {
+        s.push(x, y);
+    }
+    s
+}
+
 /// Table 5: time to simulate one year of climate at T42L18 and T63L18 on
 /// the 32-processor node, including the daily history/restart writes
 /// (~15 GB over the T63 year).
 pub fn table5() -> Vec<Artifact> {
+    table5_with(ccm2_step)
+}
+
+fn table5_with(step: StepFn) -> Vec<Artifact> {
     let mut t = Table::new(
         "Table 5: seconds to simulate one year (32 processors, daily history writes through SFS)",
         &["Resolution", "Simulated", "Paper"],
     );
     let paper = [("T42L18", 1327.53), ("T63L18", 3452.48)];
     for (i, res) in [Resolution::T42, Resolution::T63].into_iter().enumerate() {
-        let step = ccm2_step(res, 32);
+        let step = step(res, 32);
         let model = Ccm2Proxy::new(Ccm2Config::benchmark(res), presets::sx4_benchmarked());
         let steps_per_year = 365 * res.steps_per_day();
         let compute = steps_per_year as f64 * step.seconds;
@@ -96,8 +109,12 @@ pub fn table5() -> Vec<Artifact> {
 /// Table 6: the ensemble test — one 4-processor CCM2 T42 12-day run vs
 /// eight concurrent copies filling the node.
 pub fn table6() -> Vec<Artifact> {
+    table6_with(ccm2_step)
+}
+
+fn table6_with(step: StepFn) -> Vec<Artifact> {
     let res = Resolution::T42;
-    let step = ccm2_step(res, 4);
+    let step = step(res, 4);
     let steps = 12 * res.steps_per_day();
     let single = steps as f64 * step.seconds;
 
@@ -184,6 +201,34 @@ pub fn pop() -> Vec<Artifact> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The stepping path the memo replaced: a fresh model's second step.
+    fn two_real_steps(res: Resolution, procs: usize) -> StepTiming {
+        let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(res), presets::sx4_benchmarked());
+        m.step(procs); // forward (spin-up) step
+        m.step(procs)
+    }
+
+    fn json(artifacts: &[Artifact]) -> String {
+        artifacts.iter().map(Artifact::to_json).collect::<Vec<_>>().join("\n")
+    }
+
+    #[test]
+    fn memo_served_experiments_match_the_stepping_path_byte_for_byte() {
+        // Twice through the memo: the first call may miss, the second
+        // replays; both must print what the stepping path prints.
+        for _ in 0..2 {
+            assert_eq!(json(&table6()), json(&table6_with(two_real_steps)));
+            assert_eq!(json(&table5()), json(&table5_with(two_real_steps)));
+        }
+        // Figure 8's T42 curve (the T106/T170 curves take minutes on the
+        // stepping path; they share this code and the memo's key).
+        for _ in 0..2 {
+            let memo = fig8_series(Resolution::T42, ccm2_step);
+            let direct = fig8_series(Resolution::T42, two_real_steps);
+            assert_eq!(format!("{memo:?}"), format!("{direct:?}"));
+        }
+    }
 
     #[test]
     fn table4_matches_paper_rows() {

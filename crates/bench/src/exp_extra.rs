@@ -14,7 +14,7 @@ use ncar_kernels::fft::{charge_transform, LoopOrder};
 use ncar_kernels::membw::{run_point, MembwKind};
 use ncar_kernels::radabs::radabs;
 use ncar_suite::{Artifact, Instance, Table};
-use sxsim::{presets, Ixs, Vm};
+use sxsim::{presets, Ftrace, Ixs, Vm};
 
 /// The 8.0 ns projection: same machine, production clock.
 pub fn projection() -> Vec<Artifact> {
@@ -23,9 +23,8 @@ pub fn projection() -> Vec<Artifact> {
         &["Clock", "Sim s/step", "Speedup vs 9.2 ns"],
     );
     let step = |clock: f64| {
-        let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(Resolution::T42), presets::sx4(clock));
-        m.step(32);
-        m.step(32).seconds
+        ccm_proxy::steady_step(&Ccm2Config::benchmark(Resolution::T42), &presets::sx4(clock), 32)
+            .seconds
     };
     let t92 = step(9.2);
     let t80 = step(8.0);
@@ -148,9 +147,13 @@ pub fn multinode() -> Vec<Artifact> {
 /// FTRACE of one CCM2 timestep: where the time goes, phase by phase —
 /// the per-routine view behind the paper's Figure 8 analysis.
 pub fn ftrace() -> Vec<Artifact> {
-    let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(Resolution::T42), presets::sx4_benchmarked());
-    m.step(4); // spin-up
-    let (_t, ft) = m.step_traced(4);
+    let config = Ccm2Config::benchmark(Resolution::T42);
+    // The steady (post-spin-up) step, served from the step memo.
+    let (_t, ft) = ccm_proxy::steady_step_traced(&config, &presets::sx4_benchmarked(), 4);
+    ftrace_table(&ft)
+}
+
+fn ftrace_table(ft: &Ftrace) -> Vec<Artifact> {
     let mut table = Table::new(
         "FTRACE: one CCM2 T42L18 step on processor 0 of 4 (exclusive per-phase totals)",
         &["Phase", "Calls", "Excl. ms", "Time %", "MFLOPS", "V.op %", "Avg VL"],
@@ -231,6 +234,19 @@ pub fn proginf() -> Vec<Artifact> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn memo_served_ftrace_matches_the_stepping_path_byte_for_byte() {
+        let mut m =
+            Ccm2Proxy::new(Ccm2Config::benchmark(Resolution::T42), presets::sx4_benchmarked());
+        m.step(4); // spin-up
+        let (_t, ft) = m.step_traced(4);
+        let direct: Vec<String> = ftrace_table(&ft).iter().map(Artifact::to_json).collect();
+        for _ in 0..2 {
+            let served: Vec<String> = ftrace().iter().map(Artifact::to_json).collect();
+            assert_eq!(served, direct);
+        }
+    }
 
     #[test]
     fn proginf_contrasts_hold() {

@@ -13,7 +13,9 @@
 //! - [`slt`] — shape-preserving semi-Lagrangian moisture transport;
 //! - [`model`] — the 18-level semi-implicit leapfrog model whose steps are
 //!   priced on a simulated SX-4 node, driving Figure 8, Table 5 and
-//!   Table 6.
+//!   Table 6;
+//! - [`steady`] — a process-wide memo of recorded steady-state steps,
+//!   which serves those experiments by replay instead of re-stepping.
 
 // Index-based loops over grids read as the stencil math they implement.
 #![allow(clippy::needless_range_loop)]
@@ -27,9 +29,11 @@ pub mod resolution;
 pub mod slt;
 pub mod spectra;
 pub mod spectral;
+pub mod steady;
 pub mod vertical;
 pub mod wire;
 
 pub use model::{Ccm2Config, Ccm2Proxy, StepTiming};
 pub use resolution::Resolution;
 pub use spectral::SphericalTransform;
+pub use steady::{steady_step, steady_step_traced, MemoStats, StepMemo};

@@ -29,8 +29,8 @@ use crate::spectral::SphericalTransform;
 use ncar_kernels::fft::C64;
 use sxsim::node::partition;
 use sxsim::{
-    Access, ChargeProgram, Cost, MachineModel, Node, NodeTiming, OpStats, Region, VecOp, Vm,
-    VopClass,
+    Access, ChargeProgram, Cost, Ftrace, MachineModel, Node, NodeTiming, OpStats, Region, VecOp,
+    Vm, VopClass,
 };
 
 /// Earth radius (m).
@@ -147,11 +147,16 @@ pub struct Ccm2State<'a> {
 /// never on the field values, so one recorded step stands for every step:
 /// [`Ccm2Proxy::replay_step`] re-charges the whole program in a batched
 /// pass whose [`StepTiming`] is **bit-identical** to the recording step's,
-/// without re-executing any of the functional math.
+/// without re-executing any of the functional math. Chunk 0's programs
+/// also carry the step's FTRACE region marks, so a traced replay rebuilds
+/// [`Ccm2Proxy::step_traced`]'s phase breakdown as well.
 #[derive(Debug, Clone)]
 pub struct StepProgram {
     procs: usize,
     nodes: usize,
+    /// Shapes the reduction phase and the timing tail need.
+    nlev: usize,
+    nspec: usize,
     /// One program per processor chunk of the latitude partition (empty
     /// program for an empty chunk).
     phase1: Vec<ChargeProgram>,
@@ -160,6 +165,44 @@ pub struct StepProgram {
 }
 
 impl StepProgram {
+    /// Heap bytes held by the recorded programs.
+    pub fn heap_bytes(&self) -> usize {
+        let programs = self.phase1.iter().chain(&self.phase3);
+        programs.map(|p| p.heap_bytes() + std::mem::size_of::<ChargeProgram>()).sum()
+    }
+
+    /// Re-charge the step against fresh `Vm`s of `machine`, one per chunk
+    /// as [`Ccm2Proxy::step`] creates them (the memo accounting is part of
+    /// the bit-identity contract), absorbing their op statistics into
+    /// `stats`. With `ftrace`, chunk 0's region marks re-enter the step's
+    /// FTRACE regions.
+    pub(crate) fn replay(
+        &self,
+        machine: &MachineModel,
+        mut ftrace: Option<&mut Ftrace>,
+        stats: &mut OpStats,
+    ) -> StepTiming {
+        let mut replay_phase = |programs: &[ChargeProgram], stats: &mut OpStats| {
+            let per_proc = programs.iter().map(|prog| {
+                if prog.is_empty() {
+                    return Cost::ZERO;
+                }
+                let mut vm = Vm::new(machine.clone());
+                match ftrace.as_deref_mut() {
+                    Some(ft) => vm.replay_program_traced(prog, ft).expect("taped marks balance"),
+                    None => vm.replay_program(prog),
+                }
+                stats.add(vm.stats());
+                vm.take_cost()
+            });
+            Region::Parallel(per_proc.collect())
+        };
+        let mut regions = vec![replay_phase(&self.phase1, stats)];
+        regions.extend(reduction_phase(machine, self.procs, self.nlev, self.nspec, stats));
+        regions.push(replay_phase(&self.phase3, stats));
+        time_step(machine, &regions, self.procs, self.nodes, self.nlev, self.nspec)
+    }
+
     /// Total charge calls across all phases (what the op-by-op loop would
     /// have issued); `total_charges() / instructions()` is the compression
     /// the run-length coalescing bought.
@@ -318,10 +361,23 @@ impl Ccm2Proxy {
     /// timing is bit-identical to [`Ccm2Proxy::step`]'s; the program can
     /// then be handed to [`Ccm2Proxy::replay_step`] any number of times.
     pub fn record_step_program(&mut self, procs: usize) -> (StepTiming, StepProgram) {
-        assert!(procs >= 1 && procs <= self.machine.procs);
-        let mut program = StepProgram { procs, nodes: 1, phase1: Vec::new(), phase3: Vec::new() };
-        let timing = self.step_inner(procs, 1, None, Some(&mut program));
+        let (timing, program, _) = self.record_step_program_traced(procs);
         (timing, program)
+    }
+
+    /// [`Ccm2Proxy::record_step_program`] that also returns the recorded
+    /// step's FTRACE breakdown, as [`Ccm2Proxy::step_traced`] would.
+    pub(crate) fn record_step_program_traced(
+        &mut self,
+        procs: usize,
+    ) -> (StepTiming, StepProgram, Ftrace) {
+        assert!(procs >= 1 && procs <= self.machine.procs);
+        let (nlev, nspec) = (self.config.resolution.nlev(), self.transform.nspec());
+        let mut program =
+            StepProgram { procs, nodes: 1, nlev, nspec, phase1: Vec::new(), phase3: Vec::new() };
+        let mut ft = Ftrace::new();
+        let timing = self.step_inner(procs, 1, Some(&mut ft), Some(&mut program));
+        (timing, program, ft)
     }
 
     /// Re-charge a recorded step in one batched pass: bit-identical
@@ -333,72 +389,14 @@ impl Ccm2Proxy {
     /// real step's would (plus the program-replay counters); the
     /// prognostic state and the step counter are untouched.
     pub fn replay_step(&mut self, program: &StepProgram) -> StepTiming {
-        let res = self.config.resolution;
-        let (nlev, nspec) = (res.nlev(), self.transform.nspec());
-        let (procs, nodes) = (program.procs, program.nodes);
-        let mut regions: Vec<Region> = Vec::new();
-
-        // Phase 1 and phase 3 replay their recorded programs against fresh
-        // `Vm`s, mirroring the one-`Vm`-per-chunk lifetimes of `step_inner`
-        // (the memo accounting is part of the bit-identity contract).
-        let mut phase1 = Vec::with_capacity(procs);
-        for prog in &program.phase1 {
-            if prog.is_empty() {
-                phase1.push(Cost::ZERO);
-                continue;
-            }
-            let mut vm = Vm::new(self.machine.clone());
-            vm.replay_program(prog);
-            self.op_stats.add(vm.stats());
-            phase1.push(vm.take_cost());
-        }
-        regions.push(Region::Parallel(phase1));
-
-        // Phase 2 is already pure charging (no functional math shadows it),
-        // so the reduction is re-issued verbatim.
-        if procs > 1 {
-            let words = 3 * nlev * nspec * 2;
-            let rounds = (procs as f64).log2().ceil() as usize;
-            let mut per_proc = vec![Cost::ZERO; procs];
-            for round in 0..rounds {
-                let live = (procs >> round).max(2);
-                let adders = live / 2;
-                for p in per_proc.iter_mut().take(adders) {
-                    let mut vm = Vm::new(self.machine.clone());
-                    vm.charge_vector_op(&VecOp::new(
-                        words,
-                        VopClass::Add,
-                        &[Access::Stride(1), Access::Stride(1)],
-                        &[Access::Stride(1)],
-                    ));
-                    self.op_stats.add(vm.stats());
-                    p.add(vm.take_cost());
-                }
-            }
-            regions.push(Region::Parallel(per_proc));
-        }
-
-        let mut phase3 = Vec::with_capacity(procs);
-        for prog in &program.phase3 {
-            if prog.is_empty() {
-                phase3.push(Cost::ZERO);
-                continue;
-            }
-            let mut vm = Vm::new(self.machine.clone());
-            vm.replay_program(prog);
-            self.op_stats.add(vm.stats());
-            phase3.push(vm.take_cost());
-        }
-        regions.push(Region::Parallel(phase3));
-
-        self.time_step_regions(&regions, procs, nodes)
+        program.replay(&self.machine, None, &mut self.op_stats)
     }
 
     /// Advance one timestep on `procs` processors while collecting an
     /// FTRACE phase breakdown (regions are recorded on processor 0's
     /// chunk, which is representative).
-    pub fn step_traced(&mut self, procs: usize) -> (StepTiming, sxsim::Ftrace) {
-        let mut ft = sxsim::Ftrace::new();
+    pub fn step_traced(&mut self, procs: usize) -> (StepTiming, Ftrace) {
+        let mut ft = Ftrace::new();
         let t = self.step_inner(procs, 1, Some(&mut ft), None);
         (t, ft)
     }
@@ -419,7 +417,7 @@ impl Ccm2Proxy {
         &mut self,
         procs: usize,
         nodes: usize,
-        mut ftrace: Option<&mut sxsim::Ftrace>,
+        mut ftrace: Option<&mut Ftrace>,
         mut record: Option<&mut StepProgram>,
     ) -> StepTiming {
         let t = self.transform.clone();
@@ -653,32 +651,8 @@ impl Ccm2Proxy {
         }
         regions.push(Region::Parallel(phase1));
 
-        // ---- Phase 2: reduction of the partial spectral sums. Each of the
-        // log2(P) rounds halves the live partials; within a round the adds
-        // are spread across the processors (the coefficient range is
-        // chunked), so the reduction is a short parallel phase with a
-        // barrier per round, not an Amdahl wall. ----------------------------
-        if procs > 1 {
-            let words = 3 * nlev * nspec * 2;
-            let rounds = (procs as f64).log2().ceil() as usize;
-            let mut per_proc = vec![Cost::ZERO; procs];
-            for round in 0..rounds {
-                let live = (procs >> round).max(2);
-                let adders = live / 2;
-                for p in per_proc.iter_mut().take(adders) {
-                    let mut vm = Vm::new(self.machine.clone());
-                    vm.charge_vector_op(&VecOp::new(
-                        words,
-                        VopClass::Add,
-                        &[Access::Stride(1), Access::Stride(1)],
-                        &[Access::Stride(1)],
-                    ));
-                    self.op_stats.add(vm.stats());
-                    p.add(vm.take_cost());
-                }
-            }
-            regions.push(Region::Parallel(per_proc));
-        }
+        // ---- Phase 2: reduction of the partial spectral sums. ------------
+        regions.extend(reduction_phase(&self.machine, procs, nlev, nspec, &mut self.op_stats));
 
         // ---- Phase 3 (parallel over spectral space): semi-implicit solve,
         // leapfrog update, Robert filter, hyperdiffusion. -------------------
@@ -792,44 +766,7 @@ impl Ccm2Proxy {
 
         self.steps += 1;
 
-        self.time_step_regions(&regions, procs, nodes)
-    }
-
-    /// Time a step's regions on the node — the shared tail of
-    /// [`Ccm2Proxy::step_inner`] and [`Ccm2Proxy::replay_step`]. For a
-    /// multi-node system each node brings its own memory banks and
-    /// crossbar, so capacity scales with `nodes`; the IXS adds the
-    /// tendency all-to-all and internode barriers.
-    fn time_step_regions(&self, regions: &[Region], procs: usize, nodes: usize) -> StepTiming {
-        let res = self.config.resolution;
-        let (nlev, nspec) = (res.nlev(), self.transform.nspec());
-        let mut timing_machine = self.machine.clone();
-        if nodes > 1 {
-            timing_machine.procs *= nodes;
-            timing_machine.memory.banks *= nodes;
-            timing_machine.node_bytes_per_cycle *= nodes as f64;
-        }
-        let clock_ns = timing_machine.clock_ns;
-        let node = Node::new(timing_machine);
-        let mut timing =
-            node.time_regions(regions).expect("partitioned within the node's processor count");
-        if nodes > 1 {
-            let ixs = sxsim::Ixs::new(nodes);
-            // The 3 tendency fields' partial sums cross the crossbar, split
-            // evenly between node pairs, plus one internode barrier per
-            // phase boundary.
-            let tendency_bytes = (3 * nlev * nspec * 16) as u64;
-            let per_pair = tendency_bytes / (nodes * nodes) as u64;
-            let exchange_s = ixs.all_to_all_seconds(per_pair) + 2.0 * ixs.barrier_seconds();
-            timing.wall_cycles += exchange_s / (clock_ns * 1e-9);
-        }
-        let seconds = timing.seconds(self.machine.clock_ns);
-        let bpc = if timing.wall_cycles > 0.0 {
-            timing.work.bytes as f64 / timing.wall_cycles / procs as f64
-        } else {
-            0.0
-        };
-        StepTiming { timing, seconds, bytes_per_cycle_per_proc: bpc }
+        time_step(&self.machine, &regions, procs, nodes, nlev, nspec)
     }
 
     /// Full prognostic state access for checkpoint/restart: the current
@@ -886,6 +823,84 @@ impl Ccm2Proxy {
         let restart = 6 * res.nlev();
         ((history + restart) * res.ncols() * 8 + 64 * 1024) as u64
     }
+}
+
+/// Phase 2 of a step: reduction of the partial spectral sums. Each of the
+/// log2(P) rounds halves the live partials; within a round the adds are
+/// spread across the processors (the coefficient range is chunked), so the
+/// reduction is a short parallel phase with a barrier per round, not an
+/// Amdahl wall. It is pure charging (no functional math shadows it), so a
+/// replay re-issues it verbatim. `None` on one processor.
+fn reduction_phase(
+    machine: &MachineModel,
+    procs: usize,
+    nlev: usize,
+    nspec: usize,
+    stats: &mut OpStats,
+) -> Option<Region> {
+    if procs <= 1 {
+        return None;
+    }
+    let words = 3 * nlev * nspec * 2;
+    let rounds = (procs as f64).log2().ceil() as usize;
+    let mut per_proc = vec![Cost::ZERO; procs];
+    for round in 0..rounds {
+        let live = (procs >> round).max(2);
+        let adders = live / 2;
+        for p in per_proc.iter_mut().take(adders) {
+            let mut vm = Vm::new(machine.clone());
+            vm.charge_vector_op(&VecOp::new(
+                words,
+                VopClass::Add,
+                &[Access::Stride(1), Access::Stride(1)],
+                &[Access::Stride(1)],
+            ));
+            stats.add(vm.stats());
+            p.add(vm.take_cost());
+        }
+    }
+    Some(Region::Parallel(per_proc))
+}
+
+/// Time a step's regions on the node — the shared tail of a real step and
+/// a replay. For a multi-node system each node brings its own memory banks
+/// and crossbar, so capacity scales with `nodes`; the IXS adds the
+/// tendency all-to-all and internode barriers.
+fn time_step(
+    machine: &MachineModel,
+    regions: &[Region],
+    procs: usize,
+    nodes: usize,
+    nlev: usize,
+    nspec: usize,
+) -> StepTiming {
+    let mut timing_machine = machine.clone();
+    if nodes > 1 {
+        timing_machine.procs *= nodes;
+        timing_machine.memory.banks *= nodes;
+        timing_machine.node_bytes_per_cycle *= nodes as f64;
+    }
+    let clock_ns = timing_machine.clock_ns;
+    let node = Node::new(timing_machine);
+    let mut timing =
+        node.time_regions(regions).expect("partitioned within the node's processor count");
+    if nodes > 1 {
+        let ixs = sxsim::Ixs::new(nodes);
+        // The 3 tendency fields' partial sums cross the crossbar, split
+        // evenly between node pairs, plus one internode barrier per
+        // phase boundary.
+        let tendency_bytes = (3 * nlev * nspec * 16) as u64;
+        let per_pair = tendency_bytes / (nodes * nodes) as u64;
+        let exchange_s = ixs.all_to_all_seconds(per_pair) + 2.0 * ixs.barrier_seconds();
+        timing.wall_cycles += exchange_s / (clock_ns * 1e-9);
+    }
+    let seconds = timing.seconds(machine.clock_ns);
+    let bpc = if timing.wall_cycles > 0.0 {
+        timing.work.bytes as f64 / timing.wall_cycles / procs as f64
+    } else {
+        0.0
+    };
+    StepTiming { timing, seconds, bytes_per_cycle_per_proc: bpc }
 }
 
 #[cfg(test)]
@@ -1112,6 +1127,16 @@ mod program_tests {
         assert_eq!(s1.intrinsic_calls - s0.intrinsic_calls, s_step.intrinsic_calls);
         assert_eq!(s1.scalar_iters - s0.scalar_iters, s_step.scalar_iters);
         assert!(s1.program_replays > s0.program_replays);
+    }
+
+    #[test]
+    fn a_t42_step_program_fits_in_one_mib() {
+        let mut m = mk();
+        m.step(4);
+        let (_, program) = m.record_step_program(4);
+        let bytes = program.heap_bytes();
+        assert!(bytes <= 1 << 20, "T42/4 step program holds {bytes} heap bytes");
+        assert!(program.instructions() > 10_000, "{} instructions", program.instructions());
     }
 }
 

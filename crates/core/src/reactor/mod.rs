@@ -76,6 +76,11 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Accept-queue length set on every reactor's listener: room for the
+/// 1000-connection connect bursts the serving tests and `flood` throw at
+/// one daemon.
+const LISTEN_BACKLOG: i32 = 1024;
+
 const TOK_LISTENER: u64 = 0;
 const TOK_WAKER: u64 = 1;
 const TOK_BASE: u64 = 2;
@@ -335,6 +340,7 @@ pub struct Reactor<S: Service> {
 
 impl<S: Service> Reactor<S> {
     pub fn new(listener: TcpListener, service: S, config: ReactorConfig) -> io::Result<Reactor<S>> {
+        poller::set_listen_backlog(&listener, LISTEN_BACKLOG)?;
         listener.set_nonblocking(true)?;
         let mut poller = Poller::new()?;
         let (waker_rx, waker_tx) = poller::waker_pair()?;

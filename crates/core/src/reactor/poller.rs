@@ -291,6 +291,23 @@ pub fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> RawFd {
     t.as_raw_fd()
 }
 
+/// Re-issue `listen(2)` on a bound listener with an explicit accept-queue
+/// length. std picks its own backlog at bind time; a barrier-synchronized
+/// burst of connects beyond it is refused or reset before the reactor
+/// ever sees it. Linux accepts `listen` on a listening socket and only
+/// updates the queue length (capped by `net.core.somaxconn`).
+pub fn set_listen_backlog(listener: &std::net::TcpListener, backlog: i32) -> io::Result<()> {
+    extern "C" {
+        fn listen(fd: i32, backlog: i32) -> i32;
+    }
+    // SAFETY: `listen` takes a plain fd and an int; the fd is owned by
+    // `listener`, which outlives the call.
+    if unsafe { listen(raw_fd(listener), backlog) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -35,6 +35,9 @@ pub struct Submission {
 impl Client {
     pub fn connect(addr: &str) -> Result<Client, SxdError> {
         let writer = TcpStream::connect(addr).map_err(SxdError::io)?;
+        // Every request is one complete frame sent in one write; Nagle
+        // could only hold a frame back until the peer's delayed ACK.
+        writer.set_nodelay(true).map_err(SxdError::io)?;
         let reader = BufReader::new(writer.try_clone().map_err(SxdError::io)?);
         Ok(Client { reader, writer })
     }
@@ -70,8 +73,15 @@ impl Client {
     /// Send one raw line and return the raw reply line. The building block
     /// for everything else, and what the CI smoke test uses to throw
     /// malformed frames at the daemon.
+    ///
+    /// The frame and its newline leave in one `write`: sent as two, the
+    /// one-byte tail waited out the daemon's delayed ACK (~40 ms on Linux)
+    /// behind Nagle on every serial request.
     pub fn raw(&mut self, line: &str) -> Result<String, SxdError> {
-        writeln!(self.writer, "{line}").map_err(SxdError::io)?;
+        let mut frame = String::with_capacity(line.len() + 1);
+        frame.push_str(line);
+        frame.push('\n');
+        self.writer.write_all(frame.as_bytes()).map_err(SxdError::io)?;
         read_frame(&mut self.reader, MAX_REPLY_FRAME)?
             .ok_or_else(|| SxdError::Io { detail: "server closed the connection".into() })
     }

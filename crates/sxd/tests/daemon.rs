@@ -58,6 +58,33 @@ fn spawn_daemon(registry: Registry<JobEntry>) -> (String, JoinHandle<()>) {
     (addr, handle)
 }
 
+/// Regression: `Client::raw` sent a frame and its newline as two writes,
+/// so Nagle held the one-byte tail until the daemon's delayed ACK fired
+/// and every serial request took ~40 ms. A loopback cache hit is
+/// microseconds of work; the median of 50 serial hits must show it.
+#[test]
+fn serial_cache_hits_are_not_held_back_by_delayed_acks() {
+    let (addr, handle) = spawn_daemon(toy_registry());
+    let mut client = Client::connect(&addr).unwrap();
+    let params = BTreeMap::new();
+    assert!(!client.submit("radabs", "sx4-9.2", &params).unwrap().cached);
+    let mut latencies: Vec<std::time::Duration> = (0..50)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            assert!(client.submit("radabs", "sx4-9.2", &params).unwrap().cached);
+            t0.elapsed()
+        })
+        .collect();
+    latencies.sort();
+    let median = latencies[latencies.len() / 2];
+    assert!(
+        median < std::time::Duration::from_millis(5),
+        "median serial cache hit took {median:?}: a delayed-ACK stall"
+    );
+    client.shutdown().unwrap();
+    handle.join().expect("daemon exits");
+}
+
 fn shut_down(addr: &str, handle: JoinHandle<()>) {
     Client::connect(addr).unwrap().shutdown().unwrap();
     handle.join().expect("daemon thread exits cleanly");

@@ -8,12 +8,24 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ncar_suite::{Artifact, Json, Registry};
 use sxd::{flood, Client, Demand, FloodConfig, JobEntry, Server, ServerConfig};
+
+/// One lock for the whole file. The churn and fd tests assert on
+/// process-wide `/proc/self` counts, and every test here starts daemons
+/// (or a 1000-thread flood) in this same process, so a test that runs
+/// beside another measures the other's threads and sockets. Every test
+/// holds the lock for its whole body; a failed test's poison is ignored
+/// so the rest still run.
+static PROCESS_GLOBALS: Mutex<()> = Mutex::new(());
+
+fn serialize() -> MutexGuard<'static, ()> {
+    PROCESS_GLOBALS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn toy_registry() -> Registry<JobEntry> {
     let mut r = Registry::new();
@@ -80,6 +92,7 @@ fn await_quiescent(client: &mut Client, deadline: Duration) -> Json {
 #[cfg(target_os = "linux")]
 #[test]
 fn connection_churn_leaves_no_accumulated_threads_or_handles() {
+    let _serial = serialize();
     let (addr, handle) = spawn_daemon(ServerConfig::default());
     let params = BTreeMap::new();
 
@@ -127,6 +140,7 @@ fn connection_churn_leaves_no_accumulated_threads_or_handles() {
 /// job counters reconciled.
 #[test]
 fn silent_and_slowloris_connections_are_idle_closed() {
+    let _serial = serialize();
     let (addr, handle) = spawn_daemon(ServerConfig {
         idle_timeout: Some(Duration::from_millis(150)),
         ..ServerConfig::default()
@@ -163,6 +177,7 @@ fn silent_and_slowloris_connections_are_idle_closed() {
 /// and the listener must refuse new connections afterwards.
 #[test]
 fn shutdown_with_zero_inflight_clients_completes_within_deadline() {
+    let _serial = serialize();
     let (addr, handle) = spawn_daemon(ServerConfig::default());
 
     Client::connect(&addr).unwrap().shutdown().unwrap();
@@ -183,6 +198,7 @@ fn shutdown_with_zero_inflight_clients_completes_within_deadline() {
 #[cfg(target_os = "linux")]
 #[test]
 fn flood_at_1000_connections_returns_fd_count_to_baseline() {
+    let _serial = serialize();
     let (addr, handle) = spawn_daemon(ServerConfig::default());
     Client::connect(&addr).unwrap().submit("radabs", "sx4-9.2", &BTreeMap::new()).unwrap();
     let baseline = fd_count();

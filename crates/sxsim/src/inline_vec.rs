@@ -72,6 +72,13 @@ impl<T: PartialEq, const N: usize> PartialEq for InlineVec<T, N> {
 
 impl<T: Eq, const N: usize> Eq for InlineVec<T, N> {}
 
+/// Hashing, like equality, covers the live prefix only.
+impl<T: std::hash::Hash, const N: usize> std::hash::Hash for InlineVec<T, N> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self[..].hash(state);
+    }
+}
+
 impl<'a, T, const N: usize> IntoIterator for &'a InlineVec<T, N> {
     type Item = &'a T;
     type IntoIter = std::slice::Iter<'a, T>;

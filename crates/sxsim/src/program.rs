@@ -31,23 +31,44 @@
 //! is bit-identical to the original call sequence with every call's `reps`
 //! multiplied by `k` (NOT to `k` sequential replays — iterative f64
 //! accumulation orders differently across program boundaries).
+//!
+//! ## Storage
+//!
+//! A step program runs to tens of thousands of instructions over a few
+//! hundred distinct descriptors, and a [`VecOp`] with its inline access
+//! lists is ~150 bytes. The program therefore interns each distinct
+//! descriptor once in a table and stores every instruction as a
+//! (table index, repetitions) pair of two `u32`s — what lets a process keep
+//! recorded steps around ([`ChargeProgram::heap_bytes`] reports the cost).
+//!
+//! ## Region marks
+//!
+//! [`Ftrace`](crate::Ftrace) entries and exits made on a recording `Vm` are
+//! taped as [`ProgramOp::Enter`] / [`ProgramOp::Exit`] marks. They charge
+//! nothing, so [`Vm::replay_program`] skips them; [`Vm::replay_program_traced`]
+//! re-enters the regions at the same points of the charge stream and so
+//! rebuilds the taped profile bit for bit.
+
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::cost::Cost;
 use crate::model::Intrinsic;
 use crate::timing::{LocalityPattern, VecOp};
 
-/// One instruction of a recorded charge program: a charge descriptor plus
-/// how many times in a row it was issued.
+/// One distinct charge descriptor of a recorded program. A program stores
+/// each distinct descriptor once and refers to it by index, so a
+/// descriptor's size is paid per distinct shape, not per instruction.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProgramOp {
-    /// `reps` identical vector operations
+    /// A vector operation
     /// ([`Vm::charge_vector_op_repeated`](crate::Vm::charge_vector_op_repeated)).
-    Vector { op: VecOp, reps: usize },
-    /// `reps` identical sweeps of `n` intrinsic calls
+    Vector(VecOp),
+    /// A sweep of `n` intrinsic calls
     /// ([`Vm::charge_intrinsic_repeated`](crate::Vm::charge_intrinsic_repeated)).
-    Intrinsic { f: Intrinsic, n: usize, reps: usize },
-    /// `reps` identical scalar loops; `branches` is `Some` for the branchy
-    /// variant ([`Vm::charge_scalar_loop_branchy`](crate::Vm::charge_scalar_loop_branchy)).
+    Intrinsic { f: Intrinsic, n: usize },
+    /// A scalar loop; `branches` is `Some` for the branchy variant
+    /// ([`Vm::charge_scalar_loop_branchy`](crate::Vm::charge_scalar_loop_branchy)).
     ScalarLoop {
         iters: usize,
         flops: f64,
@@ -55,29 +76,103 @@ pub enum ProgramOp {
         stores: f64,
         branches: Option<f64>,
         pattern: LocalityPattern,
-        reps: usize,
     },
-    /// `reps` identical raw charges ([`Vm::charge`](crate::Vm::charge)).
-    Raw { cost: Cost, reps: usize },
+    /// A raw charge ([`Vm::charge`](crate::Vm::charge)).
+    Raw(Cost),
+    /// An [`Ftrace`](crate::Ftrace) region entry recorded while the
+    /// program was taped. Charges nothing; a traced replay
+    /// ([`Vm::replay_program_traced`](crate::Vm::replay_program_traced))
+    /// re-enters the region at the same point of the charge stream.
+    Enter(Box<str>),
+    /// The matching region exit.
+    Exit,
 }
 
 impl ProgramOp {
-    /// Charges this instruction stands for (its repetition count).
-    pub fn reps(&self) -> usize {
-        match self {
-            ProgramOp::Vector { reps, .. }
-            | ProgramOp::Intrinsic { reps, .. }
-            | ProgramOp::ScalarLoop { reps, .. }
-            | ProgramOp::Raw { reps, .. } => *reps,
+    /// Whether the descriptor charges anything (region marks do not).
+    pub(crate) fn is_charge(&self) -> bool {
+        !matches!(self, ProgramOp::Enter(_) | ProgramOp::Exit)
+    }
+}
+
+/// Interning key: a descriptor compared and hashed by the exact bits it
+/// replays with (f64 fields by `to_bits`, so `0.0` and `-0.0` stay apart).
+#[derive(Debug, Clone)]
+struct Key(ProgramOp);
+
+impl Key {
+    fn cost_bits(c: &Cost) -> [u64; 4] {
+        [c.cycles.to_bits(), c.flops, c.cray_flops.to_bits(), c.bytes]
+    }
+}
+
+impl PartialEq for Key {
+    fn eq(&self, other: &Key) -> bool {
+        use ProgramOp as P;
+        match (&self.0, &other.0) {
+            (P::Vector(a), P::Vector(b)) => a == b,
+            (P::Intrinsic { f, n }, P::Intrinsic { f: g, n: m }) => f == g && n == m,
+            (
+                P::ScalarLoop { iters, flops, loads, stores, branches, pattern },
+                P::ScalarLoop {
+                    iters: i2,
+                    flops: f2,
+                    loads: l2,
+                    stores: s2,
+                    branches: b2,
+                    pattern: p2,
+                },
+            ) => {
+                iters == i2
+                    && flops.to_bits() == f2.to_bits()
+                    && loads.to_bits() == l2.to_bits()
+                    && stores.to_bits() == s2.to_bits()
+                    && branches.map(f64::to_bits) == b2.map(f64::to_bits)
+                    && pattern == p2
+            }
+            (P::Raw(a), P::Raw(b)) => Key::cost_bits(a) == Key::cost_bits(b),
+            (P::Enter(a), P::Enter(b)) => a == b,
+            (P::Exit, P::Exit) => true,
+            _ => false,
         }
     }
 }
 
-/// A recorded charge sequence in compact IR form: consecutive identical
-/// charges are run-length coalesced into one instruction.
+impl Eq for Key {}
+
+impl Hash for Key {
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        std::mem::discriminant(&self.0).hash(h);
+        match &self.0 {
+            ProgramOp::Vector(op) => op.hash(h),
+            ProgramOp::Intrinsic { f, n } => (f, n).hash(h),
+            ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern } => {
+                (iters, flops.to_bits(), loads.to_bits(), stores.to_bits()).hash(h);
+                (branches.map(f64::to_bits), pattern).hash(h);
+            }
+            ProgramOp::Raw(c) => Key::cost_bits(c).hash(h),
+            ProgramOp::Enter(name) => name.hash(h),
+            ProgramOp::Exit => {}
+        }
+    }
+}
+
+/// One instruction: an index into the program's descriptor table and how
+/// many times in a row that descriptor was charged.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Instr {
+    op: u32,
+    reps: u32,
+}
+
+/// A recorded charge sequence in compact IR form: every distinct
+/// descriptor is stored once in a table, each instruction is a
+/// (descriptor index, repetitions) pair of 8 bytes, and consecutive
+/// identical charges are run-length coalesced into one instruction.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChargeProgram {
-    ops: Vec<ProgramOp>,
+    table: Vec<ProgramOp>,
+    code: Vec<Instr>,
 }
 
 impl ChargeProgram {
@@ -85,98 +180,86 @@ impl ChargeProgram {
         ChargeProgram::default()
     }
 
-    /// The program's instructions, in charge order.
-    pub fn ops(&self) -> &[ProgramOp] {
-        &self.ops
+    /// The program's instructions, in charge order: each descriptor with
+    /// its repetition count (region marks have count 1).
+    pub fn ops(&self) -> impl Iterator<Item = (&ProgramOp, usize)> + '_ {
+        self.code.iter().map(|i| (&self.table[i.op as usize], i.reps as usize))
     }
 
-    /// Instructions after coalescing.
+    /// Instructions after coalescing (region marks included).
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.code.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.code.is_empty()
     }
 
-    /// Total charge calls the program stands for (sum of repetitions) —
-    /// `total_charges() / len()` is the compression the coalescing bought.
+    /// Total charge calls the program stands for (sum of repetitions,
+    /// region marks excluded) — `total_charges() / len()` is the
+    /// compression the coalescing bought.
     pub fn total_charges(&self) -> usize {
-        self.ops.iter().map(ProgramOp::reps).sum()
+        self.ops().filter(|(op, _)| op.is_charge()).map(|(_, reps)| reps).sum()
     }
 
-    pub(crate) fn push_vector(&mut self, op: &VecOp, reps: usize) {
-        if let Some(ProgramOp::Vector { op: last, reps: r }) = self.ops.last_mut() {
-            if last == op {
-                *r += reps;
-                return;
-            }
-        }
-        self.ops.push(ProgramOp::Vector { op: *op, reps });
+    /// Heap bytes the program holds: the descriptor table, the
+    /// instruction stream and the region names.
+    pub fn heap_bytes(&self) -> usize {
+        let names: usize = self
+            .table
+            .iter()
+            .map(|op| if let ProgramOp::Enter(name) = op { name.len() } else { 0 })
+            .sum();
+        self.table.capacity() * std::mem::size_of::<ProgramOp>()
+            + self.code.capacity() * std::mem::size_of::<Instr>()
+            + names
     }
+}
 
-    pub(crate) fn push_intrinsic(&mut self, f: Intrinsic, n: usize, reps: usize) {
-        if let Some(ProgramOp::Intrinsic { f: lf, n: ln, reps: r }) = self.ops.last_mut() {
-            if *lf == f && *ln == n {
-                *r += reps;
-                return;
-            }
-        }
-        self.ops.push(ProgramOp::Intrinsic { f, n, reps });
-    }
+/// The recording side of a [`ChargeProgram`]: the program under
+/// construction plus the descriptor → table index map used to intern
+/// descriptors. The map is dropped when the program is taken.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Recorder {
+    program: ChargeProgram,
+    index: HashMap<Key, u32>,
+}
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn push_scalar_loop(
-        &mut self,
-        iters: usize,
-        flops: f64,
-        loads: f64,
-        stores: f64,
-        branches: Option<f64>,
-        pattern: LocalityPattern,
-    ) {
-        // f64 parameters compare by value; call sites pass literals, never
-        // NaN, so equality is exactly "the same descriptor".
-        if let Some(ProgramOp::ScalarLoop {
-            iters: li,
-            flops: lf,
-            loads: ll,
-            stores: ls,
-            branches: lb,
-            pattern: lp,
-            reps,
-        }) = self.ops.last_mut()
-        {
-            if *li == iters
-                && *lf == flops
-                && *ll == loads
-                && *ls == stores
-                && *lb == branches
-                && *lp == pattern
-            {
-                *reps += 1;
-                return;
-            }
-        }
-        self.ops.push(ProgramOp::ScalarLoop {
-            iters,
-            flops,
-            loads,
-            stores,
-            branches,
-            pattern,
-            reps: 1,
+impl Recorder {
+    /// Append `reps` charges of `op`, coalescing with the previous
+    /// instruction when it names the same descriptor (region marks are
+    /// never coalesced). Counts beyond `u32::MAX` split into several
+    /// instructions, which replays identically (see the module docs).
+    pub(crate) fn push(&mut self, op: ProgramOp, mut reps: usize) {
+        let key = Key(op);
+        let next = u32::try_from(self.program.table.len())
+            .expect("a program has fewer than 2^32 distinct descriptors");
+        let idx = *self.index.entry(key).or_insert_with_key(|k| {
+            self.program.table.push(k.0.clone());
+            next
         });
-    }
-
-    pub(crate) fn push_raw(&mut self, cost: Cost) {
-        if let Some(ProgramOp::Raw { cost: lc, reps }) = self.ops.last_mut() {
-            if *lc == cost {
-                *reps += 1;
-                return;
+        let code = &mut self.program.code;
+        if let Some(last) = code.last_mut() {
+            if last.op == idx && self.program.table[idx as usize].is_charge() {
+                let room = (u32::MAX - last.reps) as usize;
+                let take = room.min(reps);
+                last.reps += take as u32;
+                reps -= take;
             }
         }
-        self.ops.push(ProgramOp::Raw { cost, reps: 1 });
+        while reps > 0 {
+            let take = reps.min(u32::MAX as usize);
+            code.push(Instr { op: idx, reps: take as u32 });
+            reps -= take;
+        }
+    }
+
+    /// The finished program, trimmed to its exact size.
+    pub(crate) fn finish(self) -> ChargeProgram {
+        let mut p = self.program;
+        p.table.shrink_to_fit();
+        p.code.shrink_to_fit();
+        p
     }
 }
 
@@ -200,10 +283,11 @@ mod tests {
         vm.charge_intrinsic(Intrinsic::Sqrt, 100);
         vm.charge_intrinsic(Intrinsic::Sqrt, 100);
         let p = vm.take_program().expect("recording was on");
-        assert_eq!(p.len(), 3, "{:?}", p.ops());
+        let ops: Vec<_> = p.ops().collect();
+        assert_eq!(p.len(), 3, "{ops:?}");
         assert_eq!(p.total_charges(), 3 + 5 + 2 + 2);
-        assert!(matches!(p.ops()[0], ProgramOp::Vector { reps: 8, .. }));
-        assert!(matches!(p.ops()[2], ProgramOp::Intrinsic { reps: 2, .. }));
+        assert!(matches!(ops[0], (ProgramOp::Vector(_), 8)));
+        assert!(matches!(ops[2], (ProgramOp::Intrinsic { .. }, 2)));
     }
 
     #[test]
@@ -278,8 +362,80 @@ mod tests {
         vm.charge_vector_op_repeated(&op(20), 1);
         let p = vm.take_program().unwrap();
         assert_eq!(p.len(), 1);
-        assert!(matches!(p.ops()[0], ProgramOp::Vector { op: VecOp { n: 20, .. }, reps: 1 }));
+        assert!(matches!(p.ops().next(), Some((ProgramOp::Vector(VecOp { n: 20, .. }), 1))));
         assert!(vm.take_program().is_none());
         assert_eq!(vm.stats().program_records, 2);
+    }
+
+    #[test]
+    fn descriptors_are_interned_once_per_program() {
+        let mut vm = Vm::new(presets::sx4_benchmarked());
+        vm.start_program_record();
+        for _ in 0..50 {
+            vm.charge_vector_op_repeated(&op(128), 2);
+            vm.charge_intrinsic(Intrinsic::Exp, 64);
+            vm.charge(Cost::cycles(3.0));
+        }
+        let p = vm.take_program().unwrap();
+        assert_eq!(p.len(), 150, "alternating charges never coalesce");
+        // 150 instructions of 8 bytes plus three descriptors.
+        assert!(p.heap_bytes() <= 150 * 8 + 3 * std::mem::size_of::<ProgramOp>());
+    }
+
+    #[test]
+    fn f64_descriptors_intern_by_bits() {
+        let mut vm = Vm::new(presets::sx4_benchmarked());
+        vm.start_program_record();
+        vm.charge(Cost::cycles(0.0));
+        vm.charge(Cost::cycles(-0.0));
+        vm.charge(Cost::cycles(0.0));
+        let p = vm.take_program().unwrap();
+        let signs: Vec<bool> = p
+            .ops()
+            .map(|(op, _)| matches!(op, ProgramOp::Raw(c) if c.cycles.is_sign_negative()))
+            .collect();
+        assert_eq!(signs, [false, true, false]);
+    }
+
+    #[test]
+    fn traced_replay_rebuilds_the_taped_regions() {
+        let run = |vm: &mut Vm, ft: &mut crate::Ftrace| {
+            ft.enter("a", vm).unwrap();
+            vm.charge_vector_op_repeated(&op(300), 3);
+            ft.exit(vm).unwrap();
+            ft.enter("b", vm).unwrap();
+            vm.charge_vector_op_repeated(&op(300), 2);
+            vm.charge_intrinsic(Intrinsic::Sqrt, 40);
+            ft.exit(vm).unwrap();
+            ft.enter("a", vm).unwrap();
+            vm.charge_scalar_loop(50, 1.0, 2.0, 1.0, LocalityPattern::Streaming);
+            ft.exit(vm).unwrap();
+        };
+        let mut rec = Vm::new(presets::sx4_benchmarked());
+        let mut taped = crate::Ftrace::new();
+        rec.start_program_record();
+        run(&mut rec, &mut taped);
+        let p = rec.take_program().unwrap();
+        assert_eq!(p.total_charges(), 3 + 2 + 1 + 1, "marks are not charges");
+
+        let mut vm = Vm::new(presets::sx4_benchmarked());
+        let mut replayed = crate::Ftrace::new();
+        vm.replay_program_traced(&p, &mut replayed).unwrap();
+        assert_eq!(vm.cost(), rec.cost());
+        assert_eq!(taped.regions().len(), replayed.regions().len());
+        for (name, a) in taped.regions() {
+            let b = &replayed.regions()[name];
+            assert_eq!(a.calls, b.calls, "{name}");
+            assert_eq!(a.cost.cycles.to_bits(), b.cost.cycles.to_bits(), "{name}");
+            assert_eq!(a.cost, b.cost, "{name}");
+            assert_eq!(a.stats.vector_ops, b.stats.vector_ops, "{name}");
+            assert_eq!(a.stats.memo_hits, b.stats.memo_hits, "{name}");
+        }
+        assert_eq!(taped.render(9.2), replayed.render(9.2));
+
+        // An untraced replay skips the marks and charges the same.
+        let mut plain = Vm::new(presets::sx4_benchmarked());
+        plain.replay_program(&p);
+        assert_eq!(plain.cost().cycles.to_bits(), rec.cost().cycles.to_bits());
     }
 }

@@ -15,7 +15,7 @@ use crate::inline_vec::InlineVec;
 use crate::model::{Intrinsic, MachineModel, VectorUnit, VopClass};
 
 /// Memory access pattern of one stream of a vector operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Access {
     /// Constant stride in words; `Stride(1)` is unit stride.
     Stride(usize),
@@ -34,7 +34,7 @@ pub const MAX_STREAMS: usize = 4;
 /// Plain old data: access lists live inline (no allocation), the whole
 /// descriptor is `Copy`, and equality is structural — which is what lets
 /// [`crate::Vm`] memoize timing results keyed by the descriptor itself.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VecOp {
     /// Elements processed.
     pub n: usize,
@@ -193,7 +193,7 @@ fn scalar_pattern_of(op: &VecOp) -> LocalityPattern {
 }
 
 /// Cache behaviour of a scalar loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LocalityPattern {
     /// Sequential sweeps: one miss per cache line per stream.
     Streaming,

@@ -8,9 +8,11 @@
 //! and charge via [`Vm::charge_vector_op`] / [`Vm::charge_scalar_loop`].
 
 use crate::cost::Cost;
+use crate::error::SimError;
+use crate::ftrace::Ftrace;
 use crate::model::{Intrinsic, MachineModel, VopClass};
 use crate::proginf::{OpStats, Proginf};
-use crate::program::{ChargeProgram, ProgramOp};
+use crate::program::{ChargeProgram, ProgramOp, Recorder};
 use crate::timing::{self, Access, LocalityPattern, VecOp};
 use crate::trace::{OpTrace, TraceEvent};
 
@@ -77,7 +79,7 @@ pub struct Vm {
     memo: CostMemo,
     /// Optional charge-program recording; `None` (free) unless enabled via
     /// [`Vm::start_program_record`].
-    program: Option<Box<ChargeProgram>>,
+    program: Option<Box<Recorder>>,
 }
 
 impl Vm {
@@ -148,7 +150,14 @@ impl Vm {
 
     /// Stop recording and take the program, if recording was enabled.
     pub fn take_program(&mut self) -> Option<ChargeProgram> {
-        self.program.take().map(|b| *b)
+        self.program.take().map(|b| b.finish())
+    }
+
+    /// Record an [`Ftrace`] region mark into the program, if recording.
+    pub(crate) fn record_mark(&mut self, mark: impl FnOnce() -> ProgramOp) {
+        if let Some(p) = self.program.as_mut() {
+            p.push(mark(), 1);
+        }
     }
 
     /// Re-charge a recorded program in one batched pass. Ledgers, op
@@ -164,19 +173,40 @@ impl Vm {
     /// call's `reps` multiplied by `scale`. `scale == 0` charges nothing
     /// (but still counts as a replay).
     pub fn replay_program_scaled(&mut self, p: &ChargeProgram, scale: usize) {
+        self.replay(p, scale, None).expect("an untraced replay opens no region");
+    }
+
+    /// Replay a program and, at the region marks it was taped with,
+    /// enter and exit the same [`Ftrace`] regions: `ftrace` ends up with
+    /// the regions, calls and bit-identical exclusive costs the taped run
+    /// collected. Unbalanced marks surface as the `Ftrace` error.
+    pub fn replay_program_traced(
+        &mut self,
+        p: &ChargeProgram,
+        ftrace: &mut Ftrace,
+    ) -> Result<(), SimError> {
+        self.replay(p, 1, Some(ftrace))
+    }
+
+    fn replay(
+        &mut self,
+        p: &ChargeProgram,
+        scale: usize,
+        mut ftrace: Option<&mut Ftrace>,
+    ) -> Result<(), SimError> {
         self.stats.program_replays += 1;
         if scale == 0 {
-            return;
+            return Ok(());
         }
-        for instr in p.ops() {
+        for (instr, reps) in p.ops() {
             match instr {
-                ProgramOp::Vector { op, reps } => {
+                ProgramOp::Vector(op) => {
                     self.charge_vector_op_repeated(op, reps * scale);
                 }
-                ProgramOp::Intrinsic { f, n, reps } => {
+                ProgramOp::Intrinsic { f, n } => {
                     self.charge_intrinsic_repeated(*f, *n, reps * scale);
                 }
-                ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern, reps } => {
+                ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern } => {
                     for _ in 0..reps * scale {
                         match branches {
                             Some(b) => self.charge_scalar_loop_branchy(
@@ -188,13 +218,24 @@ impl Vm {
                         }
                     }
                 }
-                ProgramOp::Raw { cost, reps } => {
+                ProgramOp::Raw(cost) => {
                     for _ in 0..reps * scale {
                         self.charge(*cost);
                     }
                 }
+                ProgramOp::Enter(name) => {
+                    if let Some(ft) = ftrace.as_deref_mut() {
+                        ft.enter(name, self)?;
+                    }
+                }
+                ProgramOp::Exit => {
+                    if let Some(ft) = ftrace.as_deref_mut() {
+                        ft.exit(self)?;
+                    }
+                }
             }
         }
+        Ok(())
     }
 
     /// The machine this processor belongs to.
@@ -246,7 +287,7 @@ impl Vm {
         self.stats.other_cycles += c.cycles;
         self.trace_event(|| TraceEvent::Charge { cost: c });
         if let Some(p) = self.program.as_mut() {
-            p.push_raw(c);
+            p.push(ProgramOp::Raw(c), 1);
         }
     }
 
@@ -267,7 +308,7 @@ impl Vm {
             return;
         }
         if let Some(p) = self.program.as_mut() {
-            p.push_vector(op, reps);
+            p.push(ProgramOp::Vector(*op), reps);
         }
         let c = self.vector_op_cost(op);
         // The loop of single charges would hit the freshly filled slot on
@@ -331,7 +372,8 @@ impl Vm {
         self.stats.scalar_iters += iters as u64;
         self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
         if let Some(p) = self.program.as_mut() {
-            p.push_scalar_loop(iters, flops, loads, stores, None, pattern);
+            let branches = None;
+            p.push(ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern }, 1);
         }
     }
 
@@ -362,7 +404,8 @@ impl Vm {
         self.stats.scalar_iters += iters as u64;
         self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
         if let Some(p) = self.program.as_mut() {
-            p.push_scalar_loop(iters, flops, loads, stores, Some(branches), pattern);
+            let branches = Some(branches);
+            p.push(ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern }, 1);
         }
     }
 
@@ -379,7 +422,7 @@ impl Vm {
             return;
         }
         if let Some(p) = self.program.as_mut() {
-            p.push_intrinsic(f, n, reps);
+            p.push(ProgramOp::Intrinsic { f, n }, reps);
         }
         let c = timing::intrinsic_op(&self.model, f, n);
         for _ in 0..reps {
