@@ -51,20 +51,27 @@ cargo run --offline -q -p ncar-bench -- check --matrix --json >/dev/null
 echo "==> sxd smoke test (serve, cache hit, typed error, clean shutdown)"
 cargo build --offline -q -p ncar-bench
 bench="target/debug/ncar-bench"
-smoke_log="$(mktemp)"
-"$bench" serve --addr 127.0.0.1:0 >"$smoke_log" 2>&1 &
-serve_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^sxd listening on //p' "$smoke_log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "sxd never reported a listening address" >&2
-    kill "$serve_pid" 2>/dev/null || true
+
+# Start `ncar-bench serve --addr 127.0.0.1:0 ARGS...` in the background,
+# logging to LOG. Sets $sxd_pid, and $addr once the daemon announces where
+# it listens; exits CI if it never does.
+start_sxd() {
+    local log="$1"
+    shift
+    "$bench" serve --addr 127.0.0.1:0 "$@" >"$log" 2>&1 &
+    sxd_pid=$!
+    addr=""
+    for _ in $(seq 1 50); do
+        addr="$(sed -n 's/^sxd listening on //p' "$log")"
+        [ -n "$addr" ] && return 0
+        sleep 0.1
+    done
+    echo "sxd serve $* never reported a listening address" >&2
+    kill "$sxd_pid" 2>/dev/null || true
     exit 1
-fi
+}
+smoke_log="$(mktemp)"
+start_sxd "$smoke_log"
 first="$("$bench" submit radabs --addr "$addr" --json true)"
 second="$("$bench" submit radabs --addr "$addr" --json true)"
 case "$first" in *'"cached":false'*) ;; *) echo "first submit should be uncached: $first" >&2; exit 1;; esac
@@ -99,7 +106,7 @@ esac
 "$bench" metrics --addr "$addr" | grep -q 'FTRACE ANALYSIS LIST'
 
 "$bench" shutdown --addr "$addr" >/dev/null
-if ! wait "$serve_pid"; then
+if ! wait "$sxd_pid"; then
     echo "sxd did not exit 0 after graceful shutdown" >&2
     exit 1
 fi
@@ -108,41 +115,16 @@ rm -f "$smoke_log"
 echo "==> sxd crash-recovery smoke (flood, kill -9, restart on the same state dir, replayed cache)"
 state_dir="$(mktemp -d)"
 crash_log="$(mktemp)"
-"$bench" serve --addr 127.0.0.1:0 --state-dir "$state_dir" >"$crash_log" 2>&1 &
-crash_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^sxd listening on //p' "$crash_log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "durable sxd never reported a listening address" >&2
-    kill "$crash_pid" 2>/dev/null || true
-    exit 1
-fi
+start_sxd "$crash_log" --state-dir "$state_dir"
 if ! "$bench" flood --addr "$addr" --clients 8 --jobs 48 >/dev/null; then
     echo "pre-crash flood failed its acceptance checks" >&2
     exit 1
 fi
 before="$("$bench" submit radabs --addr "$addr" --json true)"
 case "$before" in *'"cached":true'*) ;; *) echo "flooded config should already be cached: $before" >&2; exit 1;; esac
-kill -9 "$crash_pid"
-wait "$crash_pid" 2>/dev/null || true
-: >"$crash_log"
-"$bench" serve --addr 127.0.0.1:0 --state-dir "$state_dir" >"$crash_log" 2>&1 &
-crash_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^sxd listening on //p' "$crash_log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "restarted sxd never reported a listening address" >&2
-    kill "$crash_pid" 2>/dev/null || true
-    exit 1
-fi
+kill -9 "$sxd_pid"
+wait "$sxd_pid" 2>/dev/null || true
+start_sxd "$crash_log" --state-dir "$state_dir"
 # Every configuration the flood completed must be a cache hit after the
 # restart — the journal replay is the only thing that can make it one.
 for s in fig5 radabs table3; do
@@ -169,7 +151,7 @@ case "$metrics" in
 esac
 # Exit through the new drain verb: nothing is pending, so it exits 0 fast.
 "$bench" drain --addr "$addr" --deadline 5 >/dev/null
-if ! wait "$crash_pid"; then
+if ! wait "$sxd_pid"; then
     echo "sxd did not exit 0 after drain" >&2
     exit 1
 fi
@@ -178,19 +160,7 @@ rm -rf "$state_dir" "$crash_log"
 echo "==> sxd reactor smoke (1k-connection flood against a durable daemon, reconciled METRICS, drain)"
 reactor_dir="$(mktemp -d)"
 reactor_log="$(mktemp)"
-"$bench" serve --addr 127.0.0.1:0 --state-dir "$reactor_dir" --idle-timeout 30 >"$reactor_log" 2>&1 &
-reactor_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^sxd listening on //p' "$reactor_log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "reactor-smoke sxd never reported a listening address" >&2
-    kill "$reactor_pid" 2>/dev/null || true
-    exit 1
-fi
+start_sxd "$reactor_log" --state-dir "$reactor_dir" --idle-timeout 30
 # 1000 concurrent connections through one reactor thread: every job must
 # complete and the admission counters must reconcile under the load.
 if ! "$bench" flood --addr "$addr" --clients 1000 --jobs 2000; then
@@ -208,7 +178,7 @@ case "$stats" in
     *) echo "STATS must surface the reactor connection counters: $stats" >&2; exit 1;;
 esac
 "$bench" drain --addr "$addr" --deadline 5 >/dev/null
-if ! wait "$reactor_pid"; then
+if ! wait "$sxd_pid"; then
     echo "sxd did not exit 0 after the reactor-smoke drain" >&2
     exit 1
 fi
@@ -217,19 +187,7 @@ rm -rf "$reactor_dir" "$reactor_log"
 echo "==> sxd pipelined-flood smoke (depth-8 pipeline against a durable daemon, fast path engaged)"
 pipe_dir="$(mktemp -d)"
 pipe_log="$(mktemp)"
-"$bench" serve --addr 127.0.0.1:0 --state-dir "$pipe_dir" --pipeline-depth 8 >"$pipe_log" 2>&1 &
-pipe_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^sxd listening on //p' "$pipe_log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "pipelined-flood sxd never reported a listening address" >&2
-    kill "$pipe_pid" 2>/dev/null || true
-    exit 1
-fi
+start_sxd "$pipe_log" --state-dir "$pipe_dir" --pipeline-depth 8
 # Pipelined clients (8 frames in flight per connection) against a depth-8
 # server: replies must stay in order and byte-identical (the flood's
 # per-reply key check enforces this), counters must reconcile, and the
@@ -250,7 +208,7 @@ case "$metrics" in
     *) echo "METRICS must report the fastpath_hits counter: $metrics" >&2; exit 1;;
 esac
 "$bench" drain --addr "$addr" --deadline 5 >/dev/null
-if ! wait "$pipe_pid"; then
+if ! wait "$sxd_pid"; then
     echo "sxd did not exit 0 after the pipelined-flood drain" >&2
     exit 1
 fi
@@ -259,19 +217,7 @@ rm -rf "$pipe_dir" "$pipe_log"
 echo "==> sxd cluster smoke (3 shards, routed flood, member drain + keyspace hand-off)"
 cluster_dir="$(mktemp -d)"
 cluster_log="$(mktemp)"
-"$bench" serve --addr 127.0.0.1:0 --cluster 3 --state-dir "$cluster_dir" >"$cluster_log" 2>&1 &
-cluster_pid=$!
-addr=""
-for _ in $(seq 1 50); do
-    addr="$(sed -n 's/^sxd listening on //p' "$cluster_log")"
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
-if [ -z "$addr" ]; then
-    echo "cluster router never reported a listening address" >&2
-    kill "$cluster_pid" 2>/dev/null || true
-    exit 1
-fi
+start_sxd "$cluster_log" --cluster 3 --state-dir "$cluster_dir"
 grep -q '^sxd cluster: 3 shards on ' "$cluster_log" || {
     echo "cluster serve must announce its members" >&2
     exit 1
@@ -326,7 +272,7 @@ case "$metrics" in
     *) echo "cluster METRICS must still reconcile after the hand-off: $metrics" >&2; exit 1;;
 esac
 "$bench" shutdown --addr "$addr" >/dev/null
-if ! wait "$cluster_pid"; then
+if ! wait "$sxd_pid"; then
     echo "cluster did not exit 0 after shutdown" >&2
     exit 1
 fi

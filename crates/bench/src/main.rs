@@ -123,7 +123,7 @@ fn main() {
             "       ncar-bench serve [--addr A] [--workers N] [--cache-cap N] \
              [--admit-timeout SECS] [--state-dir DIR] [--drain-deadline SECS] \
              [--idle-timeout SECS] [--dispatchers N] [--pipeline-depth K] \
-             [--fastpath BOOL] [--cluster N]"
+             [--cluster N]"
         );
         eprintln!(
             "       ncar-bench submit <suite> [--addr A] [--machine M] [--param k=v]... \

@@ -136,19 +136,18 @@ fn fail(detail: &str) -> i32 {
 /// `ncar-bench serve [--addr A] [--workers N] [--cache-cap N]
 /// [--admit-timeout SECS] [--state-dir DIR] [--drain-deadline SECS]
 /// [--idle-timeout SECS] [--dispatchers N] [--pipeline-depth K]
-/// [--fastpath BOOL] [--cluster N]`
+/// [--cluster N]`
 ///
 /// `--idle-timeout SECS` bounds how long a silent connection may hold a
 /// socket before the reactor closes it (counted under `conns.idle_closed`
-/// in STATS); `0` disables the bound. `--dispatchers N` sizes the pool
-/// that runs decoded frames (`0` auto-sizes from the worker count).
+/// in STATS); `0` disables the bound. The reactor thread classifies every
+/// frame once, answering cache hits, STATS and typed errors inline;
+/// `--dispatchers N` sizes the pool that finishes the rest (`0` auto-sizes
+/// from the worker count).
 ///
 /// `--pipeline-depth K` lets each connection keep up to K decoded frames
 /// in flight at once (default 1, strictly serial); replies always come
-/// back in request order either way. `--fastpath false` disables the
-/// reactor-thread fast path (cache hits, STATS, typed errors answered
-/// inline), forcing every frame through the dispatcher pool — the knob
-/// EXPERIMENTS.md uses for before/after numbers.
+/// back in request order either way.
 ///
 /// With `--cluster N` (N ≥ 2) the public address is a rendezvous-hash
 /// router in front of N shard daemons on ephemeral loopback ports; every
@@ -201,11 +200,6 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
         Ok(n) => n,
         Err(e) => return fail(&e),
     };
-    match args.get("fastpath") {
-        None | Some("true") => {}
-        Some("false") => config.fastpath = false,
-        Some(_) => return fail("--fastpath wants true or false"),
-    }
     let shards = match args.get_usize("cluster", 1) {
         Ok(n) => n,
         Err(e) => return fail(&e),

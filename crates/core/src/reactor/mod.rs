@@ -12,7 +12,7 @@
 //!
 //! ```text
 //!            epoll/poll readiness                 bounded WorkerPool
-//!  sockets ──────────────► reactor thread ──frame──► dispatchers ──┐
+//!  sockets ──────────────► reactor thread ───job───► dispatchers ──┐
 //!     ▲                      │    ▲                                │
 //!     └──────── replies ─────┘    └────── completions + waker ─────┘
 //! ```
@@ -22,11 +22,12 @@
 //! - **Decode**: read-readiness drains the socket into a [`LineDecoder`]
 //!   (same accept/reject semantics as the blocking frame reader). Each
 //!   complete frame is assigned the connection's next sequence number.
-//! - **Fast path**: before paying a dispatcher handoff, the frame is
-//!   offered to [`Service::fast_handle`] *on the reactor thread*. A
-//!   service answers inline when the reply is cheap to produce (cache
-//!   hits, stats snapshots, typed protocol errors); everything else
-//!   returns `None` and takes the pool.
+//! - **Classify**: every frame goes once through [`Service::classify`]
+//!   *on the reactor thread*, which parses it and either answers inline
+//!   ([`Classified::Inline`]: cache hits, stats snapshots, typed protocol
+//!   errors — anything cheap and non-blocking) or hands the parsed
+//!   [`Service::Job`] to the pool ([`Classified::Dispatch`]), where
+//!   [`Service::handle`] finishes it. No frame is parsed twice.
 //! - **Dispatch window**: up to [`ReactorConfig::pipeline_depth`] frames
 //!   may be in flight per connection (consumed but not yet replied).
 //!   Dispatcher threads may block (NQS admission, journal writes) without
@@ -117,33 +118,39 @@ impl Reply {
     }
 }
 
-/// The application half of the reactor: frame in, reply out.
+/// How [`Service::classify`] disposed of one frame.
+pub enum Classified<J> {
+    /// Answered on the reactor thread; no dispatcher handoff.
+    Inline(Reply),
+    /// Finish on a dispatcher: [`Service::handle`] gets the job.
+    Dispatch(J),
+}
+
+/// The application half of the reactor: frame in, reply out, in one of
+/// two places.
 ///
-/// `handle` runs on a dispatcher thread and may block (admission waits,
-/// journal writes); the reactor thread itself never calls it.
-/// `fast_handle` is the opposite contract: it runs *on the reactor
-/// thread* and must not block, returning `Some` only when the reply is
-/// cheap to produce. Each connection owns one `Conn` value of
-/// per-connection service state, created at accept and shared by
-/// reference with every (possibly concurrent, under pipelining) handler
-/// invocation for that connection.
+/// `classify` sees every frame, on the reactor thread, and must not
+/// block: no waits, no runs, at most short leaf-lock critical sections.
+/// It either answers inline or returns the job a dispatcher should run.
+/// `handle` runs that job on a dispatcher thread and may block
+/// (admission waits, journal writes); the reactor thread never calls it.
+/// Each connection owns one `Conn` value of per-connection service
+/// state, created at accept and shared by reference with every
+/// (possibly concurrent, under pipelining) call for that connection.
 pub trait Service: Send + Sync + 'static {
     type Conn: Send + Sync + 'static;
+    /// A classified frame on its way to a dispatcher.
+    type Job: Send + 'static;
 
     /// A connection was accepted; build its per-connection state.
     fn open(&self, id: u64) -> Self::Conn;
 
-    /// Handle one decoded frame. Runs on a dispatcher thread.
-    fn handle(&self, conn: &Self::Conn, frame: &str) -> Reply;
+    /// Decide one decoded frame on the reactor thread: answer it inline
+    /// or hand it to a dispatcher.
+    fn classify(&self, conn: &Self::Conn, frame: String) -> Classified<Self::Job>;
 
-    /// Try to answer a frame inline on the reactor thread, skipping the
-    /// dispatcher handoff. Must not block: no waits, no runs, at most
-    /// short leaf-lock critical sections. Return `None` to send the
-    /// frame down the normal `handle` path.
-    fn fast_handle(&self, conn: &Self::Conn, frame: &str) -> Option<Reply> {
-        let _ = (conn, frame);
-        None
-    }
+    /// Finish a dispatched job. Runs on a dispatcher thread.
+    fn handle(&self, conn: &Self::Conn, job: Self::Job) -> Reply;
 
     /// Render the reply line for a frame that could not be decoded. The
     /// connection always closes after this reply (there is no resync
@@ -167,7 +174,7 @@ pub struct ReactorConfig {
     /// timeout wheel entirely.
     pub idle_timeout: Option<Duration>,
     /// Dispatcher threads running [`Service::handle`]. This bounds
-    /// frame-handling concurrency the way the old model's thread count
+    /// job-handling concurrency the way the old model's thread count
     /// bounded connections — but it no longer bounds *connections*.
     pub dispatchers: usize,
     /// Grace window for flushing in-flight replies at shutdown.
@@ -588,8 +595,8 @@ impl<S: Service> Reactor<S> {
         true
     }
 
-    /// The per-connection driver: pump decoded frames through the fast
-    /// path or the dispatch window, release in-order replies, flush them
+    /// The per-connection driver: classify decoded frames into inline
+    /// replies or the dispatch window, release in-order replies, flush them
     /// vectored, then decide between closing and re-arming interest.
     fn advance(&mut self, token: u64, pool: &WorkerPool) {
         let depth = self.config.pipeline_depth.max(1) as u64;
@@ -625,19 +632,14 @@ impl<S: Service> Reactor<S> {
             match step {
                 Step::Frame(frame) => {
                     self.shared.stats.frames.fetch_add(1, Ordering::Relaxed);
-                    let (seq, fast) = {
-                        let Some(conn) = self.conns.get_mut(&token) else { return };
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        let fast = self.service.fast_handle(&conn.sconn, &frame);
-                        (seq, fast)
-                    };
-                    match fast {
-                        Some(reply) => {
-                            let Some(conn) = self.conns.get_mut(&token) else { return };
+                    let Some(conn) = self.conns.get_mut(&token) else { return };
+                    let seq = conn.next_seq;
+                    conn.next_seq += 1;
+                    match self.service.classify(&conn.sconn, frame) {
+                        Classified::Inline(reply) => {
                             conn.pending.insert(seq, reply);
                         }
-                        None => self.dispatch(token, seq, frame, pool),
+                        Classified::Dispatch(job) => self.dispatch(token, seq, job, pool),
                     }
                 }
                 Step::DecodeErr(e) => {
@@ -718,7 +720,7 @@ impl<S: Service> Reactor<S> {
         }
     }
 
-    fn dispatch(&mut self, token: u64, seq: u64, frame: String, pool: &WorkerPool) {
+    fn dispatch(&mut self, token: u64, seq: u64, job: S::Job, pool: &WorkerPool) {
         let sconn = {
             let Some(conn) = self.conns.get(&token) else { return };
             Arc::clone(&conn.sconn)
@@ -732,7 +734,7 @@ impl<S: Service> Reactor<S> {
             // loop or strand the connection: turn it into "no reply,
             // close". The daemon's own panic accounting happens inside
             // `handle` (its job runner has its own catch_unwind).
-            let reply = match catch_unwind(AssertUnwindSafe(|| service.handle(&sconn, &frame))) {
+            let reply = match catch_unwind(AssertUnwindSafe(|| service.handle(&sconn, job))) {
                 Ok(reply) => reply,
                 Err(_) => Reply { line: String::new(), close: true },
             };
@@ -921,24 +923,29 @@ mod tests {
 
     impl Service for Echo {
         type Conn = u64;
+        type Job = String;
 
         fn open(&self, id: u64) -> u64 {
             id
         }
 
-        fn handle(&self, conn: &u64, frame: &str) -> Reply {
-            match frame {
+        fn classify(&self, conn: &u64, frame: String) -> Classified<String> {
+            match frame.strip_prefix("fast:") {
+                Some(hot) => {
+                    self.fast_hits.fetch_add(1, Ordering::SeqCst);
+                    Classified::Inline(Reply::send(format!("fast[{conn}]:{hot}")))
+                }
+                None => Classified::Dispatch(frame),
+            }
+        }
+
+        fn handle(&self, conn: &u64, frame: String) -> Reply {
+            match frame.as_str() {
                 "quit" => Reply::send_and_close("bye".into()),
                 "boom" => panic!("handler exploded (expected by test)"),
                 "big" => Reply::send("B".repeat(96 * 1024 * 1024)),
                 f => Reply::send(format!("echo[{conn}]:{f}")),
             }
-        }
-
-        fn fast_handle(&self, conn: &u64, frame: &str) -> Option<Reply> {
-            let hot = frame.strip_prefix("fast:")?;
-            self.fast_hits.fetch_add(1, Ordering::SeqCst);
-            Some(Reply::send(format!("fast[{conn}]:{hot}")))
         }
 
         fn decode_error_reply(&self, err: &DecodeError) -> String {
@@ -1148,10 +1155,15 @@ mod tests {
 
     impl Service for Jitter {
         type Conn = ();
+        type Job = String;
 
         fn open(&self, _id: u64) {}
 
-        fn handle(&self, _conn: &(), frame: &str) -> Reply {
+        fn classify(&self, _conn: &(), frame: String) -> Classified<String> {
+            Classified::Dispatch(frame)
+        }
+
+        fn handle(&self, _conn: &(), frame: String) -> Reply {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for b in frame.bytes() {
                 h ^= u64::from(b);
@@ -1204,8 +1216,8 @@ mod tests {
         }
     }
 
-    /// Inline fast-path replies interleave with dispatched ones without
-    /// breaking request order, and skip the pool entirely.
+    /// Inline replies interleave with dispatched ones without breaking
+    /// request order, and skip the pool entirely.
     #[test]
     fn fast_path_replies_inline_and_preserve_order_with_dispatched_frames() {
         let echo = Echo::new();

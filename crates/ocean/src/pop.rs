@@ -19,8 +19,7 @@ use crate::eos::density;
 use crate::poisson::{conjugate_gradient, CgOptions, Grid2};
 use sxsim::node::partition;
 use sxsim::{
-    Access, ChargeProgram, Cost, LocalityPattern, MachineModel, Node, NodeTiming, Region, VecOp,
-    Vm, VopClass,
+    Access, Cost, LocalityPattern, MachineModel, Node, NodeTiming, Region, VecOp, Vm, VopClass,
 };
 
 /// POP configuration.
@@ -91,30 +90,6 @@ pub struct PopStepTiming {
     pub cg_iters: usize,
 }
 
-/// The recorded charge structure of one POP step. Unlike MOM's, a POP
-/// step is not repetition-invariant — the CG iteration count is
-/// data-dependent — so a program stands for *the step that recorded it*:
-/// [`Pop::replay_step`] reproduces that step's [`PopStepTiming`]
-/// bit-identically (including the per-processor cost split of the
-/// barotropic solve and the per-iteration barrier charge).
-#[derive(Debug, Clone)]
-pub struct PopStepProgram {
-    procs: usize,
-    /// One program per latitude-slab processor (empty for an empty chunk).
-    baroclinic: Vec<ChargeProgram>,
-    /// The free-surface RHS assembly + CG solve + transport update.
-    solve: ChargeProgram,
-    /// CG iterations the recorded solve took (sets the barrier charge).
-    cg_iters: usize,
-}
-
-impl PopStepProgram {
-    /// CG iterations of the recorded solve.
-    pub fn cg_iters(&self) -> usize {
-        self.cg_iters
-    }
-}
-
 impl Pop {
     pub fn new(config: PopConfig, machine: MachineModel) -> Pop {
         let (nlat, nlon, nlev) = (config.nlat, config.nlon, config.nlev);
@@ -183,73 +158,6 @@ impl Pop {
     /// Advance one step on `procs` processors.
     pub fn step(&mut self, procs: usize) -> PopStepTiming {
         assert!(procs >= 1 && procs <= self.machine.procs);
-        self.step_inner(procs, None)
-    }
-
-    /// Advance one step while recording its charge structure; the recorded
-    /// step's timing is bit-identical to [`Pop::step`]'s.
-    pub fn record_step_program(&mut self, procs: usize) -> (PopStepTiming, PopStepProgram) {
-        assert!(procs >= 1 && procs <= self.machine.procs);
-        let mut program = PopStepProgram {
-            procs,
-            baroclinic: Vec::new(),
-            solve: ChargeProgram::new(),
-            cg_iters: 0,
-        };
-        let timing = self.step_inner(procs, Some(&mut program));
-        program.cg_iters = timing.cg_iters;
-        (timing, program)
-    }
-
-    /// Re-charge a recorded step in one batched pass: bit-identical
-    /// [`PopStepTiming`] to the step that recorded `program`. The model
-    /// state and step counter are untouched.
-    pub fn replay_step(&self, program: &PopStepProgram) -> PopStepTiming {
-        let procs = program.procs;
-        let mut regions = Vec::new();
-        let mut phase = Vec::with_capacity(procs);
-        for prog in &program.baroclinic {
-            if prog.is_empty() {
-                phase.push(Cost::ZERO);
-                continue;
-            }
-            let mut vm = Vm::new(self.machine.clone());
-            vm.replay_program(prog);
-            phase.push(vm.take_cost());
-        }
-        regions.push(Region::Parallel(phase));
-
-        let mut vm = Vm::new(self.machine.clone());
-        vm.replay_program(&program.solve);
-        let solve_cost = vm.take_cost();
-        let per_proc = Cost {
-            cycles: solve_cost.cycles / procs as f64,
-            flops: solve_cost.flops / procs as u64,
-            cray_flops: solve_cost.cray_flops / procs as f64,
-            bytes: solve_cost.bytes / procs as u64,
-        };
-        regions.push(Region::Parallel(vec![per_proc; procs]));
-        {
-            let mut sync = Vm::new(self.machine.clone());
-            sync.charge(Cost::cycles(program.cg_iters as f64 * 2.0 * 400.0));
-            regions.push(Region::Serial(sync.take_cost()));
-        }
-
-        let node = Node::new(self.machine.clone());
-        let timing =
-            node.time_regions(&regions).expect("partitioned within the node's processor count");
-        PopStepTiming {
-            timing,
-            seconds: timing.seconds(self.machine.clock_ns),
-            cg_iters: program.cg_iters,
-        }
-    }
-
-    fn step_inner(
-        &mut self,
-        procs: usize,
-        mut record: Option<&mut PopStepProgram>,
-    ) -> PopStepTiming {
         let PopConfig { nlat, nlon, nlev, dt, .. } = self.config;
         let ncol = nlat * nlon;
         let chunks = partition(nlat, procs);
@@ -261,14 +169,8 @@ impl Pop {
         for chunk in &chunks {
             let mut vm = Vm::new(self.machine.clone());
             if chunk.is_empty() {
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.baroclinic.push(ChargeProgram::new());
-                }
                 phase.push(Cost::ZERO);
                 continue;
-            }
-            if record.is_some() {
-                vm.start_program_record();
             }
             let mut rho = vec![0.0f64; ncol];
             for k in 0..nlev {
@@ -318,9 +220,6 @@ impl Pop {
                     100,
                 );
             }
-            if let Some(rec) = record.as_deref_mut() {
-                rec.baroclinic.push(vm.take_program().expect("recording was started above"));
-            }
             phase.push(vm.take_cost());
         }
         regions.push(Region::Parallel(phase));
@@ -354,9 +253,6 @@ impl Pop {
             }
         }
         let mut vm = Vm::new(self.machine.clone());
-        if record.is_some() {
-            vm.start_program_record();
-        }
         // RHS assembly uses 4 CSHIFTs + arithmetic.
         self.charge_cshift_group(&mut vm, ncol, 4);
         vm.charge_vector_op_repeated(
@@ -412,9 +308,6 @@ impl Pop {
         // The barotropic solve parallelizes over grid chunks in POP; on the
         // single node we model it as parallel with a barrier per CG
         // iteration (two reductions each).
-        if let Some(rec) = record {
-            rec.solve = vm.take_program().expect("recording was started above");
-        }
         let solve_cost = vm.take_cost();
         let per_proc = Cost {
             cycles: solve_cost.cycles / procs as f64,
@@ -504,48 +397,6 @@ mod tests {
             m.step(1);
         }
         assert!(m.temp.iter().flat_map(|l| l.iter()).all(|v| v.is_finite()));
-    }
-}
-
-#[cfg(test)]
-mod program_tests {
-    use super::*;
-    use sxsim::presets;
-
-    #[test]
-    fn replay_is_bit_identical_to_the_recorded_step() {
-        let mut m = Pop::new(PopConfig::tiny(), presets::sx4_benchmarked());
-        m.step(4);
-        let (recorded, program) = m.record_step_program(4);
-        assert_eq!(program.cg_iters(), recorded.cg_iters);
-        let replayed = m.replay_step(&program);
-        assert_eq!(recorded.timing.wall_cycles.to_bits(), replayed.timing.wall_cycles.to_bits());
-        assert_eq!(recorded.seconds.to_bits(), replayed.seconds.to_bits());
-        assert_eq!(recorded.timing.work, replayed.timing.work);
-        assert_eq!(recorded.cg_iters, replayed.cg_iters);
-    }
-
-    #[test]
-    fn recording_does_not_perturb_step_or_state() {
-        let mut a = Pop::new(PopConfig::tiny(), presets::sx4_benchmarked());
-        let mut b = Pop::new(PopConfig::tiny(), presets::sx4_benchmarked());
-        let ta = a.step(2);
-        let (tb, _) = b.record_step_program(2);
-        assert_eq!(ta.seconds.to_bits(), tb.seconds.to_bits());
-        assert_eq!(ta.cg_iters, tb.cg_iters);
-        assert_eq!(a.mass(), b.mass());
-    }
-
-    #[test]
-    fn scalar_cshift_structure_survives_replay() {
-        // The unvectorized-CSHIFT configuration charges scalar loops with
-        // two locality patterns; the program must preserve that structure,
-        // not collapse it (replay seconds would drift otherwise).
-        let mut m = Pop::new(PopConfig::tiny(), presets::sx4_benchmarked());
-        assert!(!m.config.cshift_vectorized);
-        let (recorded, program) = m.record_step_program(1);
-        let replayed = m.replay_step(&program);
-        assert_eq!(recorded.seconds.to_bits(), replayed.seconds.to_bits());
     }
 }
 

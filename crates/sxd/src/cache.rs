@@ -52,35 +52,23 @@ impl ResultCache {
 
     /// Look up a result, counting a hit or miss and refreshing recency.
     pub fn get(&mut self, key: u64) -> Option<String> {
-        match self.map.get(&key) {
-            Some(e) => {
-                self.hits += 1;
-                let v = e.value.clone();
-                self.touch(key);
-                Some(v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+        let hit = self.probe(key);
+        if hit.is_none() {
+            self.misses += 1;
         }
+        hit
     }
 
-    /// Fast-path lookup: counts a hit and refreshes recency when the key
-    /// is present but — unlike [`ResultCache::get`] — records nothing on
-    /// absence. The reactor-thread fast path probes before deciding
-    /// whether to dispatch; a declined probe falls through to the
-    /// dispatcher, whose own `get` counts the miss exactly once.
+    /// Hit-only lookup: counts a hit and refreshes recency when the key is
+    /// present but — unlike [`ResultCache::get`] — records nothing on
+    /// absence. The daemon probes on the reactor thread before deciding
+    /// whether to dispatch; a missed probe is dispatched, and the
+    /// dispatcher's own `get` counts the miss exactly once.
     pub fn probe(&mut self, key: u64) -> Option<String> {
-        match self.map.get(&key) {
-            Some(e) => {
-                self.hits += 1;
-                let v = e.value.clone();
-                self.touch(key);
-                Some(v)
-            }
-            None => None,
-        }
+        let v = self.map.get(&key)?.value.clone();
+        self.hits += 1;
+        self.touch(key);
+        Some(v)
     }
 
     /// Insert (or refresh) a result, evicting the least-recently used

@@ -24,9 +24,11 @@
 //! everything, then collect everything, turning N round trips into one
 //! send burst plus one collect sweep.
 //!
-//! `route` and parse errors are pure ring math — no member I/O — so the
-//! reactor answers them inline on its own thread (the router's fast path,
-//! counted in `fastpath_hits`).
+//! Each frame is parsed once, by [`classify`] on the reactor thread.
+//! `route` and parse errors are pure ring math — no member I/O — so they
+//! are answered inline there (counted in `fastpath_hits`); everything else
+//! dispatches with the parsed request and its original frame, so forwards
+//! stay byte-identical.
 //!
 //! The router's long-lived locks (`sxd.router.members`,
 //! `sxd.router.handles`, `sxd.router.counters`, `sxd.router.reactor`,
@@ -45,7 +47,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use ncar_suite::par::lockreg;
-use ncar_suite::reactor::{DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service};
+use ncar_suite::reactor::{
+    Classified, DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service,
+};
 use ncar_suite::{plock_named, Json};
 use sxsim::presets;
 
@@ -98,8 +102,8 @@ struct RouterCounters {
     /// Checkpointed restart specs re-submitted across the ring.
     handoff_resubmits: u64,
     unavailable: u64,
-    /// Frames answered inline on the reactor thread (`route`, parse
-    /// errors): pure ring math, no member I/O.
+    /// Frames [`classify`] answered inline on the reactor thread (`route`,
+    /// parse errors): pure ring math, no member I/O.
     fastpath_hits: u64,
 }
 
@@ -197,7 +201,7 @@ impl Router {
     /// Serve on the reactor event loop until a `shutdown` (or a
     /// full-cluster `drain`) retires every member and the router itself.
     /// A frame's forwarding I/O runs on a dispatcher thread, never on the
-    /// event loop; `route` and parse errors answer inline.
+    /// event loop; `route` and parse errors answer inline ([`classify`]).
     pub fn run(self) -> Result<(), SxdError> {
         let inner = Arc::clone(&self.inner);
         let reactor = Reactor::new(
@@ -242,26 +246,21 @@ struct RouterService {
 
 impl Service for RouterService {
     type Conn = ();
+    /// The parsed request and the frame it came from.
+    type Job = (Request, String);
 
     fn open(&self, _id: u64) {}
 
-    fn handle(&self, _conn: &(), frame: &str) -> Reply {
-        Reply::send(handle_frame(&self.inner, frame))
+    fn classify(&self, _conn: &(), frame: String) -> Classified<(Request, String)> {
+        classify(&self.inner, frame)
     }
 
-    /// Reactor-thread fast path: `route` and parse errors are pure ring
-    /// math, answered inline; everything else holds member I/O and
-    /// dispatches.
-    fn fast_handle(&self, _conn: &(), frame: &str) -> Option<Reply> {
-        fast_frame(&self.inner, frame).map(Reply::send)
+    fn handle(&self, _conn: &(), (req, frame): (Request, String)) -> Reply {
+        Reply::send(handle(&self.inner, req, &frame))
     }
 
     fn decode_error_reply(&self, err: &DecodeError) -> String {
-        match *err {
-            DecodeError::FrameTooLong { len, max } => SxdError::FrameTooLong { len, max },
-            DecodeError::NotUtf8 => SxdError::BadJson { detail: "frame is not valid UTF-8".into() },
-        }
-        .to_reply()
+        SxdError::from(err).to_reply()
     }
 }
 
@@ -441,8 +440,7 @@ fn owner_of(inner: &RouterInner, key: u64) -> Result<usize, SxdError> {
     })
 }
 
-/// Answer a `route` request: ring math only, shared by the dispatcher
-/// path and the fast path. Counts its own `bad_requests`.
+/// Answer a `route` request: ring math only. Counts its own `bad_requests`.
 fn route_reply(
     inner: &RouterInner,
     suite: &str,
@@ -463,59 +461,44 @@ fn route_reply(
     }
 }
 
-/// The router's fast path: frames that need no member I/O — `route` and
-/// parse errors — answer inline on the reactor thread. Everything else
-/// returns `None` and dispatches.
-fn fast_frame(inner: &RouterInner, frame: &str) -> Option<String> {
-    let reply = match Request::parse(frame) {
-        Err(e) => {
-            let mut c = plock_named(&inner.counters, "sxd.router.counters");
-            c.bad_requests += 1;
-            c.fastpath_hits += 1;
-            drop(c);
-            e.to_reply()
-        }
-        Ok(Request::Route { ref suite, ref machine, ref params }) => {
-            let r = route_reply(inner, suite, machine, params);
-            plock_named(&inner.counters, "sxd.router.counters").fastpath_hits += 1;
-            r
-        }
-        Ok(_) => return None,
-    };
-    Some(reply)
+/// Forward `frame` to the live owner of `key`, rendering any failure.
+fn forward_to_owner(inner: &RouterInner, key: u64, frame: &str) -> String {
+    owner_of(inner, key)
+        .and_then(|owner| forward(inner, owner, frame))
+        .unwrap_or_else(|e| e.to_reply())
 }
 
-fn handle_frame(inner: &Arc<RouterInner>, frame: &str) -> String {
-    let parsed = match Request::parse(frame) {
-        Ok(r) => r,
+/// Parse one frame on the reactor thread. Frames that need no member
+/// I/O — `route` and parse errors — answer inline; everything else
+/// dispatches with its original frame.
+fn classify(inner: &RouterInner, frame: String) -> Classified<(Request, String)> {
+    let line = match Request::parse(&frame) {
         Err(e) => {
             plock_named(&inner.counters, "sxd.router.counters").bad_requests += 1;
-            return e.to_reply();
+            e.to_reply()
         }
+        Ok(Request::Route { suite, machine, params }) => {
+            route_reply(inner, &suite, &machine, &params)
+        }
+        Ok(req) => return Classified::Dispatch((req, frame)),
     };
-    match parsed {
-        Request::Submit { ref suite, ref machine, ref params } => {
-            let Some(model) = presets::by_name(machine) else {
+    plock_named(&inner.counters, "sxd.router.counters").fastpath_hits += 1;
+    Classified::Inline(Reply::send(line))
+}
+
+/// Finish a dispatched request on a dispatcher thread. `frame` is the
+/// client's own line, forwarded verbatim.
+fn handle(inner: &Arc<RouterInner>, req: Request, frame: &str) -> String {
+    match req {
+        Request::Submit { suite, machine, params } => {
+            let Some(model) = presets::by_name(&machine) else {
                 plock_named(&inner.counters, "sxd.router.counters").bad_requests += 1;
-                return SxdError::UnknownMachine { machine: machine.clone() }.to_reply();
+                return SxdError::UnknownMachine { machine }.to_reply();
             };
-            let key = cache_key(suite, &model, params);
-            match owner_of(inner, key).and_then(|owner| forward(inner, owner, frame)) {
-                Ok(reply) => reply,
-                Err(e) => e.to_reply(),
-            }
+            forward_to_owner(inner, cache_key(&suite, &model, &params), frame)
         }
-        Request::Put { key, .. } => {
-            match owner_of(inner, key).and_then(|owner| forward(inner, owner, frame)) {
-                Ok(reply) => reply,
-                Err(e) => e.to_reply(),
-            }
-        }
-        Request::Route { ref suite, ref machine, ref params } => {
-            // Normally answered by the fast path; kept here so the verb
-            // still works if a service ever routes it through dispatch.
-            route_reply(inner, suite, machine, params)
-        }
+        Request::Put { key, .. } => forward_to_owner(inner, key, frame),
+        Request::Route { .. } => unreachable!("classify answers route inline"),
         Request::Stats => match fanout_docs(inner, &Request::Stats.to_line(), "stats") {
             Ok(docs) => {
                 // Splice the router's own tallies into the merged stats
@@ -553,10 +536,10 @@ fn handle_frame(inner: &Arc<RouterInner>, frame: &str) -> String {
                 let members = plock_named(&inner.members, "sxd.router.members");
                 (0..members.len()).filter(|&m| members[m].alive).collect()
             };
+            let ms = Some(deadline.as_millis() as u64);
+            let line = Request::Drain { deadline_ms: ms, member: None }.to_line();
             for idx in alive {
-                let req =
-                    Request::Drain { deadline_ms: Some(deadline.as_millis() as u64), member: None };
-                let _ = forward(inner, idx, &req.to_line());
+                let _ = forward(inner, idx, &line);
             }
             let inner2 = Arc::clone(inner);
             std::thread::spawn(move || {
@@ -803,4 +786,64 @@ fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<S
          \"skipped\":{skipped},\"resubmitted\":{resubmitted}}}",
         inner.ring.name(idx)
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The router's classification table over every verb: only `route`
+    /// and parse errors answer inline; everything else dispatches with
+    /// the client's frame byte-for-byte, so forwards stay identical.
+    #[test]
+    fn classify_answers_route_and_parse_errors_inline_only() {
+        let members = (0..3)
+            .map(|i| RouterMember {
+                name: format!("shard-{i}"),
+                addr: "127.0.0.1:1".into(),
+                state_dir: None,
+            })
+            .collect();
+        let handles = vec![None, None, None];
+        let router =
+            Router::bind(members, handles, "127.0.0.1:0", Duration::from_secs(1), None, 0, 1)
+                .unwrap();
+        let inner = &router.inner;
+        let put = format!("{{\"op\":\"put\",\"key\":\"{:016x}\",\"result\":{{}}}}", 7u64);
+        // (frame, inline, fastpath_hits delta, bad_requests delta)
+        let table: &[(&str, bool, u64, u64)] = &[
+            ("{\"op\":\"route\",\"suite\":\"fig5\"}", true, 1, 0),
+            ("{\"op\":\"route\",\"suite\":\"fig5\",\"machine\":\"cray-2\"}", true, 1, 1),
+            ("not json", true, 1, 1),
+            ("{\"op\":\"nope\"}", true, 1, 1),
+            ("{\"op\":\"submit\",\"suite\":\"fig5\",\"params\":{\"n\":3}}", false, 0, 0),
+            (&put, false, 0, 0),
+            ("{\"op\":\"stats\"}", false, 0, 0),
+            ("{\"op\":\"metrics\"}", false, 0, 0),
+            ("{\"op\":\"drain\",\"member\":1}", false, 0, 0),
+            ("{\"op\":\"drain\"}", false, 0, 0),
+            ("{\"op\":\"shutdown\"}", false, 0, 0),
+        ];
+        let mut replies = Vec::new();
+        for &(frame, inline, hits, bad) in table {
+            let before = plock_named(&inner.counters, "sxd.router.counters").clone();
+            let reply = match classify(inner, frame.to_string()) {
+                Classified::Inline(reply) => Some(reply.line),
+                Classified::Dispatch((req, line)) => {
+                    assert_eq!(line, frame, "a dispatched frame must travel verbatim");
+                    assert_eq!(Request::parse(frame).unwrap(), req);
+                    None
+                }
+            };
+            let c = plock_named(&inner.counters, "sxd.router.counters").clone();
+            assert_eq!(reply.is_some(), inline, "{frame}");
+            assert_eq!(c.fastpath_hits - before.fastpath_hits, hits, "{frame}");
+            assert_eq!(c.bad_requests - before.bad_requests, bad, "{frame}");
+            replies.push(reply);
+        }
+        // `route` names the member a submit of the same config goes to.
+        let key = cache_key("fig5", &presets::by_name("sx4").unwrap(), &Default::default());
+        let owner = owner_of(inner, key).unwrap();
+        assert!(replies[0].as_ref().unwrap().contains(&format!("\"member\":{owner},")));
+    }
 }

@@ -6,6 +6,7 @@
 //! panics on input. Each variant maps to a stable snake_case `kind` that
 //! goes over the wire in error replies and comes back typed on the client.
 
+use ncar_suite::reactor::DecodeError;
 use ncar_suite::report::json_escape;
 
 /// Typed serving-layer failure.
@@ -45,6 +46,17 @@ pub enum SxdError {
     /// Client-side view of an error reply whose kind the client does not
     /// interpret further.
     Remote { kind: String, detail: String },
+}
+
+impl From<&DecodeError> for SxdError {
+    /// A frame the reactor could not decode gets the typed error the
+    /// blocking frame reader produces for the same bytes.
+    fn from(err: &DecodeError) -> SxdError {
+        match *err {
+            DecodeError::FrameTooLong { len, max } => SxdError::FrameTooLong { len, max },
+            DecodeError::NotUtf8 => SxdError::BadJson { detail: "frame is not valid UTF-8".into() },
+        }
+    }
 }
 
 impl SxdError {

@@ -50,12 +50,15 @@
 //! leaf: it is taken and released in its own scope, never while another
 //! named lock is held and never holding one while acquiring another.
 //!
-//! The reactor-thread *fast path* ([`Daemon::fast_frame`]) answers cheap
-//! frames — cache hits, `stats`, typed bad requests — inline, without a
-//! dispatcher handoff. It takes the same `inflight` -> `cache` pair for
-//! its hit probe and `counters` alone to retire, so it adds no lock-graph
-//! edges; the one caveat is that its `stats` arm reads the `journal` slot
-//! and can ride out a concurrent append (bounded file IO, exempted as
+//! Each frame takes one request path: [`Daemon::classify`] parses it once
+//! on the reactor thread and answers inline whatever cannot block —
+//! parse errors, cluster verbs, `stats`, shutting-down refusals, unknown
+//! suites and machines, and cache hits. Everything else becomes a [`Job`]
+//! that [`Daemon::handle`] finishes on a dispatcher. The inline hit probe
+//! takes the same `inflight` -> `cache` pair as a dispatched lookup and
+//! `counters` alone to retire, so classifying adds no lock-graph edges;
+//! the one caveat is that the `stats` arm reads the `journal` slot and
+//! can ride out a concurrent append (bounded file IO, exempted as
 //! `sxd.journal.append`). Frames answered inline count `fastpath_hits`
 //! and observe the `fastpath` latency histogram.
 
@@ -69,7 +72,9 @@ use std::time::{Duration, Instant};
 
 use ncar_suite::metrics::{Gauge, Histogram, MetricsRegistry};
 use ncar_suite::par::lockreg;
-use ncar_suite::reactor::{DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service};
+use ncar_suite::reactor::{
+    Classified, DecodeError, Reactor, ReactorConfig, ReactorHandle, Reply, Service,
+};
 use ncar_suite::report::{json_escape, json_f64};
 use ncar_suite::{plock, plock_named, Artifact, Json, Registry, WorkerPool};
 use superux::{Admission, JobSpec};
@@ -169,11 +174,6 @@ pub struct ServerConfig {
     /// depth above 1 changes throughput, never bytes. `1` (the default)
     /// serves strictly request-by-request, the pre-pipelining behavior.
     pub pipeline_depth: usize,
-    /// Answer cheap frames (cache hits, `stats`, typed bad requests)
-    /// inline on the reactor thread instead of paying a dispatcher round
-    /// trip. On by default; turn off to benchmark the dispatch path or to
-    /// keep the reactor thread free of daemon locks.
-    pub fastpath: bool,
 }
 
 impl Default for ServerConfig {
@@ -189,7 +189,6 @@ impl Default for ServerConfig {
             idle_timeout: Some(Duration::from_secs(300)),
             dispatchers: 0,
             pipeline_depth: 1,
-            fastpath: true,
         }
     }
 }
@@ -228,10 +227,11 @@ pub struct Counters {
     /// puts never enter the job pipeline, so the counters invariant is
     /// untouched.
     pub absorbed: u64,
-    /// Frames answered inline on the reactor thread (cache hits, `stats`,
-    /// typed bad requests). Informational: a fast-path submit retires
-    /// through the same `accepted`/`done` transition as a dispatched hit,
-    /// so the counters invariant is untouched.
+    /// Frames [`Daemon::classify`] answered inline on the reactor thread:
+    /// cache hits, `stats`, typed bad requests and shutting-down refusals.
+    /// Informational: an inline hit retires through the same
+    /// `accepted`/`done` transition as a dispatched one, so the counters
+    /// invariant is untouched.
     pub fastpath_hits: u64,
     /// Per-suite serving totals, keyed by lowercased suite name.
     pub suites: BTreeMap<String, SuiteStat>,
@@ -259,8 +259,8 @@ struct DaemonMetrics {
     run: Arc<Histogram>,
     render: Arc<Histogram>,
     job: Arc<Histogram>,
-    /// Inline reactor-thread answers, decode to flush-queue (see the
-    /// fast-path notes in the module docs).
+    /// Inline reactor-thread answers, decode to flush-queue (see
+    /// [`Daemon::classify`]).
     fastpath: Arc<Histogram>,
     /// Replies per vectored write syscall — not a latency; counts how well
     /// pipelined replies coalesce on the wire.
@@ -367,8 +367,6 @@ struct Daemon {
     idle_timeout: Option<Duration>,
     dispatchers: usize,
     pipeline_depth: usize,
-    /// Reactor-thread fast path enabled ([`ServerConfig::fastpath`]).
-    fastpath: bool,
     /// The write-ahead result journal (`None` without a state dir).
     /// Lock order: `journal` before `cache`, never the reverse.
     journal: Mutex<Option<Journal>>,
@@ -442,7 +440,6 @@ impl Server {
                 config.dispatchers
             },
             pipeline_depth: config.pipeline_depth.max(1),
-            fastpath: config.fastpath,
             journal: Mutex::new(journal_slot),
             state_dir: config.state_dir.clone(),
             drain_deadline: config.drain_deadline,
@@ -475,12 +472,7 @@ impl Server {
             std::thread::spawn(move || {
                 for spec in &restarts {
                     let params: BTreeMap<String, String> = spec.params.iter().cloned().collect();
-                    let _ = d.submit_inner(
-                        &spec.suite,
-                        &spec.machine,
-                        &params,
-                        Some(spec.solo_seconds),
-                    );
+                    let _ = d.submit(&spec.suite, &spec.machine, &params, Some(spec.solo_seconds));
                 }
                 if let Some(dir) = &d.state_dir {
                     let _ = journal::clear_restart_specs(dir);
@@ -521,36 +513,54 @@ impl Server {
 }
 
 /// The daemon as the reactor sees it: stateless per connection (every
-/// frame is self-contained), one dispatcher call per decoded frame.
+/// frame is self-contained). [`Daemon::classify`] sees each frame on the
+/// reactor thread; [`Daemon::handle`] finishes the ones it dispatches.
 struct DaemonService {
     daemon: Arc<Daemon>,
 }
 
 impl Service for DaemonService {
     type Conn = ();
+    type Job = Job;
 
     fn open(&self, _id: u64) {}
 
-    fn handle(&self, _conn: &(), frame: &str) -> Reply {
-        Reply::send(self.daemon.handle_frame(frame))
+    fn classify(&self, _conn: &(), frame: String) -> Classified<Job> {
+        self.daemon.classify(&frame)
     }
 
-    /// Reactor-thread fast path: answer a frame inline when it is cheap
-    /// (see [`Daemon::fast_frame`]); `None` routes it to a dispatcher.
-    fn fast_handle(&self, _conn: &(), frame: &str) -> Option<Reply> {
-        self.daemon.fast_frame(frame).map(Reply::send)
+    fn handle(&self, _conn: &(), job: Job) -> Reply {
+        Reply::send(self.daemon.handle(job))
     }
 
-    /// Framing is lost (oversized or non-UTF-8 line): the typed error the
-    /// blocking reader produced for the same bytes, then close — exactly
-    /// the old `handle_conn` behavior.
+    /// Framing is lost (oversized or non-UTF-8 line): a typed error, then
+    /// close.
     fn decode_error_reply(&self, err: &DecodeError) -> String {
-        let e = match *err {
-            DecodeError::FrameTooLong { len, max } => SxdError::FrameTooLong { len, max },
-            DecodeError::NotUtf8 => SxdError::BadJson { detail: "frame is not valid UTF-8".into() },
-        };
-        e.to_reply()
+        SxdError::from(err).to_reply()
     }
+}
+
+/// A submit resolved against the registry and the machine presets, with
+/// its cache key: everything a dispatcher needs to run it.
+struct Submit {
+    suite: String,
+    demand: Demand,
+    runner: RunFn,
+    model: MachineModel,
+    params: BTreeMap<String, String>,
+    key: u64,
+    /// Start of the `job` histogram's interval.
+    t_job: Instant,
+}
+
+/// A frame [`Daemon::classify`] could not answer without blocking, on its
+/// way to a dispatcher.
+enum Job {
+    Submit(Box<Submit>),
+    Put { key: u64, payload: String },
+    Metrics,
+    Shutdown,
+    Drain { deadline_ms: Option<u64> },
 }
 
 /// How one submit resolved against the cache and the in-flight table.
@@ -564,152 +574,125 @@ enum SubmitPath {
 }
 
 impl Daemon {
-    fn handle_frame(self: &Arc<Self>, frame: &str) -> String {
-        let t_parse = Instant::now();
+    /// Parse one frame and answer it inline when that cannot block (see
+    /// the module docs for the inline set); anything that could run, wait,
+    /// park or write — misses, followers, `metrics`, drains, shutdown,
+    /// puts — becomes a [`Job`]. `frame_parse` is observed here, once per
+    /// frame; the `fastpath` histogram covers inline answers, decode to
+    /// flush queue.
+    fn classify(&self, frame: &str) -> Classified<Job> {
+        let t0 = Instant::now();
         let parsed = Request::parse(frame);
-        self.metrics.frame_parse.observe(t_parse.elapsed().as_secs_f64());
-        match parsed {
-            Err(e) => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                e.to_reply()
-            }
+        self.metrics.frame_parse.observe(t0.elapsed().as_secs_f64());
+        let line = match parsed {
+            Err(e) => self.bad_request(e),
             Ok(Request::Stats) => self.stats_reply(),
-            Ok(Request::Metrics) => self.metrics_reply(),
-            Ok(Request::Shutdown) => {
-                self.initiate_shutdown();
-                "{\"ok\":true,\"shutting_down\":true}".into()
-            }
-            Ok(Request::Drain { deadline_ms: _, member: Some(_) }) => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                SxdError::BadRequest {
-                    detail: "\"member\" targets a cluster router; this is a single daemon".into(),
-                }
-                .to_reply()
-            }
+            Ok(Request::Route { .. }) => self.bad_request(SxdError::BadRequest {
+                detail: "\"route\" is a cluster verb; this daemon is not a router".into(),
+            }),
+            Ok(Request::Drain { member: Some(_), .. }) => self.bad_request(SxdError::BadRequest {
+                detail: "\"member\" targets a cluster router; this is a single daemon".into(),
+            }),
             Ok(Request::Drain { deadline_ms, member: None }) => {
+                return Classified::Dispatch(Job::Drain { deadline_ms })
+            }
+            Ok(Request::Metrics) => return Classified::Dispatch(Job::Metrics),
+            Ok(Request::Shutdown) => return Classified::Dispatch(Job::Shutdown),
+            Ok(Request::Put { key, payload }) => {
+                return Classified::Dispatch(Job::Put { key, payload })
+            }
+            Ok(Request::Submit { suite, machine, params }) => {
+                match self.resolve(suite, &machine, params, t0) {
+                    Err(e) => e.to_reply(),
+                    Ok(sub) => match self.probe_hit(&sub) {
+                        Some(line) => line,
+                        None => return Classified::Dispatch(Job::Submit(Box::new(sub))),
+                    },
+                }
+            }
+        };
+        plock_named(&self.counters, "sxd.counters").fastpath_hits += 1;
+        self.metrics.fastpath.observe(t0.elapsed().as_secs_f64());
+        Classified::Inline(Reply::send(line))
+    }
+
+    /// Finish a dispatched [`Job`] on a dispatcher thread.
+    fn handle(self: &Arc<Self>, job: Job) -> String {
+        match job {
+            Job::Submit(sub) => self.run_submit(*sub),
+            Job::Put { key, payload } => self.handle_put(key, &payload),
+            Job::Metrics => Ok(self.metrics_reply()),
+            Job::Shutdown => {
+                self.initiate_shutdown();
+                Ok("{\"ok\":true,\"shutting_down\":true}".into())
+            }
+            Job::Drain { deadline_ms } => {
                 let deadline =
                     deadline_ms.map(Duration::from_millis).unwrap_or(self.drain_deadline);
                 self.start_drain(deadline);
-                format!(
-                    "{{\"ok\":true,\"draining\":true,\"deadline_ms\":{}}}",
-                    deadline.as_millis()
-                )
-            }
-            Ok(Request::Put { key, payload }) => match self.handle_put(key, &payload) {
-                Ok(reply) => reply,
-                Err(e) => e.to_reply(),
-            },
-            Ok(Request::Route { .. }) => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                SxdError::BadRequest {
-                    detail: "\"route\" is a cluster verb; this daemon is not a router".into(),
-                }
-                .to_reply()
-            }
-            Ok(Request::Submit { suite, machine, params }) => {
-                match self.handle_submit(&suite, &machine, &params) {
-                    Ok(reply) => reply,
-                    Err(e) => e.to_reply(),
-                }
+                let ms = deadline.as_millis();
+                Ok(format!("{{\"ok\":true,\"draining\":true,\"deadline_ms\":{ms}}}"))
             }
         }
+        .unwrap_or_else(|e| e.to_reply())
     }
 
-    /// The reactor-thread fast path: answer `frame` inline when doing so
-    /// is cheap and non-blocking, or return `None` to route it through the
-    /// dispatcher pool as before. Cheap means: a parse error or cluster
-    /// verb (typed reply), `stats`, or a submit that resolves as a cache
-    /// hit under the `inflight` -> `cache` pair — the same lock order as
-    /// [`Daemon::submit_inner`]. Anything that could run, wait, or park
-    /// (misses, followers, `metrics`, drains, shutdown, puts) dispatches.
-    ///
-    /// `frame_parse` is observed only for frames answered here, so every
-    /// frame is counted exactly once (declined frames are re-parsed and
-    /// observed by the dispatcher). The `fastpath` histogram covers the
-    /// whole inline handling, decode to flush queue.
-    fn fast_frame(self: &Arc<Self>, frame: &str) -> Option<String> {
-        if !self.fastpath {
-            return None;
+    /// Count a frame that never became a job and render its typed error.
+    fn bad_request(&self, e: SxdError) -> String {
+        plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+        e.to_reply()
+    }
+
+    /// `Err(ShuttingDown)` once a shutdown or drain has stopped admission.
+    fn admitting(&self) -> Result<(), SxdError> {
+        if self.shutting_down.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
+            return Err(SxdError::ShuttingDown);
         }
-        let t0 = Instant::now();
-        let parsed = Request::parse(frame);
-        let parse_wall = t0.elapsed().as_secs_f64();
-        let reply = match parsed {
-            Err(e) => {
-                let mut c = plock_named(&self.counters, "sxd.counters");
-                c.bad_requests += 1;
-                c.fastpath_hits += 1;
-                drop(c);
-                e.to_reply()
-            }
-            Ok(Request::Stats) => {
-                let r = self.stats_reply();
-                plock_named(&self.counters, "sxd.counters").fastpath_hits += 1;
-                r
-            }
-            Ok(Request::Route { .. }) => {
-                let mut c = plock_named(&self.counters, "sxd.counters");
-                c.bad_requests += 1;
-                c.fastpath_hits += 1;
-                drop(c);
-                SxdError::BadRequest {
-                    detail: "\"route\" is a cluster verb; this daemon is not a router".into(),
-                }
-                .to_reply()
-            }
-            Ok(Request::Drain { deadline_ms: _, member: Some(_) }) => {
-                let mut c = plock_named(&self.counters, "sxd.counters");
-                c.bad_requests += 1;
-                c.fastpath_hits += 1;
-                drop(c);
-                SxdError::BadRequest {
-                    detail: "\"member\" targets a cluster router; this is a single daemon".into(),
-                }
-                .to_reply()
-            }
-            Ok(Request::Submit { suite, machine, params }) => {
-                self.fast_submit(&suite, &machine, &params, t0)?
-            }
-            Ok(_) => return None,
+        Ok(())
+    }
+
+    /// The typed refusals every submit shares — admission closed, unknown
+    /// suite, unknown machine — then the cache key.
+    fn resolve(
+        &self,
+        suite: String,
+        machine: &str,
+        params: BTreeMap<String, String>,
+        t_job: Instant,
+    ) -> Result<Submit, SxdError> {
+        self.admitting()?;
+        let Some(entry) = self.registry.get(&suite) else {
+            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            return Err(SxdError::UnknownSuite { suite });
         };
-        self.metrics.frame_parse.observe(parse_wall);
-        self.metrics.fastpath.observe(t0.elapsed().as_secs_f64());
-        Some(reply)
+        let Some(model) = presets::by_name(machine) else {
+            plock_named(&self.counters, "sxd.counters").bad_requests += 1;
+            return Err(SxdError::UnknownMachine { machine: machine.into() });
+        };
+        let key = cache_key(&suite, &model, &params);
+        let (demand, runner) = (entry.demand, Arc::clone(&entry.runner));
+        Ok(Submit { suite, demand, runner, model, params, key, t_job })
     }
 
-    /// The submit arm of the fast path: `Some` only for a clean cache hit.
-    /// Unlike [`Daemon::submit_inner`] there is no pre-count into
-    /// `queued`: the hit retires in one counters critical section
-    /// (`accepted`, `done`, `fastpath_hits` and the `job` observation
+    /// The inline half of a submit: `Some` only for a clean cache hit,
+    /// probed under the same `inflight` -> `cache` pair as
+    /// [`Daemon::run_submit`]. The probe is hit-only, so a miss leaves no
+    /// trace and the dispatcher's own lookup counts it exactly once. There
+    /// is no pre-count into `queued`: the hit retires in one counters
+    /// critical section (`accepted`, `done` and the `job` observation
     /// together), so `accepted == done + rejected + queued + running`
     /// holds at every instant on this path too.
-    fn fast_submit(
-        &self,
-        suite: &str,
-        machine: &str,
-        params: &BTreeMap<String, String>,
-        t_job: Instant,
-    ) -> Option<String> {
-        if self.shutting_down.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
-            return None; // the dispatcher owns the typed refusal
-        }
-        // Unknown suites and machines dispatch too: their typed errors are
-        // not latency-critical and the dispatcher already counts them.
-        self.registry.get(suite)?;
-        let model = presets::by_name(machine)?;
-        let key = cache_key(suite, &model, params);
+    fn probe_hit(&self, sub: &Submit) -> Option<String> {
         let payload = {
             let _inflight = plock_named(&self.inflight, "sxd.inflight");
-            plock_named(&self.cache, "sxd.cache").probe(key)?
+            plock_named(&self.cache, "sxd.cache").probe(sub.key)?
         };
-        {
-            let mut c = plock_named(&self.counters, "sxd.counters");
-            c.accepted += 1;
-            c.done += 1;
-            c.fastpath_hits += 1;
-            self.metrics.job.observe(t_job.elapsed().as_secs_f64());
-        }
-        Some(submit_reply(true, key, &payload))
+        let mut c = plock_named(&self.counters, "sxd.counters");
+        c.accepted += 1;
+        c.done += 1;
+        self.metrics.job.observe(sub.t_job.elapsed().as_secs_f64());
+        drop(c);
+        Some(submit_reply(true, sub.key, &payload))
     }
 
     /// Absorb an already-rendered result under its content address — the
@@ -719,53 +702,35 @@ impl Daemon {
     /// original member's exact bytes. Refused while draining: a handed-off
     /// entry would be lost when this member's own journal moves on.
     fn handle_put(&self, key: u64, payload: &str) -> Result<String, SxdError> {
-        if self.shutting_down.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
-            return Err(SxdError::ShuttingDown);
-        }
+        self.admitting()?;
         plock_named(&self.cache, "sxd.cache").insert(key, payload.to_string());
         self.persist_result(key, payload);
         plock_named(&self.counters, "sxd.counters").absorbed += 1;
         Ok(format!("{{\"ok\":true,\"absorbed\":true,\"key\":\"{key:016x}\"}}"))
     }
 
-    fn handle_submit(
-        &self,
-        suite: &str,
-        machine: &str,
-        params: &BTreeMap<String, String>,
-    ) -> Result<String, SxdError> {
-        self.submit_inner(suite, machine, params, None)
-    }
-
-    /// One submission, end to end. `solo_override` replaces the suite's
-    /// registered solo seconds — the re-admission path uses it to run only
-    /// the work a checkpointed job had left.
-    fn submit_inner(
+    /// One submission from outside the reactor (restart re-admission):
+    /// resolve, then run. `solo_override` replaces the suite's registered
+    /// solo seconds — re-admission uses it to run only the work a
+    /// checkpointed job had left.
+    fn submit(
         &self,
         suite: &str,
         machine: &str,
         params: &BTreeMap<String, String>,
         solo_override: Option<f64>,
     ) -> Result<String, SxdError> {
-        let t_job = Instant::now();
-        if self.shutting_down.load(Ordering::SeqCst) || self.draining.load(Ordering::SeqCst) {
-            return Err(SxdError::ShuttingDown);
-        }
-        let entry = match self.registry.get(suite) {
-            Some(e) => e,
-            None => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                return Err(SxdError::UnknownSuite { suite: suite.into() });
-            }
-        };
-        let model = match presets::by_name(machine) {
-            Some(m) => m,
-            None => {
-                plock_named(&self.counters, "sxd.counters").bad_requests += 1;
-                return Err(SxdError::UnknownMachine { machine: machine.into() });
-            }
-        };
-        let key = cache_key(suite, &model, params);
+        let mut sub = self.resolve(suite.into(), machine, params.clone(), Instant::now())?;
+        sub.demand.solo_seconds = solo_override.unwrap_or(sub.demand.solo_seconds);
+        self.run_submit(sub)
+    }
+
+    /// Run one resolved submit to its reply: a cache hit, a follower of an
+    /// identical in-flight run, or that run's leader.
+    fn run_submit(&self, sub: Submit) -> Result<String, SxdError> {
+        // Admission may have closed while the job waited for a dispatcher.
+        self.admitting()?;
+        let (key, t_job) = (sub.key, sub.t_job);
 
         {
             let mut c = plock_named(&self.counters, "sxd.counters");
@@ -821,8 +786,7 @@ impl Daemon {
                 outcome.map(|payload| submit_reply(true, key, &payload))
             }
             SubmitPath::Leader(slot) => {
-                let outcome =
-                    self.run_as_leader(suite, entry, &model, params, key, t_job, solo_override);
+                let outcome = self.run_as_leader(&sub);
                 // Retire the slot (the cache was populated first on
                 // success) and publish so followers wake with the result.
                 plock_named(&self.inflight, "sxd.inflight").remove(&key);
@@ -839,21 +803,8 @@ impl Daemon {
     /// without running) or while it is running (its result is discarded —
     /// the persisted restart spec owns the work now, and completing both
     /// would double-count it on the next boot).
-    #[allow(clippy::too_many_arguments)]
-    fn run_as_leader(
-        &self,
-        suite: &str,
-        entry: &JobEntry,
-        model: &MachineModel,
-        params: &BTreeMap<String, String>,
-        key: u64,
-        t_job: Instant,
-        solo_override: Option<f64>,
-    ) -> Result<String, SxdError> {
-        let demand = Demand {
-            solo_seconds: solo_override.unwrap_or(entry.demand.solo_seconds),
-            ..entry.demand
-        };
+    fn run_as_leader(&self, sub: &Submit) -> Result<String, SxdError> {
+        let Submit { ref suite, demand, ref model, ref params, key, t_job, .. } = *sub;
         plock_named(&self.pending, "sxd.pending").insert(
             key,
             PendingJob {
@@ -930,7 +881,7 @@ impl Daemon {
             c.running += 1;
         }
 
-        let runner = entry.runner.clone();
+        let runner = Arc::clone(&sub.runner);
         let run_params = params.clone();
         let run_model = model.clone();
         let t_run = Instant::now();
@@ -1345,8 +1296,8 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let params = BTreeMap::new();
-        let first = d.handle_submit("toy", "sx4", &params).unwrap();
-        let second = d.handle_submit("TOY", "sx4-9.2", &params).unwrap();
+        let first = d.submit("toy", "sx4", &params, None).unwrap();
+        let second = d.submit("TOY", "sx4-9.2", &params, None).unwrap();
         assert!(first.contains("\"cached\":false"));
         assert!(second.contains("\"cached\":true"));
         // Byte-identical modulo the cached flag.
@@ -1358,60 +1309,58 @@ mod tests {
         assert_eq!(toy.runs, 1, "the cache hit must not count as a run");
     }
 
+    /// The classification table over every verb: where each frame is
+    /// answered, and what it does to `fastpath_hits`, `bad_requests` and
+    /// the cache-miss count. Each frame is parsed exactly once, whether it
+    /// is answered inline or dispatched.
     #[test]
-    fn fast_path_serves_cache_hits_inline_with_counters_reconciled() {
+    fn classify_answers_every_non_blocking_verb_inline_and_parses_once() {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
-        let frame = "{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"sx4\"}";
-        // Cold: the fast path must decline the miss and leave no trace —
-        // not even a counted cache miss (the dispatcher counts it).
-        assert!(d.fast_frame(frame).is_none());
-        {
-            let c = plock(&d.counters);
-            assert_eq!((c.accepted, c.fastpath_hits), (0, 0));
+        let submit = "{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"sx4\"}";
+        let put = format!("{{\"op\":\"put\",\"key\":\"{:016x}\",\"result\":{{}}}}", 7u64);
+        // (frame, inline, fastpath_hits delta, bad_requests delta, miss delta)
+        let table: &[(&str, bool, u64, u64, u64)] = &[
+            (submit, false, 0, 0, 1), // cold: dispatched, the miss counted once
+            (submit, true, 1, 0, 0),  // warm: an inline hit
+            ("{\"op\":\"stats\"}", true, 1, 0, 0),
+            ("not json", true, 1, 1, 0),
+            ("{\"op\":\"route\",\"suite\":\"toy\"}", true, 1, 1, 0),
+            ("{\"op\":\"drain\",\"member\":0}", true, 1, 1, 0),
+            ("{\"op\":\"submit\",\"suite\":\"nope\"}", true, 1, 1, 0),
+            ("{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"cray-2\"}", true, 1, 1, 0),
+            ("{\"op\":\"metrics\"}", false, 0, 0, 0),
+            (&put, false, 0, 0, 0),
+            ("{\"op\":\"drain\",\"deadline_ms\":0}", false, 0, 0, 0),
+            (submit, true, 1, 0, 0), // admission closed: refused inline
+            ("{\"op\":\"shutdown\"}", false, 0, 0, 0),
+        ];
+        let mut replies = Vec::new();
+        for &(frame, inline, hits, bad, misses) in table {
+            let before = (plock(&d.counters).clone(), plock(&d.cache).misses());
+            // A dispatched frame is finished the way a dispatcher would.
+            let (reply, was_inline) = match d.classify(frame) {
+                Classified::Inline(reply) => (reply.line, true),
+                Classified::Dispatch(job) => (d.handle(job), false),
+            };
+            let c = plock(&d.counters).clone();
+            assert_eq!(was_inline, inline, "{frame}: {reply}");
+            assert_eq!(c.fastpath_hits - before.0.fastpath_hits, hits, "{frame}");
+            assert_eq!(c.bad_requests - before.0.bad_requests, bad, "{frame}");
+            assert_eq!(plock(&d.cache).misses() - before.1, misses, "{frame}");
+            assert_eq!(c.accepted, c.done + c.rejected + c.queued + c.running, "{frame}");
+            replies.push(reply);
         }
-        assert_eq!(plock(&d.cache).misses(), 0, "a declined probe must be invisible");
-        // Warm the cache through the full path.
-        let slow = d.handle_frame(frame);
-        assert!(slow.contains("\"cached\":false"), "{slow}");
-        // Hot: the fast path serves byte-identical output inline.
-        let fast = d.fast_frame(frame).expect("warm submit must fast-path");
-        assert_eq!(fast, slow.replace("\"cached\":false", "\"cached\":true"));
-        {
-            let c = plock(&d.counters);
-            assert_eq!((c.accepted, c.done, c.fastpath_hits), (2, 2, 1));
-            assert_eq!(c.accepted, c.done + c.rejected + c.queued + c.running);
-        }
-        // Stats, parse errors and cluster verbs answer inline; run-bound
-        // and stateful verbs do not.
-        assert!(d.fast_frame("{\"op\":\"stats\"}").is_some());
-        assert!(d.fast_frame("not json").is_some());
-        assert!(d.fast_frame("{\"op\":\"route\",\"suite\":\"toy\",\"machine\":\"sx4\"}").is_some());
-        assert!(d.fast_frame("{\"op\":\"metrics\"}").is_none());
-        assert!(d.fast_frame("{\"op\":\"shutdown\"}").is_none());
-        assert!(d.fast_frame("{\"op\":\"drain\"}").is_none());
+        // The inline hit is byte-identical to the run that populated it.
+        assert_eq!(replies[1], replies[0].replace("\"cached\":false", "\"cached\":true"));
+        assert_eq!(SxdError::ShuttingDown.to_reply(), replies[11]);
         let m = metrics_doc(d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));
-        let stats = m.get("stats").unwrap();
-        assert_eq!(stats.get("fastpath_hits").unwrap().as_u64(), Some(4));
-        assert_eq!(stats.get("bad_requests").unwrap().as_u64(), Some(2));
-        // `frame_parse` counted each answered frame exactly once: one warm
-        // dispatch + four inline answers (the cold decline re-parses in
-        // the dispatcher, which in this test never saw it).
         let parse = m.get("latency").unwrap().get("frame_parse").unwrap();
-        assert_eq!(parse.get("count").unwrap().as_u64(), Some(5));
-    }
-
-    #[test]
-    fn fast_path_toggle_off_declines_everything() {
-        let config = ServerConfig { fastpath: false, ..ServerConfig::default() };
-        let server = Server::bind(toy_registry(), config).unwrap();
-        let d = &server.daemon;
-        let frame = "{\"op\":\"submit\",\"suite\":\"toy\",\"machine\":\"sx4\"}";
-        let _ = d.handle_frame(frame);
-        assert!(d.fast_frame(frame).is_none(), "warm hit must still dispatch");
-        assert!(d.fast_frame("{\"op\":\"stats\"}").is_none());
-        assert_eq!(plock(&d.counters).fastpath_hits, 0);
+        assert_eq!(parse.get("count").unwrap().as_u64(), Some(table.len() as u64));
+        let fastpath = m.get("latency").unwrap().get("fastpath").unwrap();
+        let inline = table.iter().filter(|row| row.1).count() as u64;
+        assert_eq!(fastpath.get("count").unwrap().as_u64(), Some(inline));
     }
 
     #[test]
@@ -1419,9 +1368,9 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let params = BTreeMap::new();
-        let e1 = d.handle_submit("nope", "sx4", &params).unwrap_err();
+        let e1 = d.submit("nope", "sx4", &params, None).unwrap_err();
         assert_eq!(e1.kind(), "unknown_suite");
-        let e2 = d.handle_submit("toy", "cray-2", &params).unwrap_err();
+        let e2 = d.submit("toy", "cray-2", &params, None).unwrap_err();
         assert_eq!(e2.kind(), "unknown_machine");
         let c = plock(&d.counters);
         assert_eq!(c.accepted, 0);
@@ -1446,7 +1395,7 @@ mod tests {
         );
         let server = Server::bind(r, ServerConfig::default()).unwrap();
         let d = &server.daemon;
-        let err = d.handle_submit("wide", "sx4", &BTreeMap::new()).unwrap_err();
+        let err = d.submit("wide", "sx4", &BTreeMap::new(), None).unwrap_err();
         assert_eq!(err.kind(), "rejected");
         let c = plock(&d.counters);
         assert_eq!((c.accepted, c.rejected, c.done, c.queued, c.running), (1, 1, 0, 0, 0));
@@ -1464,7 +1413,7 @@ mod tests {
             ),
         );
         let server = Server::bind(r, ServerConfig::default()).unwrap();
-        let err = server.daemon.handle_submit("boom", "sx4", &BTreeMap::new()).unwrap_err();
+        let err = server.daemon.submit("boom", "sx4", &BTreeMap::new(), None).unwrap_err();
         assert_eq!(err.kind(), "run_failed");
         let c = plock(&server.daemon.counters);
         assert_eq!((c.accepted, c.rejected, c.running), (1, 1, 0));
@@ -1493,7 +1442,7 @@ mod tests {
             let handles: Vec<_> = (0..HERD)
                 .map(|_| {
                     let d = Arc::clone(&d);
-                    s.spawn(move || d.handle_submit("slow", "sx4", &BTreeMap::new()).unwrap())
+                    s.spawn(move || d.submit("slow", "sx4", &BTreeMap::new(), None).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1533,9 +1482,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let d = Arc::clone(&d);
-                    s.spawn(move || {
-                        d.handle_submit("failing", "sx4", &BTreeMap::new()).unwrap_err()
-                    })
+                    s.spawn(move || d.submit("failing", "sx4", &BTreeMap::new(), None).unwrap_err())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1549,7 +1496,7 @@ mod tests {
         assert_eq!(c.coalesced, 3);
         // Failures are not cached: a later submit runs again.
         drop(c);
-        let _ = d.handle_submit("failing", "sx4", &BTreeMap::new()).unwrap_err();
+        let _ = d.submit("failing", "sx4", &BTreeMap::new(), None).unwrap_err();
         assert_eq!(runs.load(Ordering::SeqCst), 2);
     }
 
@@ -1593,11 +1540,11 @@ mod tests {
 
         let hog = {
             let d = Arc::clone(&d);
-            std::thread::spawn(move || d.handle_submit("hog", "sx4", &BTreeMap::new()))
+            std::thread::spawn(move || d.submit("hog", "sx4", &BTreeMap::new(), None))
         };
         // Let the hog take the node before the second job arrives.
         std::thread::sleep(Duration::from_millis(60));
-        let err = d.handle_submit("wants-in", "sx4", &BTreeMap::new()).unwrap_err();
+        let err = d.submit("wants-in", "sx4", &BTreeMap::new(), None).unwrap_err();
         assert_eq!(err.kind(), "rejected");
         assert!(err.detail().contains("admission wait exceeded"), "{err}");
         {
@@ -1618,7 +1565,7 @@ mod tests {
     fn stats_stay_serviceable_after_a_panic_poisons_the_counters() {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = Arc::clone(&server.daemon);
-        d.handle_submit("toy", "sx4", &BTreeMap::new()).unwrap();
+        d.submit("toy", "sx4", &BTreeMap::new(), None).unwrap();
         // Poison the counters mutex the way a bug would: panic mid-section.
         {
             let d = Arc::clone(&d);
@@ -1634,7 +1581,7 @@ mod tests {
         assert!(stats.contains("\"accepted\":1"), "{stats}");
         let m = metrics_doc(&d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));
-        let reply = d.handle_submit("toy", "sx4", &BTreeMap::new()).unwrap();
+        let reply = d.submit("toy", "sx4", &BTreeMap::new(), None).unwrap();
         assert!(reply.contains("\"cached\":true"));
     }
 
@@ -1643,11 +1590,11 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let mut p = BTreeMap::new();
-        d.handle_submit("toy", "sx4", &p).unwrap(); // miss -> run
-        d.handle_submit("toy", "sx4", &p).unwrap(); // hit
+        d.submit("toy", "sx4", &p, None).unwrap(); // miss -> run
+        d.submit("toy", "sx4", &p, None).unwrap(); // hit
         p.insert("n".into(), "2".into());
-        d.handle_submit("toy", "sx4", &p).unwrap(); // second distinct run
-        let _ = d.handle_submit("missing", "sx4", &p).unwrap_err(); // not accepted
+        d.submit("toy", "sx4", &p, None).unwrap(); // second distinct run
+        let _ = d.submit("missing", "sx4", &p, None).unwrap_err(); // not accepted
 
         let m = metrics_doc(d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));
