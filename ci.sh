@@ -279,12 +279,12 @@ fi
 rm -rf "$cluster_dir" "$cluster_log"
 
 echo "==> perf smoke (release harness, schema validation, batched-vs-loop equivalence)"
-# The equivalence property tests — including charge-program record/replay —
-# must also hold under release-mode float optimization: bit-identical
-# ledgers are the whole point.
+# The equivalence tests — charge-program record/replay, and priced steps
+# against functional ones — must also hold under release-mode float
+# optimization: bit-identical ledgers are the whole point.
 cargo test --offline -q -p sxsim --release --test batch_props
-cargo test --offline -q -p ccm-proxy --release program_tests
-cargo test --offline -q -p ocean-models --release program_tests
+cargo test --offline -q -p ccm-proxy --release pricing_tests
+cargo test --offline -q -p ocean-models --release pricing_tests
 cargo build --offline -q --release -p ncar-bench
 perf_json="$(mktemp)"
 target/release/ncar-bench perf --smoke --out "$perf_json" >/dev/null

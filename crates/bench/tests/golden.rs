@@ -110,7 +110,11 @@ fn every_experiment_matches_its_golden_file() {
     .into_iter()
     .flatten()
     .collect();
-    assert!(failures.is_empty(), "artifacts moved from their golden files:\n{}", failures.join("\n"));
+    assert!(
+        failures.is_empty(),
+        "artifacts moved from their golden files:\n{}",
+        failures.join("\n")
+    );
 }
 
 #[test]
@@ -131,7 +135,10 @@ fn differences_name_the_artifact_and_row() {
     let moved_row = first_difference(&want, &(table("1.01") + &figure(3.0))).unwrap();
     assert!(moved_row.starts_with("artifact 0 (\"T\"): row 1:"), "{moved_row}");
     let moved_point = first_difference(&want, &(table("1.00") + &figure(3.5))).unwrap();
-    assert!(moved_point.starts_with("artifact 1 (\"F\"): series 0 (\"s\") point 1:"), "{moved_point}");
+    assert!(
+        moved_point.starts_with("artifact 1 (\"F\"): series 0 (\"s\") point 1:"),
+        "{moved_point}"
+    );
     let missing = first_difference(&want, &table("1.00")).unwrap();
     assert_eq!(missing, "artifact count: want 2, got 1");
 }

@@ -14,8 +14,8 @@
 //! - [`model`] — the 18-level semi-implicit leapfrog model whose steps are
 //!   priced on a simulated SX-4 node, driving Figure 8, Table 5 and
 //!   Table 6;
-//! - [`steady`] — a process-wide memo of recorded steady-state steps,
-//!   which serves those experiments by replay instead of re-stepping.
+//! - [`steady`] — priced steps: a step's timing without its arithmetic,
+//!   which serves those experiments.
 
 // Index-based loops over grids read as the stencil math they implement.
 #![allow(clippy::needless_range_loop)]
@@ -36,4 +36,4 @@ pub mod wire;
 pub use model::{Ccm2Config, Ccm2Proxy, StepTiming};
 pub use resolution::Resolution;
 pub use spectral::SphericalTransform;
-pub use steady::{steady_step, steady_step_traced, MemoStats, StepMemo};
+pub use steady::{steady_step, steady_step_multinode, steady_step_traced};

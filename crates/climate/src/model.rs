@@ -37,6 +37,11 @@ use sxsim::{
 const EARTH_RADIUS: f64 = 6.371e6;
 /// Rotation rate (1/s).
 const OMEGA: f64 = 7.292e-5;
+/// Transforms fused into each vector of the spectral transform (CCM2's
+/// slab vectorization). Full 18-level fusion would make every vector ~1000
+/// elements and erase Figure 8's short-vector effects; the production code
+/// fused a few fields at a time.
+const FUSED_TRANSFORMS: usize = 6;
 
 /// Model configuration.
 #[derive(Debug, Clone)]
@@ -126,6 +131,9 @@ pub struct Ccm2Proxy {
     /// model creates one per simulated processor per phase); feeds the
     /// perf harness and PROGINF-style reporting.
     op_stats: OpStats,
+    /// Whether steps compute the fields (false for a pricing model, see
+    /// [`Ccm2Proxy::pricing`]).
+    computes: bool,
 }
 
 /// Borrowed view of the full prognostic state (both leapfrog levels).
@@ -147,9 +155,7 @@ pub struct Ccm2State<'a> {
 /// never on the field values, so one recorded step stands for every step:
 /// [`Ccm2Proxy::replay_step`] re-charges the whole program in a batched
 /// pass whose [`StepTiming`] is **bit-identical** to the recording step's,
-/// without re-executing any of the functional math. Chunk 0's programs
-/// also carry the step's FTRACE region marks, so a traced replay rebuilds
-/// [`Ccm2Proxy::step_traced`]'s phase breakdown as well.
+/// without re-executing any of the functional math.
 #[derive(Debug, Clone)]
 pub struct StepProgram {
     procs: usize,
@@ -174,24 +180,15 @@ impl StepProgram {
     /// Re-charge the step against fresh `Vm`s of `machine`, one per chunk
     /// as [`Ccm2Proxy::step`] creates them (the memo accounting is part of
     /// the bit-identity contract), absorbing their op statistics into
-    /// `stats`. With `ftrace`, chunk 0's region marks re-enter the step's
-    /// FTRACE regions.
-    pub(crate) fn replay(
-        &self,
-        machine: &MachineModel,
-        mut ftrace: Option<&mut Ftrace>,
-        stats: &mut OpStats,
-    ) -> StepTiming {
-        let mut replay_phase = |programs: &[ChargeProgram], stats: &mut OpStats| {
+    /// `stats`.
+    fn replay(&self, machine: &MachineModel, stats: &mut OpStats) -> StepTiming {
+        let replay_phase = |programs: &[ChargeProgram], stats: &mut OpStats| {
             let per_proc = programs.iter().map(|prog| {
                 if prog.is_empty() {
                     return Cost::ZERO;
                 }
                 let mut vm = Vm::new(machine.clone());
-                match ftrace.as_deref_mut() {
-                    Some(ft) => vm.replay_program_traced(prog, ft).expect("taped marks balance"),
-                    None => vm.replay_program(prog),
-                }
+                vm.replay_program(prog);
                 stats.add(vm.stats());
                 vm.take_cost()
             });
@@ -235,12 +232,7 @@ impl Ccm2Proxy {
         let mut transform = SphericalTransform::new(res.truncation(), res.nlat(), res.nlon());
         let nspec = transform.nspec();
         let nlev = res.nlev();
-        // The model drives its transforms with several fields/levels fused
-        // into the vector dimension (CCM2's slab vectorization). Full
-        // 18-level fusion would make every vector ~1000 elements and erase
-        // Figure 8's short-vector effects; the production code fused a few
-        // fields at a time.
-        transform.fused_transforms = 6;
+        transform.fused_transforms = FUSED_TRANSFORMS;
 
         // Equivalent depths from the vertical normal-mode decomposition of
         // the 18-level structure operator (see `vertical`): one deep
@@ -288,6 +280,44 @@ impl Ccm2Proxy {
             q,
             steps: 0,
             op_stats: OpStats::default(),
+            computes: true,
+        }
+    }
+
+    /// A model that prices steps without computing them: a shape-only
+    /// transform, empty fields and pricing processors ([`Vm::pricing`]).
+    /// Its steps charge exactly what a functional model's steps charge.
+    /// Its fields are empty, so only the timing entry points in
+    /// [`crate::steady`] step it.
+    pub(crate) fn pricing(config: Ccm2Config, machine: MachineModel) -> Ccm2Proxy {
+        let res = config.resolution;
+        let mut transform = SphericalTransform::shape(res.truncation(), res.nlat(), res.nlon());
+        transform.fused_transforms = FUSED_TRANSFORMS;
+        Ccm2Proxy {
+            config,
+            transform,
+            machine,
+            phibar: Vec::new(),
+            zeta_prev: Vec::new(),
+            zeta: Vec::new(),
+            delta_prev: Vec::new(),
+            delta: Vec::new(),
+            phi_prev: Vec::new(),
+            phi: Vec::new(),
+            q: Vec::new(),
+            steps: 0,
+            op_stats: OpStats::default(),
+            computes: false,
+        }
+    }
+
+    /// A processor of the model's machine: functional, or pricing for a
+    /// pricing model.
+    fn vm(&self) -> Vm {
+        if self.computes {
+            Vm::new(self.machine.clone())
+        } else {
+            Vm::pricing(self.machine.clone())
         }
     }
 
@@ -361,23 +391,12 @@ impl Ccm2Proxy {
     /// timing is bit-identical to [`Ccm2Proxy::step`]'s; the program can
     /// then be handed to [`Ccm2Proxy::replay_step`] any number of times.
     pub fn record_step_program(&mut self, procs: usize) -> (StepTiming, StepProgram) {
-        let (timing, program, _) = self.record_step_program_traced(procs);
-        (timing, program)
-    }
-
-    /// [`Ccm2Proxy::record_step_program`] that also returns the recorded
-    /// step's FTRACE breakdown, as [`Ccm2Proxy::step_traced`] would.
-    pub(crate) fn record_step_program_traced(
-        &mut self,
-        procs: usize,
-    ) -> (StepTiming, StepProgram, Ftrace) {
         assert!(procs >= 1 && procs <= self.machine.procs);
         let (nlev, nspec) = (self.config.resolution.nlev(), self.transform.nspec());
         let mut program =
             StepProgram { procs, nodes: 1, nlev, nspec, phase1: Vec::new(), phase3: Vec::new() };
-        let mut ft = Ftrace::new();
-        let timing = self.step_inner(procs, 1, Some(&mut ft), Some(&mut program));
-        (timing, program, ft)
+        let timing = self.step_inner(procs, 1, None, Some(&mut program));
+        (timing, program)
     }
 
     /// Re-charge a recorded step in one batched pass: bit-identical
@@ -389,7 +408,7 @@ impl Ccm2Proxy {
     /// real step's would (plus the program-replay counters); the
     /// prognostic state and the step counter are untouched.
     pub fn replay_step(&mut self, program: &StepProgram) -> StepTiming {
-        program.replay(&self.machine, None, &mut self.op_stats)
+        program.replay(&self.machine, &mut self.op_stats)
     }
 
     /// Advance one timestep on `procs` processors while collecting an
@@ -427,18 +446,56 @@ impl Ccm2Proxy {
         let dt = self.dt();
         let two_dt = if self.steps == 0 { dt } else { 2.0 * dt }; // forward first step
         let chunks = partition(nlat, procs);
+        // A pricing model skips every value loop below and hands the
+        // charged kernels zero inputs of the right shapes, which they
+        // never read.
+        let computes = self.computes;
+        let levels = || if computes { vec![vec![C64::ZERO; nspec]; nlev] } else { Vec::new() };
+        let zero_spec = if computes { Vec::new() } else { vec![C64::ZERO; nspec] };
+        let zero_grid = if computes { Vec::new() } else { vec![0.0; nlat * nlon] };
 
         let mut regions: Vec<Region> = Vec::new();
 
         // ---- Phase 1 (parallel over latitude): synthesis, grid-space
         // tendencies, physics, SLT, and partial analysis. ------------------
-        let mut tend_zeta: LevSpec = vec![vec![C64::ZERO; nspec]; nlev];
-        let mut tend_delta: LevSpec = vec![vec![C64::ZERO; nspec]; nlev];
-        let mut tend_phi: LevSpec = vec![vec![C64::ZERO; nspec]; nlev];
+        let mut tend_zeta: LevSpec = levels();
+        let mut tend_delta: LevSpec = levels();
+        let mut tend_phi: LevSpec = levels();
         let mut phase1 = Vec::with_capacity(procs);
+        // Grid buffers shared by every chunk and level: a chunk writes its
+        // own rows of a level before it reads them.
+        let grid = || vec![0.0; nlat * nlon];
+        let (mut zeta_g, mut delta_g, mut phi_g) = (grid(), grid(), grid());
+        let (mut dzeta_g, mut ddelta_g, mut dphi_g) = (grid(), grid(), grid());
+        let (mut u_div_g, mut v_rot_g) = (grid(), grid());
+        let (mut g_zeta, mut g_delta, mut g_phi) = (grid(), grid(), grid());
+        let (mut u_cells, mut v_cells) = (vec![0.0; nlon], vec![0.0; nlon]);
+        let ddl = |spec: &[C64]| -> Vec<C64> {
+            let mut d = vec![C64::ZERO; nspec];
+            for m in 0..=t.trunc {
+                for n in m..=t.trunc {
+                    let i = t.index(m, n);
+                    let a = spec[i];
+                    d[i] = C64::new(-(m as f64) * a.im, m as f64 * a.re);
+                    // i*m*a
+                }
+            }
+            d
+        };
+        let invlap = |spec: &[C64]| -> Vec<C64> {
+            let mut out = vec![C64::ZERO; nspec];
+            for m in 0..=t.trunc {
+                for n in m.max(1)..=t.trunc {
+                    let i = t.index(m, n);
+                    let l = n as f64 * (n as f64 + 1.0) / (EARTH_RADIUS * EARTH_RADIUS);
+                    out[i] = spec[i] * (-1.0 / l);
+                }
+            }
+            out
+        };
 
         for (chunk_idx, chunk) in chunks.iter().enumerate() {
-            let mut vm = Vm::new(self.machine.clone());
+            let mut vm = self.vm();
             if chunk.is_empty() {
                 if let Some(rec) = record.as_deref_mut() {
                     rec.phase1.push(ChargeProgram::new());
@@ -451,94 +508,70 @@ impl Ccm2Proxy {
             }
             // FTRACE instruments processor 0's chunk only.
             let mut trace = if chunk_idx == 0 { ftrace.as_deref_mut() } else { None };
+            let rows = chunk.start * nlon..chunk.end * nlon;
             for k in 0..nlev {
                 // Synthesize the prognostic fields and their zonal
-                // derivatives on this processor's latitude rows.
-                let mut zeta_g = vec![0.0; nlat * nlon];
-                let mut delta_g = vec![0.0; nlat * nlon];
-                let mut phi_g = vec![0.0; nlat * nlon];
-                let mut dzeta_g = vec![0.0; nlat * nlon];
-                let mut ddelta_g = vec![0.0; nlat * nlon];
-                let mut dphi_g = vec![0.0; nlat * nlon];
+                // derivatives on this processor's latitude rows, then the
+                // spectrally recovered winds (the zonal-derivative halves):
+                // the divergent zonal wind from the velocity potential
+                // chi = inv-Laplacian(delta), and the rotational meridional
+                // wind from the streamfunction psi = inv-Laplacian(zeta).
                 if let Some(ft) = trace.as_deref_mut() {
                     ft.enter("synthesis", &mut vm).expect("no region is open");
                 }
-                t.synthesize_partial(&mut vm, &self.zeta[k], &mut zeta_g, chunk.clone());
-                t.synthesize_partial(&mut vm, &self.delta[k], &mut delta_g, chunk.clone());
-                t.synthesize_partial(&mut vm, &self.phi[k], &mut phi_g, chunk.clone());
-                let ddl = |spec: &[C64]| -> Vec<C64> {
-                    let mut d = vec![C64::ZERO; nspec];
-                    for m in 0..=t.trunc {
-                        for n in m..=t.trunc {
-                            let i = t.index(m, n);
-                            let a = spec[i];
-                            d[i] = C64::new(-(m as f64) * a.im, m as f64 * a.re);
-                            // i*m*a
-                        }
-                    }
-                    d
+                let derived = if computes {
+                    let (zeta, delta, phi) = (&self.zeta[k], &self.delta[k], &self.phi[k]);
+                    vec![ddl(zeta), ddl(delta), ddl(phi), ddl(&invlap(delta)), ddl(&invlap(zeta))]
+                } else {
+                    Vec::new()
                 };
-                t.synthesize_partial(&mut vm, &ddl(&self.zeta[k]), &mut dzeta_g, chunk.clone());
-                t.synthesize_partial(&mut vm, &ddl(&self.delta[k]), &mut ddelta_g, chunk.clone());
-                t.synthesize_partial(&mut vm, &ddl(&self.phi[k]), &mut dphi_g, chunk.clone());
-
-                // Spectral wind recovery (the zonal-derivative halves): the
-                // divergent zonal wind from the velocity potential
-                // chi = inv-Laplacian(delta), and the rotational meridional
-                // wind from the streamfunction psi = inv-Laplacian(zeta).
-                let invlap = |spec: &[C64]| -> Vec<C64> {
-                    let mut out = vec![C64::ZERO; nspec];
-                    for m in 0..=t.trunc {
-                        for n in m.max(1)..=t.trunc {
-                            let i = t.index(m, n);
-                            let l = n as f64 * (n as f64 + 1.0) / (EARTH_RADIUS * EARTH_RADIUS);
-                            out[i] = spec[i] * (-1.0 / l);
-                        }
-                    }
-                    out
+                let spectra: [&[C64]; 8] = if computes {
+                    let d = &derived;
+                    [&self.zeta[k], &self.delta[k], &self.phi[k], &d[0], &d[1], &d[2], &d[3], &d[4]]
+                } else {
+                    [&zero_spec; 8]
                 };
-                let mut u_div_g = vec![0.0; nlat * nlon];
-                let mut v_rot_g = vec![0.0; nlat * nlon];
-                t.synthesize_partial(
-                    &mut vm,
-                    &ddl(&invlap(&self.delta[k])),
+                let grids = [
+                    &mut zeta_g,
+                    &mut delta_g,
+                    &mut phi_g,
+                    &mut dzeta_g,
+                    &mut ddelta_g,
+                    &mut dphi_g,
                     &mut u_div_g,
-                    chunk.clone(),
-                );
-                t.synthesize_partial(
-                    &mut vm,
-                    &ddl(&invlap(&self.zeta[k])),
                     &mut v_rot_g,
-                    chunk.clone(),
-                );
+                ];
+                for (spec, grid) in spectra.into_iter().zip(grids) {
+                    t.synthesize_partial(&mut vm, spec, grid, chunk.clone());
+                }
 
                 if let Some(ft) = trace.as_deref_mut() {
                     ft.exit(&mut vm).expect("region is open");
                     ft.enter("grid tendencies", &mut vm).expect("no region is open");
                 }
                 // Grid-space tendencies on the chunk's rows.
-                let mut g_zeta = vec![0.0; nlat * nlon];
-                let mut g_delta = vec![0.0; nlat * nlon];
-                let mut g_phi = vec![0.0; nlat * nlon];
                 for l in chunk.clone() {
-                    let mu = t.mu[l];
-                    let cos_phi = (1.0 - mu * mu).max(1e-6).sqrt();
-                    let f_cor = if self.config.coriolis { 2.0 * OMEGA * mu } else { 0.0 };
-                    let row = l * nlon;
-                    // State-dependent zonal wind: mean flow + a weak
-                    // pressure-gradient response.
-                    // The Eulerian tendencies advect with the stable
-                    // mean-flow wind (leapfrog cannot take the full
-                    // recovered-wind feedback); the recovered winds drive
-                    // the semi-Lagrangian transport below, which is
-                    // unconditionally stable.
-                    for j in 0..nlon {
-                        let i = row + j;
-                        let inv = 1.0 / (EARTH_RADIUS * cos_phi);
-                        let u = self.config.u0 * cos_phi - self.config.wind_feedback * dphi_g[i];
-                        g_zeta[i] = -u * dzeta_g[i] * inv - f_cor * delta_g[i];
-                        g_delta[i] = -u * ddelta_g[i] * inv + f_cor * zeta_g[i];
-                        g_phi[i] = -u * dphi_g[i] * inv;
+                    if computes {
+                        let mu = t.mu[l];
+                        let cos_phi = (1.0 - mu * mu).max(1e-6).sqrt();
+                        let f_cor = if self.config.coriolis { 2.0 * OMEGA * mu } else { 0.0 };
+                        let row = l * nlon;
+                        // State-dependent zonal wind: mean flow + a weak
+                        // pressure-gradient response.
+                        // The Eulerian tendencies advect with the stable
+                        // mean-flow wind (leapfrog cannot take the full
+                        // recovered-wind feedback); the recovered winds drive
+                        // the semi-Lagrangian transport below, which is
+                        // unconditionally stable.
+                        for j in 0..nlon {
+                            let i = row + j;
+                            let inv = 1.0 / (EARTH_RADIUS * cos_phi);
+                            let u =
+                                self.config.u0 * cos_phi - self.config.wind_feedback * dphi_g[i];
+                            g_zeta[i] = -u * dzeta_g[i] * inv - f_cor * delta_g[i];
+                            g_delta[i] = -u * ddelta_g[i] * inv + f_cor * zeta_g[i];
+                            g_phi[i] = -u * dphi_g[i] * inv;
+                        }
                     }
                     // Charge the pointwise tendency arithmetic: the full
                     // momentum/energy product set (~24 fused ops per row).
@@ -557,23 +590,20 @@ impl Ccm2Proxy {
                     ft.exit(&mut vm).expect("region is open");
                     ft.enter("physics", &mut vm).expect("no region is open");
                 }
-                // Physics (level-mean forcing computed once, on k == 0).
+                // Physics (level-mean forcing computed once, on k == 0) on
+                // the chunk's columns, which are contiguous rows.
                 if self.config.physics && k == 0 {
-                    let ncol_local = chunk.len() * nlon;
-                    let mut phi_cols = Vec::with_capacity(ncol_local);
-                    let mut q_cols = Vec::with_capacity(ncol_local);
-                    for l in chunk.clone() {
-                        phi_cols.extend_from_slice(&phi_g[l * nlon..(l + 1) * nlon]);
-                        q_cols.extend_from_slice(&self.q[nlev - 1][l * nlon..(l + 1) * nlon]);
-                    }
-                    let ph = column_physics(&mut vm, &phi_cols, &q_cols, nlev);
-                    for (ci, l) in chunk.clone().enumerate() {
-                        for j in 0..nlon {
-                            let h = ph.heating[ci * nlon + j] / dt;
-                            g_phi[l * nlon + j] += h;
-                            self.q[nlev - 1][l * nlon + j] = (self.q[nlev - 1][l * nlon + j]
-                                + ph.moistening[ci * nlon + j])
-                                .max(0.0);
+                    let (phi_cols, q_cols) = if computes {
+                        (&phi_g[rows.clone()], &self.q[nlev - 1][rows.clone()])
+                    } else {
+                        (&zero_grid[rows.clone()], &zero_grid[rows.clone()])
+                    };
+                    let ph = column_physics(&mut vm, phi_cols, q_cols, nlev);
+                    if computes {
+                        for (c, i) in rows.clone().enumerate() {
+                            g_phi[i] += ph.heating[c] / dt;
+                            let q = &mut self.q[nlev - 1][i];
+                            *q = (*q + ph.moistening[c]).max(0.0);
                         }
                     }
                 }
@@ -588,41 +618,44 @@ impl Ccm2Proxy {
                 // on the sphere.
                 if self.config.slt {
                     for l in chunk.clone() {
-                        let mu = t.mu[l];
-                        let cos_phi = (1.0 - mu * mu).max(1e-6).sqrt();
-                        let scale = dt * nlon as f64
-                            / (2.0 * std::f64::consts::PI * EARTH_RADIUS * cos_phi);
-                        // Recovered winds enter tapered by cos^2(phi), which
-                        // cancels the polar 1/cos factors.
-                        let wgt = if self.config.recovered_winds { cos_phi * cos_phi } else { 0.0 };
-                        let u_cells: Vec<f64> = (0..nlon)
-                            .map(|j| {
-                                let i = l * nlon + j;
-                                let inv = 1.0 / (EARTH_RADIUS * cos_phi);
+                        let cells = l * nlon..(l + 1) * nlon;
+                        if computes {
+                            let mu = t.mu[l];
+                            let cos_phi = (1.0 - mu * mu).max(1e-6).sqrt();
+                            let scale = dt * nlon as f64
+                                / (2.0 * std::f64::consts::PI * EARTH_RADIUS * cos_phi);
+                            // Recovered winds enter tapered by cos^2(phi),
+                            // which cancels the polar 1/cos factors.
+                            let wgt =
+                                if self.config.recovered_winds { cos_phi * cos_phi } else { 0.0 };
+                            let inv = 1.0 / (EARTH_RADIUS * cos_phi);
+                            for (j, i) in cells.clone().enumerate() {
                                 let u = self.config.u0 * cos_phi
                                     + (wgt * u_div_g[i] * inv).clamp(-40.0, 40.0)
                                     - self.config.wind_feedback * dphi_g[i];
-                                u * scale
-                            })
-                            .collect();
-                        let row = &self.q[k][l * nlon..(l + 1) * nlon];
-                        let new_row = advect_row(&mut vm, row, &u_cells);
-                        self.q[k][l * nlon..(l + 1) * nlon].copy_from_slice(&new_row);
-                        // Meridional pass (bounded displacement along the row
-                        // as a proxy for the cross-row sweep the full 2-D
-                        // scheme performs; same gather/interpolate cost).
-                        let v_cells: Vec<f64> = (0..nlon)
-                            .map(|j| {
-                                let v = (wgt * v_rot_g[l * nlon + j] / (EARTH_RADIUS * cos_phi))
+                                u_cells[j] = u * scale;
+                                // Meridional pass (bounded displacement along
+                                // the row as a proxy for the cross-row sweep
+                                // the full 2-D scheme performs; same
+                                // gather/interpolate cost).
+                                let v = (wgt * v_rot_g[i] / (EARTH_RADIUS * cos_phi))
                                     .clamp(-40.0, 40.0);
-                                (v * dt * nlon as f64
+                                v_cells[j] = (v * dt * nlon as f64
                                     / (2.0 * std::f64::consts::PI * EARTH_RADIUS * cos_phi))
-                                    .clamp(-2.0, 2.0)
-                            })
-                            .collect();
-                        let row = &self.q[k][l * nlon..(l + 1) * nlon];
-                        let new_row = advect_row(&mut vm, row, &v_cells);
-                        self.q[k][l * nlon..(l + 1) * nlon].copy_from_slice(&new_row);
+                                    .clamp(-2.0, 2.0);
+                            }
+                        }
+                        for winds in [&u_cells, &v_cells] {
+                            let row = if computes {
+                                &self.q[k][cells.clone()]
+                            } else {
+                                &zero_grid[cells.clone()]
+                            };
+                            let new_row = advect_row(&mut vm, row, winds);
+                            if computes {
+                                self.q[k][cells.clone()].copy_from_slice(&new_row);
+                            }
+                        }
                     }
                 }
 
@@ -634,10 +667,12 @@ impl Ccm2Proxy {
                 let pz = t.analyze_partial(&mut vm, &g_zeta, chunk.clone());
                 let pd = t.analyze_partial(&mut vm, &g_delta, chunk.clone());
                 let pp = t.analyze_partial(&mut vm, &g_phi, chunk.clone());
-                for i in 0..nspec {
-                    tend_zeta[k][i] = tend_zeta[k][i] + pz[i];
-                    tend_delta[k][i] = tend_delta[k][i] + pd[i];
-                    tend_phi[k][i] = tend_phi[k][i] + pp[i];
+                if computes {
+                    for i in 0..nspec {
+                        tend_zeta[k][i] = tend_zeta[k][i] + pz[i];
+                        tend_delta[k][i] = tend_delta[k][i] + pd[i];
+                        tend_phi[k][i] = tend_phi[k][i] + pp[i];
+                    }
                 }
                 if let Some(ft) = trace.as_deref_mut() {
                     ft.exit(&mut vm).expect("region is open");
@@ -663,18 +698,19 @@ impl Ccm2Proxy {
         let mut new_phi = self.phi_prev.clone();
 
         // n(n+1)/a² per packed index.
-        let lap: Vec<f64> = {
-            let mut v = vec![0.0; nspec];
+        let mut lap = Vec::new();
+        if computes {
+            lap = vec![0.0; nspec];
             for m in 0..=t.trunc {
                 for n in m..=t.trunc {
-                    v[t.index(m, n)] = n as f64 * (n as f64 + 1.0) / (EARTH_RADIUS * EARTH_RADIUS);
+                    lap[t.index(m, n)] =
+                        n as f64 * (n as f64 + 1.0) / (EARTH_RADIUS * EARTH_RADIUS);
                 }
             }
-            v
-        };
+        }
 
         for (sc_idx, sc) in spec_chunks.iter().enumerate() {
-            let mut vm = Vm::new(self.machine.clone());
+            let mut vm = self.vm();
             if sc.is_empty() {
                 if let Some(rec) = record.as_deref_mut() {
                     rec.phase3.push(ChargeProgram::new());
@@ -690,8 +726,9 @@ impl Ccm2Proxy {
                 ft.enter("semi-implicit solve", &mut vm).expect("no region is open");
             }
             for k in 0..nlev {
-                let pb = self.phibar[k];
-                for i in sc.clone() {
+                let coefficients = if computes { sc.clone() } else { 0..0 };
+                for i in coefficients {
+                    let pb = self.phibar[k];
                     let l = lap[i];
                     // Semi-implicit leapfrog (see module docs).
                     let a = self.phi_prev[k][i] + tend_phi[k][i] * two_dt
@@ -739,9 +776,10 @@ impl Ccm2Proxy {
         }
         regions.push(Region::Parallel(phase3));
 
-        // Robert-Asselin filter on the time level being retired, then shift.
+        // Robert-Asselin filter on the time level being retired, then shift
+        // (a pricing model's levels are empty, so the loops run zero times).
         let eps = self.config.robert;
-        for k in 0..nlev {
+        for k in 0..self.zeta.len() {
             for i in 0..nspec {
                 let filt = |prev: C64, cur: C64, next: C64| {
                     if eps == 0.0 {
@@ -812,16 +850,10 @@ impl Ccm2Proxy {
         self.steps = steps;
     }
 
-    /// History-tape bytes written per model day: the daily average fields
-    /// (3 prognostics + moisture, all levels) in 64-bit words plus header.
-    /// At T63 this yields the ~15 GB/year the paper reports for Table 5.
+    /// History-tape bytes written per model day (see
+    /// [`Resolution::history_bytes_per_day`]).
     pub fn history_bytes_per_day(&self) -> u64 {
-        let res = self.config.resolution;
-        // Daily-average history: eight 3D fields plus sixteen 2D
-        // diagnostics; plus the day's restart record (six 3D fields).
-        let history = 8 * res.nlev() + 16;
-        let restart = 6 * res.nlev();
-        ((history + restart) * res.ncols() * 8 + 64 * 1024) as u64
+        self.config.resolution.history_bytes_per_day()
     }
 }
 

@@ -28,11 +28,13 @@ pub struct PhysicsResult {
 /// `phi` is the column-mean geopotential perturbation (one value per
 /// column) and `q` the column moisture; both feed back through relaxation
 /// terms so physics is a real part of the model's evolution, not a
-/// decoration.
+/// decoration. A pricing `vm` charges the same and leaves the tendencies
+/// zero.
 pub fn column_physics(vm: &mut Vm, phi: &[f64], q: &[f64], nlev: usize) -> PhysicsResult {
     let ncol = phi.len();
     assert_eq!(q.len(), ncol);
     let before = vm.cost();
+    let computes = vm.computes();
 
     // Radiation: CCM2 computes both longwave absorptivities and the
     // shortwave (solar) transmission — two full pairwise passes.
@@ -52,16 +54,20 @@ pub fn column_physics(vm: &mut Vm, phi: &[f64], q: &[f64], nlev: usize) -> Physi
     let mut arg = vec![0.0f64; ncol];
     // arg = 1e-4 * phi: the column geopotential as a temperature proxy.
     vm.scale(&mut arg, 1.0e-4, phi);
-    for a in &mut arg {
-        *a = a.clamp(-3.0, 3.0);
+    if computes {
+        for a in &mut arg {
+            *a = a.clamp(-3.0, 3.0);
+        }
     }
     vm.exp(&mut qsat, &arg);
     vm.scale_in_place(&mut qsat, 0.012);
     let mut precip = vec![0.0f64; ncol];
     let mut excess = vec![0.0f64; ncol];
     vm.sub(&mut excess, q, &qsat);
-    for e in &mut excess {
-        *e = e.max(0.0) + 1e-12;
+    if computes {
+        for e in &mut excess {
+            *e = e.max(0.0) + 1e-12;
+        }
     }
     let expo = vec![0.7f64; ncol];
     vm.pow(&mut precip, &excess, &expo);
@@ -70,8 +76,10 @@ pub fn column_physics(vm: &mut Vm, phi: &[f64], q: &[f64], nlev: usize) -> Physi
     let relax = 0.05;
     let mut heating = vec![0.0f64; ncol];
     vm.scale(&mut heating, -relax, phi);
-    for h in heating.iter_mut() {
-        *h += relax * 0.1 * col_abs;
+    if computes {
+        for h in heating.iter_mut() {
+            *h += relax * 0.1 * col_abs;
+        }
     }
     let mut moistening = vec![0.0f64; ncol];
     vm.scale(&mut moistening, -0.01, &precip);

@@ -94,6 +94,17 @@ impl Resolution {
     pub fn ncols(self) -> usize {
         self.nlat() * self.nlon()
     }
+
+    /// History-tape bytes a model writes per model day: the daily average
+    /// fields in 64-bit words plus header. At T63 this yields the ~15
+    /// GB/year the paper reports for Table 5.
+    pub fn history_bytes_per_day(self) -> u64 {
+        // Daily-average history: eight 3D fields plus sixteen 2D
+        // diagnostics; plus the day's restart record (six 3D fields).
+        let history = 8 * self.nlev() + 16;
+        let restart = 6 * self.nlev();
+        ((history + restart) * self.ncols() * 8 + 64 * 1024) as u64
+    }
 }
 
 #[cfg(test)]

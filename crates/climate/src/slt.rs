@@ -26,15 +26,10 @@ fn limited_slope(qm: f64, q0: f64, qp: f64) -> f64 {
     centered.signum() * centered.abs().min(bound)
 }
 
-/// Advect one cyclic row `q` by the (non-uniform) velocity `u_cells`
-/// expressed in *cells per step* (u * dt / dx). Returns the transported
-/// row. `vm` is charged for the departure-point arithmetic, the gathers
-/// and the interpolation.
-pub fn advect_row(vm: &mut Vm, q: &[f64], u_cells: &[f64]) -> Vec<f64> {
+/// The transported row: departure points, then a monotone Hermite
+/// interpolation of the four-point stencil around each.
+fn transport(q: &[f64], u_cells: &[f64]) -> Vec<f64> {
     let n = q.len();
-    assert_eq!(u_cells.len(), n);
-    assert!(n >= 4, "SLT needs at least 4 points");
-
     // Departure points and gather indices (real indirect addressing).
     let mut idx0 = vec![0usize; n];
     let mut frac = vec![0.0f64; n];
@@ -71,6 +66,18 @@ pub fn advect_row(vm: &mut Vm, q: &[f64], u_cells: &[f64]) -> Vec<f64> {
         let h11 = t * t * (t - 1.0);
         out[j] = h00 * q0 + h10 * d0 + h01 * q1 + h11 * d1;
     }
+    out
+}
+
+/// Advect one cyclic row `q` by the (non-uniform) velocity `u_cells`
+/// expressed in *cells per step* (u * dt / dx). Returns the transported
+/// row, or nothing when `vm` is pricing. `vm` is charged for the
+/// departure-point arithmetic, the gathers and the interpolation.
+pub fn advect_row(vm: &mut Vm, q: &[f64], u_cells: &[f64]) -> Vec<f64> {
+    let n = q.len();
+    assert_eq!(u_cells.len(), n);
+    assert!(n >= 4, "SLT needs at least 4 points");
+    let out = if vm.computes() { transport(q, u_cells) } else { Vec::new() };
 
     // Machine charging: departure arithmetic (vectorized), four gathers
     // through the list-vector unit, and the Hermite evaluation.

@@ -42,9 +42,7 @@ impl SphericalTransform {
     /// nlat x nlon Gaussian grid. Requires an alias-free grid
     /// (2*nlat >= 3*trunc + 1 and nlon >= 3*trunc + 1).
     pub fn new(trunc: usize, nlat: usize, nlon: usize) -> SphericalTransform {
-        assert!(2 * nlat > 3 * trunc, "latitude grid aliases T{trunc}");
-        assert!(nlon > 2 * trunc, "longitude grid cannot hold T{trunc}");
-        assert!(nlon.is_multiple_of(2), "even longitude count required by the real FFT");
+        let shape = SphericalTransform::shape(trunc, nlat, nlon);
         let (mu, weights) = gauss_legendre(nlat);
         let nspec = pack_len(trunc);
         let mut plm = vec![0.0f64; nlat * nspec];
@@ -58,7 +56,28 @@ impl SphericalTransform {
                 *p = C64::cis(m as f64 * lambda);
             }
         }
-        SphericalTransform { trunc, nlat, nlon, mu, weights, fused_transforms: 1, plm, phase }
+        SphericalTransform { mu, weights, plm, phase, ..shape }
+    }
+
+    /// The transform's geometry alone, with the same grid checks as
+    /// [`SphericalTransform::new`] but no Gaussian, Legendre or phase
+    /// tables. It charges exactly what the full transform charges, and
+    /// only a pricing [`Vm`] may drive it: the partial transforms compute
+    /// nothing there, so they never read the missing tables.
+    pub fn shape(trunc: usize, nlat: usize, nlon: usize) -> SphericalTransform {
+        assert!(2 * nlat > 3 * trunc, "latitude grid aliases T{trunc}");
+        assert!(nlon > 2 * trunc, "longitude grid cannot hold T{trunc}");
+        assert!(nlon.is_multiple_of(2), "even longitude count required by the real FFT");
+        SphericalTransform {
+            trunc,
+            nlat,
+            nlon,
+            mu: Vec::new(),
+            weights: Vec::new(),
+            fused_transforms: 1,
+            plm: Vec::new(),
+            phase: Vec::new(),
+        }
     }
 
     /// Packed spectral length.
@@ -78,20 +97,24 @@ impl SphericalTransform {
 
     /// Fourier-analyze the latitude rows in `lats`: returns, per local row,
     /// the complex coefficients c_m for m = 0..=trunc with the 1/nlon
-    /// normalization. Charges the vectorized multi-row FFT.
+    /// normalization (no rows when pricing). Charges the vectorized
+    /// multi-row FFT.
     fn fourier_rows(&self, vm: &mut Vm, grid: &[f64], lats: &Range<usize>) -> Vec<Vec<C64>> {
-        let rows: Vec<Vec<C64>> = lats
-            .clone()
-            .map(|l| {
-                let row = &grid[l * self.nlon..(l + 1) * self.nlon];
-                let mut spec = rfft_spectrum(row);
-                spec.truncate(self.trunc + 1);
-                for c in &mut spec {
-                    *c = *c * (1.0 / self.nlon as f64);
-                }
-                spec
-            })
-            .collect();
+        let mut rows = Vec::new();
+        if vm.computes() {
+            rows = lats
+                .clone()
+                .map(|l| {
+                    let row = &grid[l * self.nlon..(l + 1) * self.nlon];
+                    let mut spec = rfft_spectrum(row);
+                    spec.truncate(self.trunc + 1);
+                    for c in &mut spec {
+                        *c = *c * (1.0 / self.nlon as f64);
+                    }
+                    spec
+                })
+                .collect();
+        }
         // One batched multi-transform, vectorized across the local rows and
         // the caller's fused level/field slab.
         charge_transform_fused(vm, self.nlon, lats.len().max(1), self.fused_transforms);
@@ -100,20 +123,24 @@ impl SphericalTransform {
 
     /// Partial analysis over a latitude range: quadrature contributions of
     /// those rows only. Summing the partials of a full partition equals
-    /// [`SphericalTransform::analyze`] over 0..nlat.
+    /// [`SphericalTransform::analyze`] over 0..nlat. A pricing `vm` only
+    /// charges, and the result is empty.
     pub fn analyze_partial(&self, vm: &mut Vm, grid: &[f64], lats: Range<usize>) -> Vec<C64> {
         assert_eq!(grid.len(), self.nlat * self.nlon);
         let nspec = self.nspec();
         let four = self.fourier_rows(vm, grid, &lats);
-        let mut spec = vec![C64::ZERO; nspec];
-        for (li, l) in lats.clone().enumerate() {
-            let w = self.weights[l];
-            let prow = &self.plm[l * nspec..(l + 1) * nspec];
-            for m in 0..=self.trunc {
-                let c = four[li][m] * w;
-                for n in m..=self.trunc {
-                    let i = self.index(m, n);
-                    spec[i] = spec[i] + c * prow[i];
+        let mut spec = Vec::new();
+        if vm.computes() {
+            spec = vec![C64::ZERO; nspec];
+            for (li, l) in lats.clone().enumerate() {
+                let w = self.weights[l];
+                let prow = &self.plm[l * nspec..(l + 1) * nspec];
+                for m in 0..=self.trunc {
+                    let c = four[li][m] * w;
+                    for n in m..=self.trunc {
+                        let i = self.index(m, n);
+                        spec[i] = spec[i] + c * prow[i];
+                    }
                 }
             }
         }
@@ -149,7 +176,7 @@ impl SphericalTransform {
     }
 
     /// Synthesize the latitude rows in `lats` from spectral coefficients
-    /// into `grid` (only those rows are written).
+    /// into `grid` (only those rows are written; none when pricing).
     pub fn synthesize_partial(
         &self,
         vm: &mut Vm,
@@ -160,7 +187,8 @@ impl SphericalTransform {
         assert_eq!(spec.len(), self.nspec());
         assert_eq!(grid.len(), self.nlat * self.nlon);
         let nspec = self.nspec();
-        for l in lats.clone() {
+        let rows = if vm.computes() { lats.clone() } else { 0..0 };
+        for l in rows {
             let prow = &self.plm[l * nspec..(l + 1) * nspec];
             // c_m(mu_l) = sum_n a_{mn} P̄_n^m(mu_l)
             let mut cm = vec![C64::ZERO; self.trunc + 1];

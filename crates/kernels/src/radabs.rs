@@ -65,57 +65,66 @@ pub fn radabs(vm: &mut Vm, ncol: usize, nlev: usize) -> RadabsResult {
     assert!(ncol > 0 && nlev >= 2);
     let (pressure, temperature, h2o_path) = standard_column(nlev);
 
-    // Broadcast the column state across the batch.
-    let bcast = |v: f64| vec![v; ncol];
+    // One workspace of batch-length buffers, reused level after level and
+    // pair after pair: the column state broadcast across the batch, and
+    // the intermediates. A pricing run never reads them, so it skips the
+    // broadcasts.
+    let mut work = vec![0.0f64; 17 * ncol];
+    let buffers: Vec<&mut [f64]> = work.chunks_exact_mut(ncol).collect();
+    let buffers: [&mut [f64]; 17] = buffers.try_into().expect("the workspace holds 17 buffers");
+    let [four, t, t4, p, ang, level, u, x, root, a, negs, tau, contrib, ones, pu1, pu2, zen2] =
+        buffers;
+    let computes = vm.computes();
+    let bcast = |buf: &mut [f64], v: f64| {
+        if computes {
+            buf.fill(v);
+        }
+    };
 
     // Per-level precomputation: Planck emission B = sigma*T^4 via PWR,
-    // log-pressure scaling, and a zenith modulation via SIN.
-    let mut planck = vec![vec![0.0f64; ncol]; nlev];
-    let mut logp = vec![vec![0.0f64; ncol]; nlev];
-    let mut zen = vec![vec![0.0f64; ncol]; nlev];
-    let four = bcast(4.0);
+    // log-pressure scaling, and a zenith modulation via SIN. The columns
+    // are identical, so each level keeps its column-0 values.
+    let (mut planck, mut logp, mut zen) = (vec![0.0; nlev], vec![0.0; nlev], vec![0.0; nlev]);
+    bcast(four, 4.0);
     for k in 0..nlev {
-        let t = bcast(temperature[k]);
-        let mut t4 = vec![0.0; ncol];
-        vm.pow(&mut t4, &t, &four); // PWR
-        vm.scale(&mut planck[k], STEFAN, &t4);
-        let p = bcast(pressure[k]);
-        vm.log(&mut logp[k], &p); // LOG
-        let ang = bcast(0.3 + 0.05 * k as f64);
-        vm.sin(&mut zen[k], &ang); // SIN
+        bcast(t, temperature[k]);
+        vm.pow(t4, t, four); // PWR
+        vm.scale(level, STEFAN, t4);
+        planck[k] = level[0];
+        bcast(p, pressure[k]);
+        vm.log(level, p); // LOG
+        logp[k] = level[0];
+        bcast(ang, 0.3 + 0.05 * k as f64);
+        vm.sin(level, ang); // SIN
+        zen[k] = level[0];
     }
 
     // Pairwise absorptivity: Malkmus band model on the path between levels.
     let c1 = 4.0 * BAND_S / (std::f64::consts::PI * BAND_BETA);
     let c2 = 0.5 * std::f64::consts::PI * BAND_BETA;
     let mut absorptivity = vec![0.0f64; nlev * nlev];
-    let mut u = vec![0.0f64; ncol];
-    let mut x = vec![0.0f64; ncol];
-    let mut root = vec![0.0f64; ncol];
-    let mut a = vec![0.0f64; ncol];
-    let mut negs = vec![0.0f64; ncol];
-    let mut tau = vec![0.0f64; ncol];
-    let mut contrib = vec![0.0f64; ncol];
-    let ones = bcast(1.0);
+    bcast(ones, 1.0);
     for k1 in 0..nlev {
-        let pu1 = bcast(h2o_path[k1]);
+        bcast(pu1, h2o_path[k1]);
         for k2 in (k1 + 1)..nlev {
-            let pu2 = bcast(h2o_path[k2]);
+            bcast(pu2, h2o_path[k2]);
             // Absorber path between the levels, pressure-scaled.
-            vm.sub(&mut u, &pu2, &pu1);
-            let scale = 1.0 + 0.08 * (logp[k2][0] - logp[k1][0]).abs();
-            vm.scale(&mut x, c1 * scale, &u);
-            vm.add_scalar_in_place(&mut x, 1.0);
-            vm.sqrt(&mut root, &x); // SQRT
-            vm.sub(&mut a, &root, &ones);
-            vm.scale_in_place(&mut a, c2);
-            vm.scale(&mut negs, -1.0, &a);
-            vm.exp(&mut tau, &negs); // EXP
-                                     // Absorptivity = (1 - transmission), Planck- and zenith-weighted.
-            vm.sub(&mut contrib, &ones, &tau);
-            vm.mul_in_place(&mut contrib, &zen[k2]);
-            let w = planck[k2][0] / (planck[nlev - 1][0] + 1e-30);
-            vm.scale_in_place(&mut contrib, w);
+            vm.sub(u, pu2, pu1);
+            let scale = 1.0 + 0.08 * (logp[k2] - logp[k1]).abs();
+            vm.scale(x, c1 * scale, u);
+            vm.add_scalar_in_place(x, 1.0);
+            vm.sqrt(root, x); // SQRT
+            vm.sub(a, root, ones);
+            vm.scale_in_place(a, c2);
+            vm.scale(negs, -1.0, a);
+            vm.exp(tau, negs); // EXP
+
+            // Absorptivity = (1 - transmission), Planck- and zenith-weighted.
+            vm.sub(contrib, ones, tau);
+            bcast(zen2, zen[k2]);
+            vm.mul_in_place(contrib, zen2);
+            let w = planck[k2] / (planck[nlev - 1] + 1e-30);
+            vm.scale_in_place(contrib, w);
             let val = contrib[0];
             absorptivity[k1 * nlev + k2] = val;
             absorptivity[k2 * nlev + k1] = val;

@@ -22,12 +22,15 @@ pub fn density_point(temp: f64, salt: f64, depth_m: f64) -> f64 {
     -alpha * (t - 10.0) + beta * s + compress
 }
 
-/// Vectorized density over a batch of points; real values, machine-priced.
+/// Vectorized density over a batch of points; real values, machine-priced
+/// (a pricing `vm` leaves `out` untouched).
 pub fn density(vm: &mut Vm, out: &mut [f64], temp: &[f64], salt: &[f64], depth_m: f64) {
     assert_eq!(out.len(), temp.len());
     assert_eq!(out.len(), salt.len());
-    for ((o, &t), &s) in out.iter_mut().zip(temp).zip(salt) {
-        *o = density_point(t, s, depth_m);
+    if vm.computes() {
+        for ((o, &t), &s) in out.iter_mut().zip(temp).zip(salt) {
+            *o = density_point(t, s, depth_m);
+        }
     }
     use sxsim::{Access, VecOp, VopClass};
     // ~8 fused ops + one sqrt-class op per point.

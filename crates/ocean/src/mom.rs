@@ -19,8 +19,7 @@ use crate::eos::density;
 use crate::poisson::{jacobi, Grid2};
 use sxsim::node::partition;
 use sxsim::{
-    Access, ChargeProgram, Cost, LocalityPattern, MachineModel, Node, NodeTiming, Region, VecOp,
-    Vm, VopClass,
+    Access, Cost, LocalityPattern, MachineModel, Node, NodeTiming, Region, VecOp, Vm, VopClass,
 };
 
 /// Model geometry and numerics.
@@ -68,6 +67,9 @@ pub struct Mom {
     pub steps: usize,
     /// Most recent every-10-steps diagnostics snapshot.
     pub last_diagnostics: Option<crate::diagnostics::Diagnostics>,
+    /// Whether steps compute the fields (false for a pricing model, see
+    /// [`Mom::priced_run`]).
+    computes: bool,
 }
 
 /// Timing of one step.
@@ -75,29 +77,6 @@ pub struct Mom {
 pub struct MomStepTiming {
     pub timing: NodeTiming,
     pub seconds: f64,
-}
-
-/// The recorded charge structure of one MOM step. A step's charges depend
-/// only on the configuration and partitioning, so one recorded normal step
-/// and one recorded diagnostics step together price every step of a run
-/// ([`Mom::run_replayed`]); a replay's [`MomStepTiming`] is bit-identical
-/// to the recording step's.
-#[derive(Debug, Clone)]
-pub struct MomStepProgram {
-    procs: usize,
-    /// One program per latitude-slab processor (empty for an empty chunk).
-    baroclinic: Vec<ChargeProgram>,
-    /// The serial barotropic vorticity RHS + Poisson solve.
-    barotropic: ChargeProgram,
-    /// The serial diagnostics print, on every-`diag_every` steps only.
-    diagnostics: Option<ChargeProgram>,
-}
-
-impl MomStepProgram {
-    /// Whether this program recorded a diagnostics (every-10-steps) step.
-    pub fn is_diagnostic(&self) -> bool {
-        self.diagnostics.is_some()
-    }
 }
 
 /// Horizontal eddy diffusivity/viscosity (grid units per step, kept well
@@ -144,6 +123,46 @@ impl Mom {
             machine,
             steps: 0,
             last_diagnostics: None,
+            computes: true,
+        }
+    }
+
+    /// Total simulated seconds of a `steps`-step run on `procs`
+    /// processors, priced without computing it: what [`Mom::run`] of a
+    /// fresh functional model returns, bit for bit.
+    pub fn priced_run(config: MomConfig, machine: MachineModel, steps: usize, procs: usize) -> f64 {
+        Mom::pricing(config, machine).run(steps, procs)
+    }
+
+    /// A model that prices steps without computing them. A step's charges
+    /// depend only on the configuration, the partitioning and the
+    /// diagnostics cadence, so a model with empty fields and pricing
+    /// processors takes every charge and skips the arithmetic. Its fields
+    /// are empty, so only [`Mom::priced_run`], which returns a timing,
+    /// steps it.
+    fn pricing(config: MomConfig, machine: MachineModel) -> Mom {
+        let (nlat, nlon) = (config.nlat, config.nlon);
+        Mom {
+            psi: Grid2 { nlat, nlon, data: Vec::new() },
+            u: Vec::new(),
+            v: Vec::new(),
+            temp: Vec::new(),
+            salt: Vec::new(),
+            config,
+            machine,
+            steps: 0,
+            last_diagnostics: None,
+            computes: false,
+        }
+    }
+
+    /// A processor of the model's machine: functional, or pricing for a
+    /// pricing model.
+    fn vm(&self) -> Vm {
+        if self.computes {
+            Vm::new(self.machine.clone())
+        } else {
+            Vm::pricing(self.machine.clone())
         }
     }
 
@@ -232,32 +251,14 @@ impl Mom {
     /// Advance one step on `procs` processors.
     pub fn step(&mut self, procs: usize) -> MomStepTiming {
         assert!(procs >= 1 && procs <= self.machine.procs);
-        self.step_inner(procs, None)
-    }
-
-    /// Advance one step while recording its charge structure; the recorded
-    /// step's timing is bit-identical to [`Mom::step`]'s.
-    pub fn record_step_program(&mut self, procs: usize) -> (MomStepTiming, MomStepProgram) {
-        assert!(procs >= 1 && procs <= self.machine.procs);
-        let mut program = MomStepProgram {
-            procs,
-            baroclinic: Vec::new(),
-            barotropic: ChargeProgram::new(),
-            diagnostics: None,
-        };
-        let timing = self.step_inner(procs, Some(&mut program));
-        (timing, program)
-    }
-
-    fn step_inner(
-        &mut self,
-        procs: usize,
-        mut record: Option<&mut MomStepProgram>,
-    ) -> MomStepTiming {
         let MomConfig { nlat, nlon, nlev, dt, .. } = self.config;
         let ncol = nlat * nlon;
         let chunks = partition(nlat, procs);
         let mut regions = Vec::new();
+        // A pricing model skips every value loop below and hands the
+        // equation of state one zero level, which it never reads.
+        let computes = self.computes;
+        let zero_level = if computes { Vec::new() } else { vec![0.0; ncol] };
 
         // ---- Baroclinic phase (parallel over latitude slabs). ------------
         let mut phase = Vec::with_capacity(procs);
@@ -267,16 +268,10 @@ impl Mom {
         let mut new_v = self.v.clone();
 
         for chunk in &chunks {
-            let mut vm = Vm::new(self.machine.clone());
+            let mut vm = self.vm();
             if chunk.is_empty() {
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.baroclinic.push(ChargeProgram::new());
-                }
                 phase.push(Cost::ZERO);
                 continue;
-            }
-            if record.is_some() {
-                vm.start_program_record();
             }
             let rows = chunk.len();
             let mut rho = vec![0.0f64; ncol];
@@ -288,17 +283,17 @@ impl Mom {
                 let lo = chunk.start * nlon;
                 let hi = chunk.end.min(nlat - 1).max(chunk.start) * nlon + nlon;
                 let hi = hi.min(ncol);
-                density(
-                    &mut vm,
-                    &mut rho[lo..hi],
-                    &self.temp[k][lo..hi],
-                    &self.salt[k][lo..hi],
-                    (k as f64 + 0.5) * 100.0,
-                );
+                let (temp, salt) = if computes {
+                    (&self.temp[k][lo..hi], &self.salt[k][lo..hi])
+                } else {
+                    (&zero_level[lo..hi], &zero_level[lo..hi])
+                };
+                density(&mut vm, &mut rho[lo..hi], temp, salt, (k as f64 + 0.5) * 100.0);
 
                 // Momentum: pressure gradient + semi-implicit Coriolis +
                 // friction + surface wind stress.
-                for i in chunk.clone() {
+                let momentum_rows = if computes { chunk.clone() } else { 0..0 };
+                for i in momentum_rows {
                     let f_cor = 1.0e-4 * (2.0 * i as f64 / nlat as f64 - 1.0);
                     let alpha = f_cor * dt;
                     let denom = 1.0 + alpha * alpha;
@@ -336,22 +331,27 @@ impl Mom {
                 );
 
                 // Tracer advection-diffusion (flux form) for T and S.
-                for (field, out) in
-                    [(&self.temp[k], &mut new_temp[k]), (&self.salt[k], &mut new_salt[k])]
-                {
-                    self.tracer_tendency(
-                        field,
-                        &self.u[k],
-                        &self.v[k],
-                        &mut tend,
-                        chunk.clone(),
-                        nlat,
-                        nlon,
-                    );
-                    for i in chunk.clone() {
-                        for j in 0..nlon {
-                            let idx = i * nlon + j;
-                            out[idx] = field[idx] + dt / 3600.0 * tend[idx];
+                for tracer in 0..2 {
+                    if computes {
+                        let (field, out) = if tracer == 0 {
+                            (&self.temp[k], &mut new_temp[k])
+                        } else {
+                            (&self.salt[k], &mut new_salt[k])
+                        };
+                        self.tracer_tendency(
+                            field,
+                            &self.u[k],
+                            &self.v[k],
+                            &mut tend,
+                            chunk.clone(),
+                            nlat,
+                            nlon,
+                        );
+                        for i in chunk.clone() {
+                            for j in 0..nlon {
+                                let idx = i * nlon + j;
+                                out[idx] = field[idx] + dt / 3600.0 * tend[idx];
+                            }
                         }
                     }
                     // Fluxes + laplacian + isopycnal-style mixing terms +
@@ -371,10 +371,11 @@ impl Mom {
             // Implicit vertical mixing (tridiagonal solve per column) for
             // all four prognostics on this slab's columns.
             let col_range = chunk.start * nlon..chunk.end * nlon;
-            Self::vertical_implicit(&mut new_temp, ncol, col_range.clone());
-            Self::vertical_implicit(&mut new_salt, ncol, col_range.clone());
-            Self::vertical_implicit(&mut new_u, ncol, col_range.clone());
-            Self::vertical_implicit(&mut new_v, ncol, col_range.clone());
+            if computes {
+                for field in [&mut new_temp, &mut new_salt, &mut new_u, &mut new_v] {
+                    Self::vertical_implicit(field, ncol, col_range.clone());
+                }
+            }
             // The vertical solve vectorizes across columns: ~14 ops per
             // level per prognostic over the slab's columns (Thomas forward
             // + backward sweeps with coefficient setup).
@@ -391,7 +392,8 @@ impl Mom {
             // Convective adjustment: mix statically unstable adjacent
             // levels (EOS comparison per interface).
             for k in 0..nlev - 1 {
-                for idx in chunk.start * nlon..chunk.end * nlon {
+                let columns = if computes { col_range.clone() } else { 0..0 };
+                for idx in columns {
                     let r_up = crate::eos::density_point(
                         new_temp[k][idx],
                         new_salt[k][idx],
@@ -421,9 +423,6 @@ impl Mom {
                     12,
                 );
             }
-            if let Some(rec) = record.as_deref_mut() {
-                rec.baroclinic.push(vm.take_program().expect("recording was started above"));
-            }
             phase.push(vm.take_cost());
         }
         regions.push(Region::Parallel(phase));
@@ -436,12 +435,10 @@ impl Mom {
         // vorticity RHS from the vertically averaged flow, then the
         // rigid-lid Poisson solve. ------------------------------------------
         {
-            let mut vm = Vm::new(self.machine.clone());
-            if record.is_some() {
-                vm.start_program_record();
-            }
+            let mut vm = self.vm();
             let mut rhs = Grid2::zeros(nlat, nlon);
-            for i in 1..nlat - 1 {
+            let rhs_rows = if computes { 1..nlat - 1 } else { 0..0 };
+            for i in rhs_rows {
                 for j in 0..nlon {
                     let jp = (j + 1) % nlon;
                     let jm = (j + nlon - 1) % nlon;
@@ -470,28 +467,21 @@ impl Mom {
                 nlev * 2,
             );
             let _res = jacobi(&mut vm, &mut self.psi, &rhs, self.config.jacobi_sweeps);
-            if let Some(rec) = record.as_deref_mut() {
-                rec.barotropic = vm.take_program().expect("recording was started above");
-            }
             regions.push(Region::Serial(vm.take_cost()));
         }
 
         // ---- Diagnostics every `diag_every` steps (serial print). ---------
         self.steps += 1;
         if self.steps.is_multiple_of(self.config.diag_every) {
-            let mut vm = Vm::new(self.machine.clone());
-            if record.is_some() {
-                vm.start_program_record();
-            }
+            let mut vm = self.vm();
             // Global means/energies accumulated in unvectorized loops plus
             // formatted output — the benchmark's scaling sore spot.
-            let diag = crate::diagnostics::compute(self);
-            assert!(diag.mean_temp.is_finite() && diag.kinetic_energy.is_finite());
-            self.last_diagnostics = Some(diag);
-            vm.charge_scalar_loop(self.config.points(), 8.0, 8.0, 0.0, LocalityPattern::Streaming);
-            if let Some(rec) = record {
-                rec.diagnostics = Some(vm.take_program().expect("recording was started above"));
+            if computes {
+                let diag = crate::diagnostics::compute(self);
+                assert!(diag.mean_temp.is_finite() && diag.kinetic_energy.is_finite());
+                self.last_diagnostics = Some(diag);
             }
+            vm.charge_scalar_loop(self.config.points(), 8.0, 8.0, 0.0, LocalityPattern::Streaming);
             regions.push(Region::Serial(vm.take_cost()));
         }
 
@@ -510,69 +500,6 @@ impl Mom {
     /// Run `steps` steps and report total simulated seconds.
     pub fn run(&mut self, steps: usize, procs: usize) -> f64 {
         (0..steps).map(|_| self.step(procs).seconds).sum()
-    }
-
-    /// Re-charge a recorded step in one batched pass: bit-identical
-    /// [`MomStepTiming`] to the step that recorded `program`, with none of
-    /// the functional model re-executed. The ocean state, the step counter
-    /// and [`Mom::last_diagnostics`] are untouched.
-    pub fn replay_step(&self, program: &MomStepProgram) -> MomStepTiming {
-        let mut regions = Vec::new();
-        let mut phase = Vec::with_capacity(program.procs);
-        for prog in &program.baroclinic {
-            if prog.is_empty() {
-                phase.push(Cost::ZERO);
-                continue;
-            }
-            let mut vm = Vm::new(self.machine.clone());
-            vm.replay_program(prog);
-            phase.push(vm.take_cost());
-        }
-        regions.push(Region::Parallel(phase));
-        {
-            let mut vm = Vm::new(self.machine.clone());
-            vm.replay_program(&program.barotropic);
-            regions.push(Region::Serial(vm.take_cost()));
-        }
-        if let Some(diag) = &program.diagnostics {
-            let mut vm = Vm::new(self.machine.clone());
-            vm.replay_program(diag);
-            regions.push(Region::Serial(vm.take_cost()));
-        }
-        let node = Node::new(self.machine.clone());
-        let timing =
-            node.time_regions(&regions).expect("partitioned within the node's processor count");
-        MomStepTiming { timing, seconds: timing.seconds(self.machine.clock_ns) }
-    }
-
-    /// Price a `steps`-step run through the program cache: the first
-    /// normal step and the first diagnostics step run (and record) for
-    /// real, every later step of the same kind replays its program.
-    /// Returns total simulated seconds, bit-identical to [`Mom::run`]'s
-    /// (charges depend on the configuration, not the evolving fields); the
-    /// step counter advances as usual, while the ocean state only evolves
-    /// through the two recorded steps.
-    pub fn run_replayed(&mut self, steps: usize, procs: usize) -> f64 {
-        let mut normal: Option<MomStepProgram> = None;
-        let mut diag: Option<MomStepProgram> = None;
-        let mut total = 0.0;
-        for _ in 0..steps {
-            let is_diag = (self.steps + 1).is_multiple_of(self.config.diag_every);
-            let cache = if is_diag { &mut diag } else { &mut normal };
-            total += match cache {
-                Some(p) => {
-                    let t = self.replay_step(p).seconds;
-                    self.steps += 1; // keep the diagnostics cadence honest
-                    t
-                }
-                None => {
-                    let (t, p) = self.record_step_program(procs);
-                    *cache = Some(p);
-                    t.seconds
-                }
-            };
-        }
-        total
     }
 }
 
@@ -668,48 +595,46 @@ mod tests {
 }
 
 #[cfg(test)]
-mod program_tests {
+mod pricing_tests {
     use super::*;
     use sxsim::presets;
 
-    fn tiny() -> MomConfig {
-        MomConfig { nlat: 16, nlon: 32, nlev: 5, dt: 3600.0, diag_every: 10, jacobi_sweeps: 10 }
-    }
-
-    #[test]
-    fn replay_is_bit_identical_to_the_recorded_step() {
-        let mut m = Mom::new(tiny(), presets::sx4_benchmarked());
-        m.step(4);
-        let (recorded, program) = m.record_step_program(4);
-        assert!(!program.is_diagnostic());
-        let replayed = m.replay_step(&program);
-        assert_eq!(recorded.timing.wall_cycles.to_bits(), replayed.timing.wall_cycles.to_bits());
-        assert_eq!(recorded.seconds.to_bits(), replayed.seconds.to_bits());
-        assert_eq!(recorded.timing.work, replayed.timing.work);
-    }
-
-    #[test]
-    fn diagnostic_step_records_its_extra_region() {
-        let mut m = Mom::new(tiny(), presets::sx4_benchmarked());
-        for _ in 0..9 {
-            m.step(4);
+    /// Every step of a pricing run, normal and diagnostics steps alike,
+    /// times bit for bit as the functional model's step does.
+    fn pricing_matches_functional(config: MomConfig, steps: usize, procs: usize) {
+        let machine = presets::sx4_benchmarked();
+        let mut functional = Mom::new(config.clone(), machine.clone());
+        let mut pricing = Mom::pricing(config.clone(), machine.clone());
+        let mut total = 0.0;
+        for n in 1..=steps {
+            let (f, p) = (functional.step(procs), pricing.step(procs));
+            let ctx =
+                format!("{}x{}x{} procs={procs} step {n}", config.nlat, config.nlon, config.nlev);
+            assert_eq!(f.timing.wall_cycles.to_bits(), p.timing.wall_cycles.to_bits(), "{ctx}");
+            assert_eq!(f.seconds.to_bits(), p.seconds.to_bits(), "{ctx}");
+            assert_eq!(f.timing.work, p.timing.work, "{ctx}");
+            total += f.seconds;
         }
-        let (recorded, program) = m.record_step_program(4); // step 10
-        assert!(program.is_diagnostic());
-        let replayed = m.replay_step(&program);
-        assert_eq!(recorded.seconds.to_bits(), replayed.seconds.to_bits());
-        assert_eq!(recorded.timing.wall_cycles.to_bits(), replayed.timing.wall_cycles.to_bits());
+        assert!(functional.last_diagnostics.is_some() && pricing.last_diagnostics.is_none());
+        let priced = Mom::priced_run(config, machine, steps, procs);
+        assert_eq!(priced.to_bits(), total.to_bits());
     }
 
     #[test]
-    fn run_replayed_matches_run_bitwise_across_diag_steps() {
-        let mut real = Mom::new(tiny(), presets::sx4_benchmarked());
-        let mut cached = Mom::new(tiny(), presets::sx4_benchmarked());
+    fn priced_runs_match_functional_runs_across_diagnostics_steps() {
         // 25 steps span two diagnostics prints (steps 10 and 20).
-        let t_real = real.run(25, 4);
-        let t_cached = cached.run_replayed(25, 4);
-        assert_eq!(t_real.to_bits(), t_cached.to_bits(), "{t_real} vs {t_cached}");
-        assert_eq!(real.steps, cached.steps);
+        let tiny = MomConfig {
+            nlat: 16,
+            nlon: 32,
+            nlev: 5,
+            dt: 3600.0,
+            diag_every: 10,
+            jacobi_sweeps: 10,
+        };
+        for procs in [1usize, 4, 32] {
+            pricing_matches_functional(tiny.clone(), 25, procs);
+        }
+        pricing_matches_functional(MomConfig::low_resolution(), 25, 4);
     }
 }
 

@@ -14,7 +14,7 @@
 
 use crate::iobench::hippi_test_seconds;
 use crate::nqs::{JobSpec, Nqs};
-use ccm_proxy::{Ccm2Config, Ccm2Proxy, Resolution};
+use ccm_proxy::{Ccm2Config, Resolution};
 use sxsim::{MachineModel, Node};
 
 /// Measured per-step rates for the CCM2 configurations PRODLOAD uses.
@@ -31,13 +31,10 @@ pub struct CcmRates {
 }
 
 impl CcmRates {
-    /// Measure the rates by running real model steps on `machine`.
-    /// (Expensive: builds three models and steps each twice.)
+    /// Measure the rates from priced model steps on `machine`.
     pub fn measure(machine: &MachineModel) -> CcmRates {
         let rate = |res: Resolution, procs: usize| {
-            let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(res), machine.clone());
-            m.step(procs); // first step is a forward (spin-up) step
-            let t = m.step(procs);
+            let t = ccm_proxy::steady_step(&Ccm2Config::benchmark(res), machine, procs);
             (t.seconds, t.bytes_per_cycle_per_proc)
         };
         let (t42, bpc) = rate(Resolution::T42, 4);

@@ -10,7 +10,6 @@
 use crate::cost::Cost;
 use crate::error::SimError;
 use crate::proginf::OpStats;
-use crate::program::ProgramOp;
 use crate::trace::TraceEvent;
 use crate::vm::Vm;
 use std::collections::BTreeMap;
@@ -79,7 +78,6 @@ impl Ftrace {
         }
         self.open = Some((name.to_string(), vm.lifetime_cost(), *vm.stats()));
         vm.trace_event(|| TraceEvent::EnterRegion { name: name.to_string() });
-        vm.record_mark(|| ProgramOp::Enter(name.into()));
         Ok(())
     }
 
@@ -87,7 +85,6 @@ impl Ftrace {
     pub fn exit(&mut self, vm: &mut Vm) -> Result<(), SimError> {
         let (name, c0, s0) = self.open.take().ok_or(SimError::NoOpenRegion)?;
         vm.trace_event(|| TraceEvent::ExitRegion { name: name.clone() });
-        vm.record_mark(|| ProgramOp::Exit);
         let c1 = vm.lifetime_cost();
         let s1 = vm.stats();
         let entry = self.regions.entry(name).or_default();

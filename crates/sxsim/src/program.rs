@@ -26,12 +26,6 @@
 //! (the second call's single memo lookup hits the slot the first call
 //! filled, matching the `a+b-1` forced hits of the fused call).
 //!
-//! [`Vm::replay_program_scaled`] additionally multiplies every
-//! instruction's repetition count by a scale factor: `replay_scaled(p, k)`
-//! is bit-identical to the original call sequence with every call's `reps`
-//! multiplied by `k` (NOT to `k` sequential replays — iterative f64
-//! accumulation orders differently across program boundaries).
-//!
 //! ## Storage
 //!
 //! A step program runs to tens of thousands of instructions over a few
@@ -40,14 +34,6 @@
 //! descriptor once in a table and stores every instruction as a
 //! (table index, repetitions) pair of two `u32`s — what lets a process keep
 //! recorded steps around ([`ChargeProgram::heap_bytes`] reports the cost).
-//!
-//! ## Region marks
-//!
-//! [`Ftrace`](crate::Ftrace) entries and exits made on a recording `Vm` are
-//! taped as [`ProgramOp::Enter`] / [`ProgramOp::Exit`] marks. They charge
-//! nothing, so [`Vm::replay_program`] skips them; [`Vm::replay_program_traced`]
-//! re-enters the regions at the same points of the charge stream and so
-//! rebuilds the taped profile bit for bit.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -79,20 +65,6 @@ pub enum ProgramOp {
     },
     /// A raw charge ([`Vm::charge`](crate::Vm::charge)).
     Raw(Cost),
-    /// An [`Ftrace`](crate::Ftrace) region entry recorded while the
-    /// program was taped. Charges nothing; a traced replay
-    /// ([`Vm::replay_program_traced`](crate::Vm::replay_program_traced))
-    /// re-enters the region at the same point of the charge stream.
-    Enter(Box<str>),
-    /// The matching region exit.
-    Exit,
-}
-
-impl ProgramOp {
-    /// Whether the descriptor charges anything (region marks do not).
-    pub(crate) fn is_charge(&self) -> bool {
-        !matches!(self, ProgramOp::Enter(_) | ProgramOp::Exit)
-    }
 }
 
 /// Interning key: a descriptor compared and hashed by the exact bits it
@@ -131,8 +103,6 @@ impl PartialEq for Key {
                     && pattern == p2
             }
             (P::Raw(a), P::Raw(b)) => Key::cost_bits(a) == Key::cost_bits(b),
-            (P::Enter(a), P::Enter(b)) => a == b,
-            (P::Exit, P::Exit) => true,
             _ => false,
         }
     }
@@ -151,8 +121,6 @@ impl Hash for Key {
                 (branches.map(f64::to_bits), pattern).hash(h);
             }
             ProgramOp::Raw(c) => Key::cost_bits(c).hash(h),
-            ProgramOp::Enter(name) => name.hash(h),
-            ProgramOp::Exit => {}
         }
     }
 }
@@ -181,12 +149,12 @@ impl ChargeProgram {
     }
 
     /// The program's instructions, in charge order: each descriptor with
-    /// its repetition count (region marks have count 1).
+    /// its repetition count.
     pub fn ops(&self) -> impl Iterator<Item = (&ProgramOp, usize)> + '_ {
         self.code.iter().map(|i| (&self.table[i.op as usize], i.reps as usize))
     }
 
-    /// Instructions after coalescing (region marks included).
+    /// Instructions after coalescing.
     pub fn len(&self) -> usize {
         self.code.len()
     }
@@ -195,24 +163,17 @@ impl ChargeProgram {
         self.code.is_empty()
     }
 
-    /// Total charge calls the program stands for (sum of repetitions,
-    /// region marks excluded) — `total_charges() / len()` is the
-    /// compression the coalescing bought.
+    /// Total charge calls the program stands for (sum of repetitions) —
+    /// `total_charges() / len()` is the compression the coalescing bought.
     pub fn total_charges(&self) -> usize {
-        self.ops().filter(|(op, _)| op.is_charge()).map(|(_, reps)| reps).sum()
+        self.ops().map(|(_, reps)| reps).sum()
     }
 
-    /// Heap bytes the program holds: the descriptor table, the
-    /// instruction stream and the region names.
+    /// Heap bytes the program holds: the descriptor table and the
+    /// instruction stream.
     pub fn heap_bytes(&self) -> usize {
-        let names: usize = self
-            .table
-            .iter()
-            .map(|op| if let ProgramOp::Enter(name) = op { name.len() } else { 0 })
-            .sum();
         self.table.capacity() * std::mem::size_of::<ProgramOp>()
             + self.code.capacity() * std::mem::size_of::<Instr>()
-            + names
     }
 }
 
@@ -227,9 +188,9 @@ pub(crate) struct Recorder {
 
 impl Recorder {
     /// Append `reps` charges of `op`, coalescing with the previous
-    /// instruction when it names the same descriptor (region marks are
-    /// never coalesced). Counts beyond `u32::MAX` split into several
-    /// instructions, which replays identically (see the module docs).
+    /// instruction when it names the same descriptor. Counts beyond
+    /// `u32::MAX` split into several instructions, which replays
+    /// identically (see the module docs).
     pub(crate) fn push(&mut self, op: ProgramOp, mut reps: usize) {
         let key = Key(op);
         let next = u32::try_from(self.program.table.len())
@@ -240,7 +201,7 @@ impl Recorder {
         });
         let code = &mut self.program.code;
         if let Some(last) = code.last_mut() {
-            if last.op == idx && self.program.table[idx as usize].is_charge() {
+            if last.op == idx {
                 let room = (u32::MAX - last.reps) as usize;
                 let take = room.min(reps);
                 last.reps += take as u32;
@@ -320,40 +281,6 @@ mod tests {
     }
 
     #[test]
-    fn scaled_replay_matches_scaled_call_sites() {
-        let mut rec = Vm::new(presets::sx4_benchmarked());
-        rec.start_program_record();
-        rec.charge_vector_op_repeated(&op(96), 5);
-        rec.charge_intrinsic_repeated(Intrinsic::Log, 32, 2);
-        let p = rec.take_program().unwrap();
-
-        let mut scaled = Vm::new(presets::sx4_benchmarked());
-        scaled.replay_program_scaled(&p, 3);
-        let mut direct = Vm::new(presets::sx4_benchmarked());
-        direct.charge_vector_op_repeated(&op(96), 15);
-        direct.charge_intrinsic_repeated(Intrinsic::Log, 32, 6);
-
-        assert_eq!(direct.cost(), scaled.cost());
-        assert_eq!(direct.cost().cycles.to_bits(), scaled.cost().cycles.to_bits());
-        let (mut a, mut b) = (*direct.stats(), *scaled.stats());
-        a.program_replays = 0;
-        b.program_replays = 0;
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn zero_scale_replay_charges_nothing() {
-        let mut rec = Vm::new(presets::sx4_benchmarked());
-        rec.start_program_record();
-        rec.charge_vector_op_repeated(&op(64), 2);
-        let p = rec.take_program().unwrap();
-        let mut vm = Vm::new(presets::sx4_benchmarked());
-        vm.replay_program_scaled(&p, 0);
-        assert_eq!(vm.cost(), Cost::ZERO);
-        assert_eq!(vm.stats().vector_ops, 0);
-    }
-
-    #[test]
     fn untaken_program_is_replaced_by_a_new_recording() {
         let mut vm = Vm::new(presets::sx4_benchmarked());
         vm.start_program_record();
@@ -395,47 +322,5 @@ mod tests {
             .map(|(op, _)| matches!(op, ProgramOp::Raw(c) if c.cycles.is_sign_negative()))
             .collect();
         assert_eq!(signs, [false, true, false]);
-    }
-
-    #[test]
-    fn traced_replay_rebuilds_the_taped_regions() {
-        let run = |vm: &mut Vm, ft: &mut crate::Ftrace| {
-            ft.enter("a", vm).unwrap();
-            vm.charge_vector_op_repeated(&op(300), 3);
-            ft.exit(vm).unwrap();
-            ft.enter("b", vm).unwrap();
-            vm.charge_vector_op_repeated(&op(300), 2);
-            vm.charge_intrinsic(Intrinsic::Sqrt, 40);
-            ft.exit(vm).unwrap();
-            ft.enter("a", vm).unwrap();
-            vm.charge_scalar_loop(50, 1.0, 2.0, 1.0, LocalityPattern::Streaming);
-            ft.exit(vm).unwrap();
-        };
-        let mut rec = Vm::new(presets::sx4_benchmarked());
-        let mut taped = crate::Ftrace::new();
-        rec.start_program_record();
-        run(&mut rec, &mut taped);
-        let p = rec.take_program().unwrap();
-        assert_eq!(p.total_charges(), 3 + 2 + 1 + 1, "marks are not charges");
-
-        let mut vm = Vm::new(presets::sx4_benchmarked());
-        let mut replayed = crate::Ftrace::new();
-        vm.replay_program_traced(&p, &mut replayed).unwrap();
-        assert_eq!(vm.cost(), rec.cost());
-        assert_eq!(taped.regions().len(), replayed.regions().len());
-        for (name, a) in taped.regions() {
-            let b = &replayed.regions()[name];
-            assert_eq!(a.calls, b.calls, "{name}");
-            assert_eq!(a.cost.cycles.to_bits(), b.cost.cycles.to_bits(), "{name}");
-            assert_eq!(a.cost, b.cost, "{name}");
-            assert_eq!(a.stats.vector_ops, b.stats.vector_ops, "{name}");
-            assert_eq!(a.stats.memo_hits, b.stats.memo_hits, "{name}");
-        }
-        assert_eq!(taped.render(9.2), replayed.render(9.2));
-
-        // An untraced replay skips the marks and charges the same.
-        let mut plain = Vm::new(presets::sx4_benchmarked());
-        plain.replay_program(&p);
-        assert_eq!(plain.cost().cycles.to_bits(), rec.cost().cycles.to_bits());
     }
 }

@@ -6,10 +6,15 @@
 //! the analytic cost of that operation on the modelled machine. Kernels
 //! with loop structures the facade cannot express do their math natively
 //! and charge via [`Vm::charge_vector_op`] / [`Vm::charge_scalar_loop`].
+//!
+//! A *pricing* processor ([`Vm::pricing`]) takes every charge exactly as a
+//! functional one but skips the arithmetic: its array operations leave
+//! their outputs untouched and its reductions return zero. Charges depend
+//! on vector lengths, strides and counts, never on values, so a pricing run
+//! leaves a bit-identical ledger. Kernels guard their own value loops with
+//! [`Vm::computes`].
 
 use crate::cost::Cost;
-use crate::error::SimError;
-use crate::ftrace::Ftrace;
 use crate::model::{Intrinsic, MachineModel, VopClass};
 use crate::proginf::{OpStats, Proginf};
 use crate::program::{ChargeProgram, ProgramOp, Recorder};
@@ -80,6 +85,9 @@ pub struct Vm {
     /// Optional charge-program recording; `None` (free) unless enabled via
     /// [`Vm::start_program_record`].
     program: Option<Box<Recorder>>,
+    /// Whether array operations compute their results (false for a
+    /// pricing processor, which only charges).
+    computes: bool,
 }
 
 impl Vm {
@@ -93,7 +101,20 @@ impl Vm {
             trace: None,
             memo: CostMemo::new(),
             program: None,
+            computes: true,
         }
+    }
+
+    /// Create a pricing processor: every charge lands exactly as on
+    /// [`Vm::new`], but array operations skip their arithmetic.
+    pub fn pricing(model: MachineModel) -> Vm {
+        Vm { computes: false, ..Vm::new(model) }
+    }
+
+    /// Whether this processor computes values (false when pricing). Code
+    /// that does its own math beside the facade guards it with this.
+    pub fn computes(&self) -> bool {
+        self.computes
     }
 
     /// The analytic cost of `op`, through the memo. Hit/miss counts land
@@ -153,61 +174,18 @@ impl Vm {
         self.program.take().map(|b| b.finish())
     }
 
-    /// Record an [`Ftrace`] region mark into the program, if recording.
-    pub(crate) fn record_mark(&mut self, mark: impl FnOnce() -> ProgramOp) {
-        if let Some(p) = self.program.as_mut() {
-            p.push(mark(), 1);
-        }
-    }
-
     /// Re-charge a recorded program in one batched pass. Ledgers, op
     /// statistics (program counters aside), memo accounting and trace
     /// events end up bit-identical to executing the original charge calls
     /// op by op — see the [`crate::program`] module docs for the contract.
     pub fn replay_program(&mut self, p: &ChargeProgram) {
-        self.replay_program_scaled(p, 1);
-    }
-
-    /// Replay with every instruction's repetition count multiplied by
-    /// `scale`: bit-identical to the original call sequence with each
-    /// call's `reps` multiplied by `scale`. `scale == 0` charges nothing
-    /// (but still counts as a replay).
-    pub fn replay_program_scaled(&mut self, p: &ChargeProgram, scale: usize) {
-        self.replay(p, scale, None).expect("an untraced replay opens no region");
-    }
-
-    /// Replay a program and, at the region marks it was taped with,
-    /// enter and exit the same [`Ftrace`] regions: `ftrace` ends up with
-    /// the regions, calls and bit-identical exclusive costs the taped run
-    /// collected. Unbalanced marks surface as the `Ftrace` error.
-    pub fn replay_program_traced(
-        &mut self,
-        p: &ChargeProgram,
-        ftrace: &mut Ftrace,
-    ) -> Result<(), SimError> {
-        self.replay(p, 1, Some(ftrace))
-    }
-
-    fn replay(
-        &mut self,
-        p: &ChargeProgram,
-        scale: usize,
-        mut ftrace: Option<&mut Ftrace>,
-    ) -> Result<(), SimError> {
         self.stats.program_replays += 1;
-        if scale == 0 {
-            return Ok(());
-        }
         for (instr, reps) in p.ops() {
             match instr {
-                ProgramOp::Vector(op) => {
-                    self.charge_vector_op_repeated(op, reps * scale);
-                }
-                ProgramOp::Intrinsic { f, n } => {
-                    self.charge_intrinsic_repeated(*f, *n, reps * scale);
-                }
+                ProgramOp::Vector(op) => self.charge_vector_op_repeated(op, reps),
+                ProgramOp::Intrinsic { f, n } => self.charge_intrinsic_repeated(*f, *n, reps),
                 ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern } => {
-                    for _ in 0..reps * scale {
+                    for _ in 0..reps {
                         match branches {
                             Some(b) => self.charge_scalar_loop_branchy(
                                 *iters, *flops, *loads, *stores, *b, *pattern,
@@ -219,23 +197,12 @@ impl Vm {
                     }
                 }
                 ProgramOp::Raw(cost) => {
-                    for _ in 0..reps * scale {
+                    for _ in 0..reps {
                         self.charge(*cost);
-                    }
-                }
-                ProgramOp::Enter(name) => {
-                    if let Some(ft) = ftrace.as_deref_mut() {
-                        ft.enter(name, self)?;
-                    }
-                }
-                ProgramOp::Exit => {
-                    if let Some(ft) = ftrace.as_deref_mut() {
-                        ft.exit(self)?;
                     }
                 }
             }
         }
-        Ok(())
     }
 
     /// The machine this processor belongs to.
@@ -460,7 +427,9 @@ impl Vm {
     /// Unit-stride copy `dst[i] = src[i]`.
     pub fn copy(&mut self, dst: &mut [f64], src: &[f64]) {
         assert_eq!(dst.len(), src.len());
-        dst.copy_from_slice(src);
+        if self.computes {
+            dst.copy_from_slice(src);
+        }
         self.charge_vector_op(&VecOp::new(
             src.len(),
             VopClass::Logical,
@@ -488,8 +457,10 @@ impl Vm {
                 dst.len()
             );
         }
-        for i in 0..n {
-            dst[i * ds] = src[i * ss];
+        if self.computes {
+            for i in 0..n {
+                dst[i * ds] = src[i * ss];
+            }
         }
         self.charge_vector_op(&VecOp::new(
             n,
@@ -502,8 +473,10 @@ impl Vm {
     /// Gather `dst[i] = src[idx[i]]`.
     pub fn gather(&mut self, dst: &mut [f64], src: &[f64], idx: &[usize]) {
         assert_eq!(dst.len(), idx.len());
-        for (d, &j) in dst.iter_mut().zip(idx) {
-            *d = src[j];
+        if self.computes {
+            for (d, &j) in dst.iter_mut().zip(idx) {
+                *d = src[j];
+            }
         }
         self.charge_vector_op(&VecOp::new(
             idx.len(),
@@ -516,8 +489,10 @@ impl Vm {
     /// Scatter `dst[idx[i]] = src[i]`.
     pub fn scatter(&mut self, dst: &mut [f64], src: &[f64], idx: &[usize]) {
         assert_eq!(src.len(), idx.len());
-        for (&v, &j) in src.iter().zip(idx) {
-            dst[j] = v;
+        if self.computes {
+            for (&v, &j) in src.iter().zip(idx) {
+                dst[j] = v;
+            }
         }
         self.charge_vector_op(&VecOp::new(
             idx.len(),
@@ -531,9 +506,11 @@ impl Vm {
     /// side runs at stride `n`, which is what makes XPOSE interesting.
     pub fn transpose(&mut self, b: &mut [f64], a: &[f64], n: usize) {
         assert!(a.len() >= n * n && b.len() >= n * n);
-        for j in 0..n {
-            for i in 0..n {
-                b[i + j * n] = a[j + i * n];
+        if self.computes {
+            for j in 0..n {
+                for i in 0..n {
+                    b[i + j * n] = a[j + i * n];
+                }
             }
         }
         // Vectorized along columns of `a`: unit-stride load, stride-n store,
@@ -556,8 +533,10 @@ impl Vm {
     ) {
         assert_eq!(dst.len(), a.len());
         assert_eq!(dst.len(), b.len());
-        for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
-            *d = f(x, y);
+        if self.computes {
+            for ((d, &x), &y) in dst.iter_mut().zip(a).zip(b) {
+                *d = f(x, y);
+            }
         }
         self.charge_vector_op(&VecOp::new(
             dst.len(),
@@ -590,8 +569,10 @@ impl Vm {
     /// `dst = s * a` with a scalar multiplier held in a register.
     pub fn scale(&mut self, dst: &mut [f64], s: f64, a: &[f64]) {
         assert_eq!(dst.len(), a.len());
-        for (d, &x) in dst.iter_mut().zip(a) {
-            *d = s * x;
+        if self.computes {
+            for (d, &x) in dst.iter_mut().zip(a) {
+                *d = s * x;
+            }
         }
         self.charge_vector_op(&VecOp::new(
             dst.len(),
@@ -604,8 +585,10 @@ impl Vm {
     /// `y = y + s * a` (AXPY; chained multiply-add).
     pub fn axpy(&mut self, y: &mut [f64], s: f64, a: &[f64]) {
         assert_eq!(y.len(), a.len());
-        for (d, &x) in y.iter_mut().zip(a) {
-            *d += s * x;
+        if self.computes {
+            for (d, &x) in y.iter_mut().zip(a) {
+                *d += s * x;
+            }
         }
         self.charge_vector_op(&VecOp::new(
             y.len(),
@@ -620,8 +603,10 @@ impl Vm {
         assert_eq!(dst.len(), a.len());
         assert_eq!(dst.len(), b.len());
         assert_eq!(dst.len(), c.len());
-        for i in 0..dst.len() {
-            dst[i] = a[i] * b[i] + c[i];
+        if self.computes {
+            for i in 0..dst.len() {
+                dst[i] = a[i] * b[i] + c[i];
+            }
         }
         self.charge_vector_op(&VecOp::new(
             dst.len(),
@@ -634,8 +619,10 @@ impl Vm {
     /// In-place `dst += b`.
     pub fn add_in_place(&mut self, dst: &mut [f64], b: &[f64]) {
         assert_eq!(dst.len(), b.len());
-        for (d, &y) in dst.iter_mut().zip(b) {
-            *d += y;
+        if self.computes {
+            for (d, &y) in dst.iter_mut().zip(b) {
+                *d += y;
+            }
         }
         self.charge_vector_op(&VecOp::new(
             dst.len(),
@@ -648,8 +635,10 @@ impl Vm {
     /// In-place `dst *= b`.
     pub fn mul_in_place(&mut self, dst: &mut [f64], b: &[f64]) {
         assert_eq!(dst.len(), b.len());
-        for (d, &y) in dst.iter_mut().zip(b) {
-            *d *= y;
+        if self.computes {
+            for (d, &y) in dst.iter_mut().zip(b) {
+                *d *= y;
+            }
         }
         self.charge_vector_op(&VecOp::new(
             dst.len(),
@@ -661,8 +650,10 @@ impl Vm {
 
     /// In-place `dst = s * dst`.
     pub fn scale_in_place(&mut self, dst: &mut [f64], s: f64) {
-        for d in dst.iter_mut() {
-            *d *= s;
+        if self.computes {
+            for d in dst.iter_mut() {
+                *d *= s;
+            }
         }
         self.charge_vector_op(&VecOp::new(
             dst.len(),
@@ -674,8 +665,10 @@ impl Vm {
 
     /// In-place `dst = dst + s` with a scalar addend.
     pub fn add_scalar_in_place(&mut self, dst: &mut [f64], s: f64) {
-        for d in dst.iter_mut() {
-            *d += s;
+        if self.computes {
+            for d in dst.iter_mut() {
+                *d += s;
+            }
         }
         self.charge_vector_op(&VecOp::new(
             dst.len(),
@@ -695,8 +688,10 @@ impl Vm {
         g: impl Fn(f64) -> f64,
     ) {
         assert_eq!(dst.len(), a.len());
-        for (d, &x) in dst.iter_mut().zip(a) {
-            *d = g(x);
+        if self.computes {
+            for (d, &x) in dst.iter_mut().zip(a) {
+                *d = g(x);
+            }
         }
         self.charge_intrinsic(f, dst.len());
     }
@@ -725,21 +720,27 @@ impl Vm {
     pub fn pow(&mut self, dst: &mut [f64], a: &[f64], b: &[f64]) {
         assert_eq!(dst.len(), a.len());
         assert_eq!(dst.len(), b.len());
-        for i in 0..dst.len() {
-            dst[i] = a[i].powf(b[i]);
+        if self.computes {
+            for i in 0..dst.len() {
+                dst[i] = a[i].powf(b[i]);
+            }
         }
         self.charge_intrinsic(Intrinsic::Pow, dst.len());
     }
 
     // ---- reductions ------------------------------------------------------
 
-    /// Sum of a vector (tree reduction on the add pipes).
+    /// Sum of a vector (tree reduction on the add pipes); zero when
+    /// pricing.
     pub fn sum(&mut self, a: &[f64]) -> f64 {
         self.charge_vector_op(&VecOp::new(a.len(), VopClass::Add, &[Access::Stride(1)], &[]));
+        if !self.computes {
+            return 0.0;
+        }
         a.iter().sum()
     }
 
-    /// Dot product (chained multiply-add reduction).
+    /// Dot product (chained multiply-add reduction); zero when pricing.
     pub fn dot(&mut self, a: &[f64], b: &[f64]) -> f64 {
         assert_eq!(a.len(), b.len());
         self.charge_vector_op(&VecOp::new(
@@ -748,6 +749,9 @@ impl Vm {
             &[Access::Stride(1), Access::Stride(1)],
             &[],
         ));
+        if !self.computes {
+            return 0.0;
+        }
         a.iter().zip(b).map(|(&x, &y)| x * y).sum()
     }
 
@@ -755,11 +759,13 @@ impl Vm {
     ///
     /// Contract: an empty slice is a valid (zero-cost) query and returns
     /// `(0, 0.0)` — the neutral element, matching a scan that never found
-    /// anything larger than zero in magnitude.
+    /// anything larger than zero in magnitude. A pricing processor
+    /// returns that neutral element for every input.
     pub fn max_abs(&mut self, a: &[f64]) -> (usize, f64) {
         self.charge_vector_op(&VecOp::new(a.len(), VopClass::Logical, &[Access::Stride(1)], &[]));
         let mut best = (0usize, 0.0f64);
-        for (i, &x) in a.iter().enumerate() {
+        let scanned = if self.computes { a } else { &[] };
+        for (i, &x) in scanned.iter().enumerate() {
             if x.abs() > best.1 {
                 best = (i, x.abs());
             }
@@ -853,6 +859,33 @@ mod tests {
         assert_eq!(m.sum(&a), 6.0);
         assert_eq!(m.dot(&a, &b), 12.0);
         assert_eq!(m.max_abs(&[1.0, -7.0, 3.0]), (1, 7.0));
+    }
+
+    #[test]
+    fn pricing_charges_bit_identically_and_computes_nothing() {
+        let run = |vm: &mut Vm| {
+            let a: Vec<f64> = (0..300).map(|i| 1.0 + i as f64).collect();
+            let idx: Vec<usize> = (0..300).rev().collect();
+            let mut d = vec![0.0; 300];
+            vm.add(&mut d, &a, &a);
+            vm.axpy(&mut d, 0.5, &a);
+            vm.exp(&mut d, &a);
+            vm.pow(&mut d, &a, &a);
+            vm.gather(&mut d, &a, &idx);
+            vm.transpose(&mut d, &a, 17);
+            let s = vm.sum(&a) + vm.dot(&a, &a) + vm.max_abs(&a).1;
+            (d, s)
+        };
+        let mut functional = vm();
+        let mut pricing = Vm::pricing(presets::sx4(9.2));
+        assert!(functional.computes() && !pricing.computes());
+        let (computed, s) = run(&mut functional);
+        let (untouched, zero) = run(&mut pricing);
+        assert_eq!(functional.cost().cycles.to_bits(), pricing.cost().cycles.to_bits());
+        assert_eq!(functional.cost(), pricing.cost());
+        assert_eq!(functional.stats(), pricing.stats());
+        assert!(computed.iter().any(|&x| x != 0.0) && s > 0.0);
+        assert!(untouched.iter().all(|&x| x == 0.0) && zero == 0.0);
     }
 
     #[test]

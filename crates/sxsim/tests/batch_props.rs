@@ -142,36 +142,26 @@ impl Charge {
         }
     }
 
-    /// Issue as the fully unrolled op-by-op loop, with this call's
-    /// repetition count multiplied by `scale` — the reference semantics
-    /// for `Vm::replay_program_scaled`.
-    fn issue_singles(&self, vm: &mut Vm, scale: usize) {
+    /// Issue as the fully unrolled op-by-op loop.
+    fn issue_singles(&self, vm: &mut Vm) {
         match self {
             Charge::Vector { op, reps } => {
-                for _ in 0..reps * scale {
+                for _ in 0..*reps {
                     vm.charge_vector_op(op);
                 }
             }
             Charge::Intrinsic { f, n, reps } => {
-                for _ in 0..reps * scale {
+                for _ in 0..*reps {
                     vm.charge_intrinsic(*f, *n);
                 }
             }
-            Charge::Scalar { iters, flops, loads, stores, branches, pattern } => {
-                for _ in 0..scale {
-                    match branches {
-                        Some(b) => vm.charge_scalar_loop_branchy(
-                            *iters, *flops, *loads, *stores, *b, *pattern,
-                        ),
-                        None => vm.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern),
-                    }
+            Charge::Scalar { iters, flops, loads, stores, branches, pattern } => match branches {
+                Some(b) => {
+                    vm.charge_scalar_loop_branchy(*iters, *flops, *loads, *stores, *b, *pattern)
                 }
-            }
-            Charge::Raw { cost } => {
-                for _ in 0..scale {
-                    vm.charge(*cost);
-                }
-            }
+                None => vm.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern),
+            },
+            Charge::Raw { cost } => vm.charge(*cost),
         }
     }
 }
@@ -356,7 +346,7 @@ fn recorded_replay_is_bit_identical_to_op_by_op() {
             let mut single = Vm::new(m.clone());
             single.start_trace();
             for c in &seq {
-                c.issue_singles(&mut single, 1);
+                c.issue_singles(&mut single);
             }
 
             let mut recorder = Vm::new(m.clone());
@@ -398,38 +388,6 @@ fn recording_does_not_perturb_the_recording_vm() {
             }
             assert!(recorder.take_program().is_some(), "{ctx}: program captured");
             assert_vms_identical(&mut recorder, &mut plain, &ctx);
-        }
-    }
-}
-
-/// `Vm::replay_program_scaled(p, k)` equals the original call sequence
-/// with every call's repetition count multiplied by `k` — including
-/// `k == 0`, which must charge nothing.
-#[test]
-fn scaled_replay_matches_the_scaled_call_sequence() {
-    let mut g = Gen(17);
-    for case in 0..48 {
-        let seq = g.sequence();
-        let scale = [0usize, 1, 2, 5][g.usize_in(0, 4)];
-        for m in machines() {
-            let ctx = format!("case {case} ({} scale={scale})", m.name);
-            let mut single = Vm::new(m.clone());
-            single.start_trace();
-            for c in &seq {
-                c.issue_singles(&mut single, scale);
-            }
-
-            let mut recorder = Vm::new(m.clone());
-            recorder.start_program_record();
-            for c in &seq {
-                c.issue(&mut recorder);
-            }
-            let program = recorder.take_program().expect("recording was active");
-
-            let mut replay = Vm::new(m.clone());
-            replay.start_trace();
-            replay.replay_program_scaled(&program, scale);
-            assert_vms_identical(&mut replay, &mut single, &ctx);
         }
     }
 }

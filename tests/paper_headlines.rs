@@ -1,7 +1,7 @@
 //! Integration tests pinning the paper's headline results — the
 //! qualitative and quantitative shape every reproduction must preserve.
 
-use ncar_sx4::climate::{Ccm2Config, Ccm2Proxy, Resolution};
+use ncar_sx4::climate::{steady_step, Ccm2Config, Resolution};
 use ncar_sx4::kernels::fft::{run_fft_point, LoopOrder};
 use ncar_sx4::kernels::membw::{run_point, MembwKind};
 use ncar_sx4::kernels::radabs::radabs_benchmark;
@@ -62,9 +62,7 @@ fn vfft_order_of_magnitude_over_rfft() {
 fn fig8_shape() {
     let clock = presets::sx4_benchmarked().clock_ns;
     let gflops = |res: Resolution, procs: usize| {
-        let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(res), presets::sx4_benchmarked());
-        m.step(procs);
-        let t = m.step(procs);
+        let t = steady_step(&Ccm2Config::benchmark(res), &presets::sx4_benchmarked(), procs);
         t.timing.cray_gflops(clock)
     };
     let t42_8 = gflops(Resolution::T42, 8);
@@ -77,9 +75,8 @@ fn fig8_shape() {
 /// Table 6: "The relative degradation of the job is only 1.89%."
 #[test]
 fn ensemble_degradation_small() {
-    let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(Resolution::T42), presets::sx4_benchmarked());
-    m.step(4);
-    let t = m.step(4);
+    let config = Ccm2Config::benchmark(Resolution::T42);
+    let t = steady_step(&config, &presets::sx4_benchmarked(), 4);
     let node = Node::new(presets::sx4_benchmarked());
     let job = JobDemand {
         solo_cycles: 0.0,
@@ -119,9 +116,8 @@ fn pop_headline_band() {
 #[test]
 fn table5_ratio() {
     let step = |res: Resolution| {
-        let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(res), presets::sx4_benchmarked());
-        m.step(32);
-        m.step(32).seconds * res.steps_per_day() as f64
+        let t = steady_step(&Ccm2Config::benchmark(res), &presets::sx4_benchmarked(), 32);
+        t.seconds * res.steps_per_day() as f64
     };
     let t42_day = step(Resolution::T42);
     let t63_day = step(Resolution::T63);

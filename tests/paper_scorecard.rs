@@ -3,7 +3,7 @@
 //! band through one scorecard. If this test passes, the reproduction's
 //! headline claims hold; its rendered output is the audit table.
 
-use ncar_sx4::climate::{Ccm2Config, Ccm2Proxy, Resolution};
+use ncar_sx4::climate::{steady_step, Ccm2Config, Resolution};
 use ncar_sx4::kernels::radabs::radabs_benchmark;
 use ncar_sx4::ocean::{Mom, MomConfig, Pop, PopConfig};
 use ncar_sx4::others::hint_mquips;
@@ -55,9 +55,7 @@ fn scorecard_of_published_anchors() {
 
     // Table 6 — ensemble degradation.
     {
-        let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(Resolution::T42), sx4.clone());
-        m.step(4);
-        let t = m.step(4);
+        let t = steady_step(&Ccm2Config::benchmark(Resolution::T42), &sx4, 4);
         let node = Node::new(sx4.clone());
         let job = JobDemand {
             solo_cycles: 0.0,
@@ -74,9 +72,7 @@ fn scorecard_of_published_anchors() {
     // Table 5 — the T63/T42 one-year ratio (per-step basis).
     {
         let day = |res: Resolution| {
-            let mut m = Ccm2Proxy::new(Ccm2Config::benchmark(res), sx4.clone());
-            m.step(32);
-            m.step(32).seconds * res.steps_per_day() as f64
+            steady_step(&Ccm2Config::benchmark(res), &sx4, 32).seconds * res.steps_per_day() as f64
         };
         let ratio = day(Resolution::T63) / day(Resolution::T42);
         sc.record(
@@ -92,10 +88,8 @@ fn scorecard_of_published_anchors() {
 
     // Table 7 — MOM speedup at 32 CPUs (one diagnostics block).
     {
-        let run = |procs: usize| {
-            let mut m = Mom::new(MomConfig::high_resolution(), sx4.clone());
-            (0..10).map(|_| m.step(procs).seconds).sum::<f64>()
-        };
+        let run =
+            |procs: usize| Mom::priced_run(MomConfig::high_resolution(), sx4.clone(), 10, procs);
         let speedup = run(1) / run(32);
         sc.record(
             PaperAnchor::new("Table 7", "MOM speedup at 32 CPUs", 9.06, Tolerance::Percent(35.0)),
