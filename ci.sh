@@ -285,6 +285,7 @@ echo "==> perf smoke (release harness, schema validation, batched-vs-loop equiva
 cargo test --offline -q -p sxsim --release --test batch_props
 cargo test --offline -q -p ccm-proxy --release pricing_tests
 cargo test --offline -q -p ocean-models --release pricing_tests
+cargo test --offline -q -p ncar-kernels --release pricing_tests
 cargo build --offline -q --release -p ncar-bench
 perf_json="$(mktemp)"
 target/release/ncar-bench perf --smoke --out "$perf_json" >/dev/null

@@ -12,7 +12,7 @@ use ccm_proxy::{Ccm2Config, Resolution};
 use ncar_kernels::fft::run_fft_point;
 use ncar_kernels::fft::{charge_transform, LoopOrder};
 use ncar_kernels::membw::{run_point, MembwKind};
-use ncar_kernels::radabs::radabs;
+use ncar_kernels::radabs::{radabs, BENCH_NCOL, NLEV};
 use ncar_suite::{Artifact, Instance, Table};
 use sxsim::{presets, Ixs, Vm};
 
@@ -153,13 +153,13 @@ pub fn multinode() -> Vec<Artifact> {
 /// FTRACE of one CCM2 timestep: where the time goes, phase by phase —
 /// the per-routine view behind the paper's Figure 8 analysis.
 pub fn ftrace() -> Vec<Artifact> {
-    let config = Ccm2Config::benchmark(Resolution::T42);
-    let (_t, ft) = ccm_proxy::steady_step_traced(&config, &presets::sx4_benchmarked(), 4);
+    let (config, machine) = (Ccm2Config::benchmark(Resolution::T42), presets::sx4_benchmarked());
+    let (_t, ft) = ccm_proxy::steady_step_traced(&config, &machine, 4);
     let mut table = Table::new(
         "FTRACE: one CCM2 T42L18 step on processor 0 of 4 (exclusive per-phase totals)",
         &["Phase", "Calls", "Excl. ms", "Time %", "MFLOPS", "V.op %", "Avg VL"],
     );
-    let clock = 9.2;
+    let clock = machine.clock_ns;
     let total: f64 = ft.regions().values().map(|r| r.cost.cycles).sum();
     let mut rows: Vec<_> = ft.regions().iter().collect();
     rows.sort_by(|a, b| b.1.cost.cycles.total_cmp(&a.1.cost.cycles));
@@ -186,9 +186,10 @@ pub fn proginf() -> Vec<Artifact> {
         &["Workload", "Vector op ratio %", "Avg vector length", "MFLOPS", "Cray-equiv MFLOPS"],
     );
 
-    // RADABS: long vectors, intrinsic-heavy.
-    let mut vm = Vm::new(machine.clone());
-    let _ = radabs(&mut vm, 8192, 18);
+    // RADABS: long vectors, intrinsic-heavy. Priced: the report reads
+    // only the ledger and the op statistics.
+    let mut vm = Vm::pricing(machine.clone());
+    radabs(&mut vm, BENCH_NCOL, NLEV);
     let p = vm.proginf();
     t.row(&[
         "RADABS (8192 columns)".into(),
@@ -216,8 +217,6 @@ pub fn proginf() -> Vec<Artifact> {
     }
 
     // HINT: scalar through and through.
-    let r = othersuites::run_hint(&machine, 20_000);
-    let _ = r;
     let mut vm = Vm::new(machine);
     vm.charge_scalar_loop(20_000, 40.0, 24.0, 12.0, sxsim::LocalityPattern::Streaming);
     let p = vm.proginf();

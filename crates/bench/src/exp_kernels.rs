@@ -2,7 +2,7 @@
 //! the §4.1 correctness battery.
 
 use ncar_kernels::elefunt;
-use ncar_kernels::fft::{run_fft_point, LoopOrder};
+use ncar_kernels::fft::{price_point, run_fft_point, verify_round_trip, LoopOrder};
 use ncar_kernels::membw::{sweep, MembwKind};
 use ncar_kernels::paranoia;
 use ncar_kernels::radabs::radabs_benchmark;
@@ -139,13 +139,15 @@ pub fn fig7() -> Vec<Artifact> {
 
     // One curve per family at its largest paper length, swept over the
     // paper's vector lengths M; the families are independent so they run
-    // host-parallel.
+    // host-parallel. Each N is checked once: M changes the price, not the
+    // transform.
     for s in ncar_suite::par_map(FftFamily::ALL.to_vec(), |family| {
         let n = *family.vfft_lengths().last().unwrap();
+        verify_round_trip(n);
         let mut s =
             Series::new(format!("{} (N={n})", family.label()), "M (vector length)", "Mflops");
         for &mm in VFFT_M.iter() {
-            let p = run_fft_point(&m, n, mm, LoopOrder::InstanceFastest);
+            let p = price_point(&m, n, mm, LoopOrder::InstanceFastest);
             s.push(mm as f64, p.mflops);
         }
         s

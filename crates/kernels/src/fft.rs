@@ -124,18 +124,39 @@ pub fn fft(x: &mut [C64], dir: Direction) {
     }
     let factors =
         factorize(n).unwrap_or_else(|| panic!("FFT length {n} has a factor other than 2, 3, 5"));
+    let twiddles = twiddle_tables(n, dir.sign(), &factors);
     let mut scratch = vec![C64::ZERO; n];
-    fft_rec(x, &mut scratch, n, 1, dir.sign(), &factors);
+    fft_rec(x, &mut scratch, n, 1, &factors, &twiddles);
 }
 
-/// Recursive worker: transforms `x[0], x[stride], ..., x[(n-1)*stride]`.
+/// The twiddle factors of every recursion level, top level first: the
+/// level that combines length-`len` sub-transforms reads
+/// `cis(sign * 2 pi * k / len)` for `k < len`. Built once per transform,
+/// so a butterfly input costs a table load instead of a `sin` and a `cos`.
+fn twiddle_tables(n: usize, sign: f64, factors: &[usize]) -> Vec<Vec<C64>> {
+    let mut len = n;
+    factors
+        .iter()
+        .rev()
+        .map(|&r| {
+            let table = (0..len)
+                .map(|k| C64::cis(sign * 2.0 * std::f64::consts::PI * k as f64 / len as f64))
+                .collect();
+            len /= r;
+            table
+        })
+        .collect()
+}
+
+/// Recursive worker: transforms `x[0], x[stride], ..., x[(n-1)*stride]`
+/// with `twiddles[0]` as this level's table.
 fn fft_rec(
     x: &mut [C64],
     scratch: &mut [C64],
     n: usize,
     stride: usize,
-    sign: f64,
     factors: &[usize],
+    twiddles: &[Vec<C64>],
 ) {
     if n == 1 {
         return;
@@ -147,11 +168,11 @@ fn fft_rec(
 
     // Decimate: r interleaved subsequences, each transformed recursively.
     for j in 0..r {
-        fft_rec(&mut x[j * stride..], scratch, l, r * stride, sign, sub_factors);
+        fft_rec(&mut x[j * stride..], scratch, l, r * stride, sub_factors, &twiddles[1..]);
     }
 
     // Combine with twiddles into scratch, then copy back.
-    let w = |k: usize| C64::cis(sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64);
+    let w = &twiddles[0];
     for k in 0..l {
         for jo in 0..r {
             let out_idx = k + jo * l;
@@ -159,7 +180,7 @@ fn fft_rec(
             for j in 0..r {
                 // sub-transform j, bin k lives at x[(j + k*r) * stride]
                 let v = x[(j + k * r) * stride];
-                acc = acc + v * w((out_idx * j) % n);
+                acc = acc + v * w[(out_idx * j) % n];
             }
             scratch[out_idx] = acc;
         }
@@ -345,20 +366,23 @@ pub struct FftPoint {
     pub cost: Cost,
 }
 
-/// Run one (N, M) point of RFFT or VFFT on `model`: functionally transform
-/// one instance (verifying it round-trips) and charge the machine for all M
-/// in the requested loop order.
-pub fn run_fft_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder) -> FftPoint {
-    // Functional leg: a deterministic real signal, transformed and inverted.
+/// The functional leg of a benchmark point: transform a deterministic real
+/// signal of length `n` forward and back, and panic unless it round-trips.
+/// The point's price does not depend on it, so a sweep checks each
+/// distinct `n` once.
+pub fn verify_round_trip(n: usize) {
     let signal: Vec<f64> =
         (0..n).map(|i| (i as f64 * 0.37).sin() + 0.25 * (i as f64 * 1.13).cos()).collect();
     let spec = rfft_spectrum(&signal);
     let back = irfft(&spec, n);
     let err = signal.iter().zip(&back).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
     assert!(err < 1e-9, "FFT round-trip failed for n={n}: err={err}");
+}
 
-    // Timing leg.
-    let mut vm = Vm::new(model.clone());
+/// The timing leg of a benchmark point: charge `model` for M instances of
+/// a length-`n` transform in the requested loop order, computing nothing.
+pub fn price_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder) -> FftPoint {
+    let mut vm = Vm::pricing(model.clone());
     let cost = match order {
         LoopOrder::AxisFastest => {
             charge_transform(&mut vm, n, 1, order);
@@ -371,6 +395,14 @@ pub fn run_fft_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder)
     };
     let mflops = cost.mflops(model.clock_ns);
     FftPoint { n, m, mflops, cost }
+}
+
+/// Run one (N, M) point of RFFT or VFFT on `model`: functionally transform
+/// one instance (verifying it round-trips) and charge the machine for all M
+/// in the requested loop order.
+pub fn run_fft_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder) -> FftPoint {
+    verify_round_trip(n);
+    price_point(model, n, m, order)
 }
 
 #[cfg(test)]
@@ -497,5 +529,120 @@ mod tests {
         let mut vm = Vm::new(model);
         let f = charge_transform(&mut vm, 48, 7, LoopOrder::InstanceFastest);
         assert_eq!(f, (transform_flops(48) * 7) as u64);
+    }
+}
+
+#[cfg(test)]
+mod pricing_tests {
+    use super::*;
+    use ncar_suite::{rfft_instances, FftFamily, VFFT_M};
+    use sxsim::presets;
+
+    /// Reference recursion: evaluates every twiddle with `C64::cis` where a
+    /// butterfly input reads it.
+    fn fft_rec_cis(
+        x: &mut [C64],
+        scratch: &mut [C64],
+        n: usize,
+        stride: usize,
+        sign: f64,
+        factors: &[usize],
+    ) {
+        if n == 1 {
+            return;
+        }
+        let r = *factors.last().unwrap();
+        let l = n / r;
+        let sub_factors = &factors[..factors.len() - 1];
+        for j in 0..r {
+            fft_rec_cis(&mut x[j * stride..], scratch, l, r * stride, sign, sub_factors);
+        }
+        let w = |k: usize| C64::cis(sign * 2.0 * std::f64::consts::PI * k as f64 / n as f64);
+        for k in 0..l {
+            for jo in 0..r {
+                let out_idx = k + jo * l;
+                let mut acc = C64::ZERO;
+                for j in 0..r {
+                    let v = x[(j + k * r) * stride];
+                    acc = acc + v * w((out_idx * j) % n);
+                }
+                scratch[out_idx] = acc;
+            }
+        }
+        for i in 0..n {
+            x[i * stride] = scratch[i];
+        }
+    }
+
+    /// Every length the RFFT and VFFT sweeps transform.
+    fn sweep_lengths() -> Vec<usize> {
+        let mut lengths: Vec<usize> = FftFamily::ALL
+            .iter()
+            .flat_map(|&f| {
+                let rfft = rfft_instances(f, 1_000_000).into_iter().map(|inst| inst.n);
+                f.vfft_lengths().into_iter().chain(rfft)
+            })
+            .collect();
+        lengths.sort_unstable();
+        lengths.dedup();
+        lengths
+    }
+
+    #[test]
+    fn twiddle_tables_reproduce_the_per_call_spectra_bit_for_bit() {
+        for n in sweep_lengths() {
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let input: Vec<C64> = (0..n)
+                    .map(|i| C64::new((i as f64 * 0.37).sin(), 0.25 * (i as f64 * 1.13).cos()))
+                    .collect();
+                let mut tabled = input.clone();
+                fft(&mut tabled, dir);
+                let mut per_call = input;
+                if n > 1 {
+                    let mut scratch = vec![C64::ZERO; n];
+                    let factors = factorize(n).unwrap();
+                    fft_rec_cis(&mut per_call, &mut scratch, n, 1, dir.sign(), &factors);
+                }
+                for (k, (a, b)) in tabled.iter().zip(&per_call).enumerate() {
+                    assert_eq!(
+                        (a.re.to_bits(), a.im.to_bits()),
+                        (b.re.to_bits(), b.im.to_bits()),
+                        "n={n} {dir:?} bin {k}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A priced point, alone and behind `run_fft_point`, charges what a
+    /// functional processor charges for the same transforms (the
+    /// axis-fastest cost of one instance scaled by M).
+    #[test]
+    fn price_point_matches_the_functional_point() {
+        let model = presets::sx4_benchmarked();
+        let bits = |c: Cost| [c.cycles.to_bits(), c.flops, c.cray_flops.to_bits(), c.bytes];
+        for n in sweep_lengths() {
+            for &m in VFFT_M.iter().chain(&[1_000_000 / n]) {
+                for order in [LoopOrder::AxisFastest, LoopOrder::InstanceFastest] {
+                    let mut vm = Vm::new(model.clone());
+                    let want = match order {
+                        LoopOrder::AxisFastest => {
+                            charge_transform(&mut vm, n, 1, order);
+                            scale(vm.take_cost(), m)
+                        }
+                        LoopOrder::InstanceFastest => {
+                            charge_transform(&mut vm, n, m, order);
+                            vm.take_cost()
+                        }
+                    };
+                    let priced = price_point(&model, n, m, order);
+                    let run = run_fft_point(&model, n, m, order);
+                    let at = format!("n={n} m={m} {order:?}");
+                    assert_eq!(bits(priced.cost), bits(want), "{at}");
+                    assert_eq!(bits(run.cost), bits(want), "{at}");
+                    assert_eq!(priced.mflops.to_bits(), want.mflops(model.clock_ns).to_bits());
+                }
+            }
+        }
     }
 }

@@ -47,7 +47,9 @@ pub struct RadabsResult {
     /// Cray-equivalent Mflops achieved on the run's machine.
     pub cray_mflops: f64,
     /// Absorptivity matrix of the first column, `nlev * nlev`, for
-    /// correctness checks (abs[k1*nlev + k2]).
+    /// correctness checks (abs[k1*nlev + k2]). A pricing processor
+    /// ([`Vm::pricing`]) computes no values: after a priced run the
+    /// matrix holds zeros.
     pub absorptivity: Vec<f64>,
 }
 
@@ -142,10 +144,12 @@ pub fn radabs(vm: &mut Vm, ncol: usize, nlev: usize) -> RadabsResult {
 /// vertical column."
 pub const BENCH_NCOL: usize = 64 * 128;
 
-/// Run RADABS on a fresh processor of `model` over a batch of `ncol`
-/// columns and return the achieved Cray-equivalent Mflops.
+/// Price RADABS on a fresh pricing processor of `model` over a batch of
+/// `ncol` columns and return the achieved Cray-equivalent Mflops. The
+/// figure depends only on vector lengths and op counts, so no absorptivity
+/// is computed; `pricing_tests` holds it bit-identical to a functional run.
 pub fn radabs_mflops(model: &MachineModel, ncol: usize, reps: usize) -> f64 {
-    let mut vm = Vm::new(model.clone());
+    let mut vm = Vm::pricing(model.clone());
     let mut last = None;
     for _ in 0..reps.max(1) {
         last = Some(radabs(&mut vm, ncol, NLEV));
@@ -249,6 +253,49 @@ mod tests {
         assert!(p.windows(2).all(|w| w[1] > w[0]), "pressure increases downward");
         assert!(t.windows(2).all(|w| w[1] >= w[0]), "temperature increases downward");
         assert!(u.windows(2).all(|w| w[1] > w[0]), "path accumulates");
+    }
+}
+
+#[cfg(test)]
+mod pricing_tests {
+    use super::*;
+    use sxsim::presets;
+
+    /// A pricing run charges exactly what a functional run charges: every
+    /// ledger field by bits, the op statistics and the PROGINF report, on
+    /// the benchmarked SX-4 and each Table 1 machine, from one column to
+    /// the benchmark's full grid.
+    #[test]
+    fn pricing_matches_functional_runs() {
+        let bits = |c: Cost| [c.cycles.to_bits(), c.flops, c.cray_flops.to_bits(), c.bytes];
+        let machines =
+            std::iter::once(presets::sx4_benchmarked()).chain(presets::table1_machines());
+        for model in machines {
+            for ncol in [1, 64, BENCH_NCOL] {
+                let mut functional = Vm::new(model.clone());
+                let mut pricing = Vm::pricing(model.clone());
+                let f = radabs(&mut functional, ncol, NLEV);
+                let p = radabs(&mut pricing, ncol, NLEV);
+                let at = format!("{} at ncol {ncol}", model.name);
+                assert_eq!(bits(f.cost), bits(p.cost), "{at}");
+                assert_eq!(f.cray_mflops.to_bits(), p.cray_mflops.to_bits(), "{at}");
+                assert_eq!(functional.stats(), pricing.stats(), "{at}");
+                assert_eq!(
+                    format!("{:?}", functional.proginf()),
+                    format!("{:?}", pricing.proginf()),
+                    "{at}"
+                );
+                assert!(f.absorptivity.iter().any(|&a| a > 0.0), "{at}");
+                assert!(p.absorptivity.iter().all(|&a| a == 0.0), "{at}: pricing computes nothing");
+            }
+        }
+    }
+
+    #[test]
+    fn radabs_mflops_prices_what_a_functional_run_measures() {
+        let model = presets::sx4_benchmarked();
+        let functional = radabs(&mut Vm::new(model.clone()), 256, NLEV).cray_mflops;
+        assert_eq!(radabs_mflops(&model, 256, 1).to_bits(), functional.to_bits());
     }
 }
 

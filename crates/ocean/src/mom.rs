@@ -16,7 +16,7 @@
 //! Table 7).
 
 use crate::eos::density;
-use crate::poisson::{jacobi, Grid2};
+use crate::poisson::{jacobi, lon_neighbours, Grid2};
 use sxsim::node::partition;
 use sxsim::{
     Access, Cost, LocalityPattern, MachineModel, Node, NodeTiming, Region, VecOp, Vm, VopClass,
@@ -182,8 +182,8 @@ impl Mom {
         for i in rows {
             for j in 0..nlon {
                 let idx = i * nlon + j;
-                let jp = i * nlon + (j + 1) % nlon;
-                let jm = i * nlon + (j + nlon - 1) % nlon;
+                let (jm, jp) = lon_neighbours(j, nlon);
+                let (jm, jp) = (i * nlon + jm, i * nlon + jp);
                 // Zonal fluxes at the east/west faces.
                 let ue = 0.5 * (u[idx] + u[jp]);
                 let uw = 0.5 * (u[jm] + u[idx]);
@@ -299,7 +299,7 @@ impl Mom {
                     let denom = 1.0 + alpha * alpha;
                     for j in 0..nlon {
                         let idx = i * nlon + j;
-                        let jp = i * nlon + (j + 1) % nlon;
+                        let jp = i * nlon + lon_neighbours(j, nlon).1;
                         let dpdx = -(rho[jp] - rho[idx]) * PGRAD;
                         let dpdy = if i + 1 < nlat {
                             -(rho[(i + 1) * nlon + j] - rho[idx]) * PGRAD
@@ -440,8 +440,7 @@ impl Mom {
             let rhs_rows = if computes { 1..nlat - 1 } else { 0..0 };
             for i in rhs_rows {
                 for j in 0..nlon {
-                    let jp = (j + 1) % nlon;
-                    let jm = (j + nlon - 1) % nlon;
+                    let (jm, jp) = lon_neighbours(j, nlon);
                     let mut vbar_e = 0.0;
                     let mut vbar_w = 0.0;
                     let mut ubar_n = 0.0;

@@ -9,6 +9,13 @@
 
 use sxsim::{Access, VecOp, Vm, VopClass};
 
+/// The west and east neighbours of longitude `j` on a periodic row of
+/// `nlon` points: edge branches instead of a `%` per point.
+#[inline]
+pub(crate) fn lon_neighbours(j: usize, nlon: usize) -> (usize, usize) {
+    (if j == 0 { nlon - 1 } else { j - 1 }, if j + 1 == nlon { 0 } else { j + 1 })
+}
+
 /// A 2-D field on an nlat x nlon grid, periodic in longitude.
 #[derive(Debug, Clone)]
 pub struct Grid2 {
@@ -33,9 +40,7 @@ impl Grid2 {
     /// 5-point Laplacian with periodic longitude and Dirichlet (zero)
     /// walls in latitude — the rigid-lid streamfunction boundary.
     pub fn laplacian(&self, i: usize, j: usize) -> f64 {
-        let n = self.nlon;
-        let jm = (j + n - 1) % n;
-        let jp = (j + 1) % n;
+        let (jm, jp) = lon_neighbours(j, self.nlon);
         let up = if i == 0 { 0.0 } else { self.at(i - 1, j) };
         let dn = if i + 1 == self.nlat { 0.0 } else { self.at(i + 1, j) };
         up + dn + self.at(i, jm) + self.at(i, jp) - 4.0 * self.at(i, j)
@@ -46,9 +51,7 @@ impl Grid2 {
     /// mirrors the interior value, so the operator conserves the domain
     /// integral exactly.
     pub fn laplacian_neumann(&self, i: usize, j: usize) -> f64 {
-        let n = self.nlon;
-        let jm = (j + n - 1) % n;
-        let jp = (j + 1) % n;
+        let (jm, jp) = lon_neighbours(j, self.nlon);
         let c = self.at(i, j);
         let up = if i == 0 { c } else { self.at(i - 1, j) };
         let dn = if i + 1 == self.nlat { c } else { self.at(i + 1, j) };
@@ -83,9 +86,7 @@ pub fn jacobi(vm: &mut Vm, x: &mut Grid2, rhs: &Grid2, sweeps: usize) -> f64 {
     for _ in 0..sweeps {
         for i in rows.clone() {
             for j in 0..nlon {
-                let n = nlon;
-                let jm = (j + n - 1) % n;
-                let jp = (j + 1) % n;
+                let (jm, jp) = lon_neighbours(j, nlon);
                 let up = if i == 0 { 0.0 } else { x.at(i - 1, j) };
                 let dn = if i + 1 == nlat { 0.0 } else { x.at(i + 1, j) };
                 let sum = up + dn + x.at(i, jm) + x.at(i, jp);

@@ -16,7 +16,7 @@
 //! tracer leg with EOS evaluations.
 
 use crate::eos::density;
-use crate::poisson::{conjugate_gradient, CgOptions, Grid2};
+use crate::poisson::{conjugate_gradient, lon_neighbours, CgOptions, Grid2};
 use sxsim::node::partition;
 use sxsim::{
     Access, Cost, LocalityPattern, MachineModel, Node, NodeTiming, Region, VecOp, Vm, VopClass,
@@ -189,8 +189,8 @@ impl Pop {
                 for i in chunk.clone() {
                     for j in 0..nlon {
                         let idx = i * nlon + j;
-                        let jp = i * nlon + (j + 1) % nlon;
-                        let jm = i * nlon + (j + nlon - 1) % nlon;
+                        let (jm, jp) = lon_neighbours(j, nlon);
+                        let (jm, jp) = (i * nlon + jm, i * nlon + jp);
                         let up = if i + 1 < nlat {
                             self.temp[k][(i + 1) * nlon + j]
                         } else {
@@ -237,8 +237,7 @@ impl Pop {
         let mut rhs = Grid2::zeros(nlat, nlon);
         for i in 0..nlat {
             for j in 0..nlon {
-                let jp = (j + 1) % nlon;
-                let jm = (j + nlon - 1) % nlon;
+                let (jm, jp) = lon_neighbours(j, nlon);
                 let ue = 0.5 * (self.ubar.at(i, j) + self.ubar.at(i, jp));
                 let uw = 0.5 * (self.ubar.at(i, jm) + self.ubar.at(i, j));
                 let vn = if i + 1 < nlat {
@@ -281,8 +280,7 @@ impl Pop {
         // Transport update from the new surface gradient + drag.
         for i in 0..nlat {
             for j in 0..nlon {
-                let jp = (j + 1) % nlon;
-                let jm = (j + nlon - 1) % nlon;
+                let (jm, jp) = lon_neighbours(j, nlon);
                 let detadx = 0.5 * (eta_new.at(i, jp) - eta_new.at(i, jm));
                 let detady = if i > 0 && i + 1 < nlat {
                     0.5 * (eta_new.at(i + 1, j) - eta_new.at(i - 1, j))
