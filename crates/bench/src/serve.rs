@@ -641,3 +641,45 @@ pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> i32 {
         Err(e) => fail(&e.to_string()),
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The eight suites servebench's `cold_mix` workload cycles through.
+    const SERVED: [&str; 8] =
+        ["table6", "ftrace", "table3", "fig6", "fig7", "radabs", "proginf", "pop"];
+
+    /// A fresh daemon serving the harness registry answers a default
+    /// submit of each suite with exactly the reply line pinned in
+    /// `tests/golden/served/<suite>.reply`: every byte a client sees, the
+    /// cache flag, content key, ledger seconds and rendering included.
+    /// To regenerate one on purpose, send that submit to a fresh
+    /// `ncar-bench serve` with `ncar-bench raw` and redirect the reply
+    /// into the file.
+    #[test]
+    fn served_replies_match_their_golden_files() {
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/served");
+        let server = Server::bind(registry(&crate::experiments()), ServerConfig::default())
+            .expect("bind an ephemeral port");
+        let addr = server.local_addr().to_string();
+        let daemon = std::thread::spawn(move || server.run().expect("daemon run"));
+        let mut client = Client::connect(&addr).expect("connect");
+        let mut moved = Vec::new();
+        for suite in SERVED {
+            let line = format!(
+                "{{\"op\":\"submit\",\"suite\":\"{suite}\",\"machine\":\"sx4-9.2\",\"params\":{{}}}}"
+            );
+            let got = client.raw(&line).expect("submit reply");
+            let want = std::fs::read_to_string(dir.join(format!("{suite}.reply")))
+                .expect("golden reply readable");
+            if got != want.trim_end_matches('\n') {
+                moved.push(format!("{suite}:\nwant {}\ngot  {got}", want.trim_end()));
+            }
+        }
+        client.shutdown().expect("shutdown");
+        daemon.join().expect("daemon thread");
+        assert!(moved.is_empty(), "served replies moved:\n{}", moved.join("\n"));
+    }
+}
