@@ -45,8 +45,8 @@ echo "==> ncar-bench check --matrix --deny-warnings (baseline gates only new fin
 # Every preset x stock kernel, gated against the committed sxcheck.baseline:
 # known findings are suppressed, any NEW finding fails this stage.
 cargo run --offline -q -p ncar-bench -- check --matrix --deny-warnings
-# The machine-readable surface must parse as JSON (core::json is strict).
-cargo run --offline -q -p ncar-bench -- check --matrix --json >/dev/null
+# The machine-readable surface (`check --json`, `check --matrix --json`) is
+# pinned byte for byte by the golden test in the workspace test stage.
 
 echo "==> sxd smoke test (serve, cache hit, typed error, clean shutdown)"
 cargo build --offline -q -p ncar-bench
@@ -279,8 +279,9 @@ fi
 rm -rf "$cluster_dir" "$cluster_log"
 
 echo "==> perf smoke (release harness, schema validation, batched-vs-loop equivalence)"
-# The equivalence tests — charge-program record/replay, and priced steps
-# against functional ones — must also hold under release-mode float
+# The equivalence tests — batched charges against the loop of single
+# charges, and priced steps against functional ones (their ledgers and
+# per-chunk charge traces) — must also hold under release-mode float
 # optimization: bit-identical ledgers are the whole point.
 cargo test --offline -q -p sxsim --release --test batch_props
 cargo test --offline -q -p ccm-proxy --release pricing_tests

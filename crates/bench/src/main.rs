@@ -69,7 +69,7 @@ fn main() {
             "drain" => Some(serve::cmd_drain(rest)),
             "flood" => Some(serve::cmd_flood(rest, &exps)),
             "raw" => Some(serve::cmd_raw(rest)),
-            "perf" => Some(perf::cmd_perf(rest, &exps)),
+            "perf" => Some(perf::cmd_perf(rest)),
             _ => None,
         };
         if let Some(code) = code {

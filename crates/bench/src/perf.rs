@@ -5,9 +5,10 @@
 //! level down: the analytic simulator must charge millions of vector ops
 //! per second or the daemon serves machine models slower than the models
 //! run. This subcommand times fixed macro-workloads (the Figure 5 ladder's
-//! charge stream, the Figure 6 RFFT families, a short CCM2 run, an sxd
-//! flood) with warmup + median-of-K and writes `BENCH_<pr>.json` so every
-//! later PR can compare against the trajectory.
+//! charge stream, the Figure 6 RFFT families, a short priced CCM2 run)
+//! with warmup + median-of-K and writes `BENCH_<pr>.json` so every later
+//! PR can compare against the trajectory. Serving is measured by the
+//! standalone `servebench` package, not here.
 //!
 //! Schema (`ncar-bench-perf-v1`):
 //!
@@ -21,27 +22,23 @@
 //! `wall_ms` is host wall-clock (median of K timed runs after one warmup;
 //! for an even K the two middle samples are averaged); `sim_seconds` is
 //! simulated seconds charged by one run; `ops_charged` is the number of
-//! vector operations the ledger recorded — except for `sxd_flood`, where
-//! it counts completed *jobs* and `ops_per_sec` is jobs/s, a latency
-//! number not comparable to the others; `ops_per_sec` is
+//! vector operations the ledger recorded; `ops_per_sec` is
 //! `ops_charged / wall_ms * 1000` — the headline throughput number the
-//! acceptance criteria compare across PRs.
+//! acceptance criteria compare across PRs. Files written before
+//! `climate_t42_priced` replaced them also hold `climate_t42` (replays of
+//! a recorded step) and `sxd_flood` (an in-process daemon flood whose
+//! `ops_charged` counted jobs); they still validate.
 //!
-//! `climate_t42` runs through the charge-program cache (record one step,
-//! replay it per timed run), so its wall time — like the other
-//! charge-stream workloads — measures the simulator's charging
-//! throughput, not the functional model arithmetic around it.
+//! `climate_t42_priced` prices its steps ([`ccm_proxy::steady_step`]), so
+//! its wall time — like the other charge-stream workloads — measures the
+//! simulator's charging throughput, not the functional model arithmetic.
 
 use std::time::Instant;
 
-use ccm_proxy::{Ccm2Config, Ccm2Proxy, Resolution};
+use ccm_proxy::{steady_step, Ccm2Config, Ccm2Proxy, Resolution};
 use ncar_kernels::fft::{charge_transform, LoopOrder};
 use ncar_suite::{constant_volume_ladder, rfft_instances, xpose_ladder, FftFamily, Json};
-use sxd::{flood, Client, FloodConfig, Server, ServerConfig};
 use sxsim::{presets, Access, MachineModel, VecOp, Vm, VopClass};
-
-use crate::serve;
-use crate::Experiment;
 
 /// Machine every charge-stream workload runs on (the benchmarked SX-4).
 const MACHINE: &str = "sx4-9.2";
@@ -128,80 +125,25 @@ fn fig6_rfft(volume: usize, reps: usize) -> (f64, u64) {
     (vm.lifetime_cost().seconds(vm.model().clock_ns), vm.stats().vector_ops)
 }
 
-/// A short CCM2 run at T42 on 4 simulated processors, through the charge
-/// program cache: one real step records the step's charge sequence
-/// (outside the timed region, like the other workloads' setup), and the
-/// returned closure replays it `steps` times per timed run — the
-/// record-once/replay-many path the applications use. Each replay's
-/// ledger is bit-identical to a real step's, so `sim_seconds` and
-/// `ops_charged` match the op-by-op run while wall time measures pure
-/// charging throughput.
-fn climate_t42(steps: usize, smoke: bool) -> impl FnMut() -> (f64, u64) {
+/// A short CCM2 run at T42 on 4 simulated processors, priced: each timed
+/// run prices `steps` steps ([`steady_step`]), which charge exactly what
+/// functional steps charge without computing them. The vector ops a step
+/// charges come from one functional step in setup (outside the timed
+/// region, like the other workloads' setup); every step charges the same.
+fn climate_t42_priced(steps: usize, smoke: bool) -> impl FnMut() -> (f64, u64) {
     let config = if smoke {
         Ccm2Config::adiabatic(Resolution::T42)
     } else {
         Ccm2Config::benchmark(Resolution::T42)
     };
-    let mut model = Ccm2Proxy::new(config, machine());
-    let (_, program) = model.record_step_program(4);
+    let mut model = Ccm2Proxy::new(config.clone(), machine());
+    model.step(4);
+    let ops_per_step = model.op_stats().vector_ops;
+    let steps = steps.max(1);
     move || {
-        let ops_before = model.op_stats().vector_ops;
-        let mut sim_seconds = 0.0;
-        for _ in 0..steps.max(1) {
-            sim_seconds += model.replay_step(&program).seconds;
-        }
-        (sim_seconds, model.op_stats().vector_ops - ops_before)
+        let sim_seconds = (0..steps).map(|_| steady_step(&config, &machine(), 4).seconds).sum();
+        (sim_seconds, ops_per_step * steps as u64)
     }
-}
-
-/// An in-process sxd flood: bind a daemon on an ephemeral port, flood it
-/// with light kernel suites (the cache-heavy ensemble regime), and read
-/// the suite ledger back from STATS. As of BENCH_7 the flood runs the
-/// pipelined serving path: the daemon allows `pipeline` frames in flight
-/// per connection and each client batches its submits to that depth, so
-/// repeat configurations resolve on the reactor-thread fast path instead
-/// of round-tripping through the dispatcher pool one at a time.
-///
-/// **`ops_charged` counts completed *jobs*, not vector operations** — a
-/// job is a whole kernel suite round-tripped through the protocol. Its
-/// `ops_per_sec` is therefore jobs per second and is NOT comparable to
-/// the charge-stream workloads' vector-ops-per-second headline numbers.
-/// It is also not comparable across BENCH generations once the serving
-/// shape changes: BENCH_6 measured one-frame-per-round-trip serving;
-/// BENCH_7 measures the pipelined fast path at larger job volumes.
-fn sxd_flood(
-    experiments: &[Experiment],
-    clients: usize,
-    jobs: usize,
-    suites: &[&str],
-    pipeline: usize,
-) -> Result<(f64, u64), String> {
-    let server_config = ServerConfig { pipeline_depth: pipeline.max(1), ..ServerConfig::default() };
-    let server = Server::bind(serve::registry(experiments), server_config)
-        .map_err(|e| format!("bind: {e}"))?;
-    let addr = server.local_addr().to_string();
-    let handle = std::thread::spawn(move || server.run());
-    let config = FloodConfig {
-        addr: addr.clone(),
-        clients,
-        jobs,
-        suites: suites.iter().map(|s| s.to_string()).collect(),
-        machine: MACHINE.to_string(),
-        pipeline,
-    };
-    let outcome = flood(&config).map_err(|e| format!("flood: {e}"))?;
-    let mut client = Client::connect(&addr).map_err(|e| format!("connect: {e}"))?;
-    let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-    let sim_seconds = match stats.get("suite_seconds") {
-        Some(Json::Obj(members)) => members.iter().filter_map(|(_, v)| v.as_f64()).sum(),
-        _ => 0.0,
-    };
-    client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
-    handle.join().map_err(|_| "daemon thread panicked".to_string())?.map_err(|e| e.to_string())?;
-    if !outcome.ok() {
-        return Err(format!("flood acceptance problems: {:?}", outcome.problems));
-    }
-    Ok((sim_seconds, outcome.completed as u64))
 }
 
 fn json_f64(x: f64) -> String {
@@ -273,7 +215,7 @@ fn validate_text(text: &str) -> Result<usize, String> {
 }
 
 /// `ncar-bench perf [--smoke] [--out FILE] [--runs K] [--validate FILE]`
-pub fn cmd_perf(args: &[String], experiments: &[Experiment]) -> i32 {
+pub fn cmd_perf(args: &[String]) -> i32 {
     let mut smoke = false;
     let mut out_path = "BENCH_7.json".to_string();
     let mut runs: Option<usize> = None;
@@ -323,8 +265,6 @@ pub fn cmd_perf(args: &[String], experiments: &[Experiment]) -> i32 {
     let (fig5_volume, xpose_max_n) = if smoke { (20_000, 128) } else { (1_000_000, 1000) };
     let (fig6_volume, fig6_reps) = if smoke { (20_000, 2) } else { (1_000_000, 20) };
     let climate_steps = if smoke { 1 } else { 2 };
-    let (flood_clients, flood_jobs, flood_pipeline) = if smoke { (2, 16, 4) } else { (8, 512, 8) };
-    let flood_suites: &[&str] = if smoke { &["table3"] } else { &["table3", "correctness"] };
 
     let mut results: Vec<(&str, Sample)> = Vec::new();
 
@@ -334,30 +274,8 @@ pub fn cmd_perf(args: &[String], experiments: &[Experiment]) -> i32 {
     eprintln!("perf: fig6_rfft (volume {fig6_volume} x{fig6_reps}, {runs} runs)...");
     results.push(("fig6_rfft", measure(runs, || fig6_rfft(fig6_volume, fig6_reps))));
 
-    eprintln!("perf: climate_t42 ({climate_steps} steps, {runs} runs)...");
-    results.push(("climate_t42", measure(runs, climate_t42(climate_steps, smoke))));
-
-    eprintln!(
-        "perf: sxd_flood ({flood_clients} clients x {flood_jobs} jobs, \
-         pipeline {flood_pipeline}, {runs} runs)..."
-    );
-    let mut flood_err = None;
-    results.push((
-        "sxd_flood",
-        measure(runs, || {
-            match sxd_flood(experiments, flood_clients, flood_jobs, flood_suites, flood_pipeline) {
-                Ok(v) => v,
-                Err(e) => {
-                    flood_err = Some(e);
-                    (0.0, 0)
-                }
-            }
-        }),
-    ));
-    if let Some(e) = flood_err {
-        eprintln!("error: sxd_flood workload failed: {e}");
-        return 1;
-    }
+    eprintln!("perf: climate_t42_priced ({climate_steps} steps, {runs} runs)...");
+    results.push(("climate_t42_priced", measure(runs, climate_t42_priced(climate_steps, smoke))));
 
     let text = render(smoke, runs, &results);
     if let Err(e) = validate_text(&text) {
@@ -370,12 +288,12 @@ pub fn cmd_perf(args: &[String], experiments: &[Experiment]) -> i32 {
     }
 
     println!(
-        "{:<14} {:>12} {:>14} {:>14} {:>14}",
+        "{:<18} {:>12} {:>14} {:>14} {:>14}",
         "workload", "wall_ms", "sim_seconds", "ops_charged", "ops_per_sec"
     );
     for (name, s) in &results {
         println!(
-            "{name:<14} {:>12.3} {:>14.4} {:>14} {:>14.0}",
+            "{name:<18} {:>12.3} {:>14.4} {:>14} {:>14.0}",
             s.wall_ms, s.sim_seconds, s.ops_charged, s.ops_per_sec
         );
     }
@@ -399,18 +317,18 @@ mod tests {
         assert!(sim > 0.0 && ops > 0);
         let (sim, ops) = fig6_rfft(256, 1);
         assert!(sim > 0.0 && ops > 0);
-        let (sim, ops) = climate_t42(1, true)();
+        let (sim, ops) = climate_t42_priced(1, true)();
         assert!(sim > 0.0 && ops > 0);
     }
 
     #[test]
-    fn climate_replay_runs_are_deterministic_and_account_per_run() {
-        let mut f = climate_t42(1, true);
+    fn climate_priced_runs_are_deterministic_and_account_per_run() {
+        let mut f = climate_t42_priced(1, true);
         let (s1, o1) = f();
         let (s2, o2) = f();
-        // Every run replays the same program against the same machine: the
-        // same simulated seconds bitwise, and a per-run (not cumulative)
-        // op count.
+        // Every run prices the same step on the same machine: the same
+        // simulated seconds bitwise, and a per-run (not cumulative) op
+        // count.
         assert_eq!(s1.to_bits(), s2.to_bits());
         assert_eq!(o1, o2);
     }

@@ -29,8 +29,8 @@ use crate::spectral::SphericalTransform;
 use ncar_kernels::fft::C64;
 use sxsim::node::partition;
 use sxsim::{
-    Access, ChargeProgram, Cost, Ftrace, MachineModel, Node, NodeTiming, OpStats, Region, VecOp,
-    Vm, VopClass,
+    Access, Cost, Ftrace, MachineModel, Node, NodeTiming, OpStats, OpTrace, Region, VecOp, Vm,
+    VopClass,
 };
 
 /// Earth radius (m).
@@ -148,69 +148,16 @@ pub struct Ccm2State<'a> {
     pub q: &'a Vec<Vec<f64>>,
 }
 
-/// The recorded charge structure of one timestep: every parallel phase's
-/// per-processor charge sequence in [`ChargeProgram`] form.
+/// The token of a recorded step: the processor count it ran on.
 ///
-/// A step's charges depend only on the configuration and grid shapes,
-/// never on the field values, so one recorded step stands for every step:
-/// [`Ccm2Proxy::replay_step`] re-charges the whole program in a batched
-/// pass whose [`StepTiming`] is **bit-identical** to the recording step's,
-/// without re-executing any of the functional math.
-#[derive(Debug, Clone)]
+/// A step's charges depend only on the configuration and the grid shapes,
+/// never on the field values, so [`Ccm2Proxy::replay_step`] re-charges a
+/// recorded step by pricing one. The token and its two methods are kept
+/// for the frozen `servebench` package, which times them; nothing else
+/// uses them.
+#[derive(Debug, Clone, Copy)]
 pub struct StepProgram {
     procs: usize,
-    nodes: usize,
-    /// Shapes the reduction phase and the timing tail need.
-    nlev: usize,
-    nspec: usize,
-    /// One program per processor chunk of the latitude partition (empty
-    /// program for an empty chunk).
-    phase1: Vec<ChargeProgram>,
-    /// One program per processor chunk of the spectral partition.
-    phase3: Vec<ChargeProgram>,
-}
-
-impl StepProgram {
-    /// Heap bytes held by the recorded programs.
-    pub fn heap_bytes(&self) -> usize {
-        let programs = self.phase1.iter().chain(&self.phase3);
-        programs.map(|p| p.heap_bytes() + std::mem::size_of::<ChargeProgram>()).sum()
-    }
-
-    /// Re-charge the step against fresh `Vm`s of `machine`, one per chunk
-    /// as [`Ccm2Proxy::step`] creates them (the memo accounting is part of
-    /// the bit-identity contract), absorbing their op statistics into
-    /// `stats`.
-    fn replay(&self, machine: &MachineModel, stats: &mut OpStats) -> StepTiming {
-        let replay_phase = |programs: &[ChargeProgram], stats: &mut OpStats| {
-            let per_proc = programs.iter().map(|prog| {
-                if prog.is_empty() {
-                    return Cost::ZERO;
-                }
-                let mut vm = Vm::new(machine.clone());
-                vm.replay_program(prog);
-                stats.add(vm.stats());
-                vm.take_cost()
-            });
-            Region::Parallel(per_proc.collect())
-        };
-        let mut regions = vec![replay_phase(&self.phase1, stats)];
-        regions.extend(reduction_phase(machine, self.procs, self.nlev, self.nspec, stats));
-        regions.push(replay_phase(&self.phase3, stats));
-        time_step(machine, &regions, self.procs, self.nodes, self.nlev, self.nspec)
-    }
-
-    /// Total charge calls across all phases (what the op-by-op loop would
-    /// have issued); `total_charges() / instructions()` is the compression
-    /// the run-length coalescing bought.
-    pub fn total_charges(&self) -> usize {
-        self.phase1.iter().chain(&self.phase3).map(ChargeProgram::total_charges).sum()
-    }
-
-    /// Instructions in the compact IR across all phases.
-    pub fn instructions(&self) -> usize {
-        self.phase1.iter().chain(&self.phase3).map(ChargeProgram::len).sum()
-    }
 }
 
 /// Timing of one step on a node.
@@ -288,7 +235,7 @@ impl Ccm2Proxy {
     /// transform, empty fields and pricing processors ([`Vm::pricing`]).
     /// Its steps charge exactly what a functional model's steps charge.
     /// Its fields are empty, so only the timing entry points in
-    /// [`crate::steady`] step it.
+    /// [`crate::steady`] and [`Ccm2Proxy::replay_step`] step it.
     pub(crate) fn pricing(config: Ccm2Config, machine: MachineModel) -> Ccm2Proxy {
         let res = config.resolution;
         let mut transform = SphericalTransform::shape(res.truncation(), res.nlat(), res.nlon());
@@ -386,29 +333,33 @@ impl Ccm2Proxy {
         self.step_inner(procs, 1, None, None)
     }
 
-    /// Advance one timestep on `procs` processors while recording every
-    /// `Vm`'s charge sequence into a [`StepProgram`]. The recorded step's
-    /// timing is bit-identical to [`Ccm2Proxy::step`]'s; the program can
-    /// then be handed to [`Ccm2Proxy::replay_step`] any number of times.
+    /// [`Ccm2Proxy::step`], plus the token [`Ccm2Proxy::replay_step`]
+    /// re-charges it from. Kept for `servebench` (see [`StepProgram`]).
     pub fn record_step_program(&mut self, procs: usize) -> (StepTiming, StepProgram) {
-        assert!(procs >= 1 && procs <= self.machine.procs);
-        let (nlev, nspec) = (self.config.resolution.nlev(), self.transform.nspec());
-        let mut program =
-            StepProgram { procs, nodes: 1, nlev, nspec, phase1: Vec::new(), phase3: Vec::new() };
-        let timing = self.step_inner(procs, 1, None, Some(&mut program));
-        (timing, program)
+        (self.step(procs), StepProgram { procs })
     }
 
-    /// Re-charge a recorded step in one batched pass: bit-identical
-    /// [`StepTiming`] (ledgers, wall cycles, seconds) to the step that
-    /// recorded `program`, at a fraction of the cost — no synthesis, no
-    /// physics, no transport is re-executed, only the charge stream.
-    ///
+    /// Re-charge a recorded step by pricing one
+    /// ([`Ccm2Proxy::pricing`]): bit-identical [`StepTiming`] to the
+    /// recorded step, with no synthesis, physics or transport computed.
     /// Op statistics accumulate into [`Ccm2Proxy::op_stats`] exactly as a
-    /// real step's would (plus the program-replay counters); the
-    /// prognostic state and the step counter are untouched.
+    /// real step's would; the prognostic state and the step counter are
+    /// untouched. Kept for `servebench` (see [`StepProgram`]).
     pub fn replay_step(&mut self, program: &StepProgram) -> StepTiming {
-        program.replay(&self.machine, &mut self.op_stats)
+        let mut priced = Ccm2Proxy::pricing(self.config.clone(), self.machine.clone());
+        let timing = priced.step(program.procs);
+        self.op_stats.add(&priced.op_stats);
+        timing
+    }
+
+    /// [`Ccm2Proxy::step`] with every processor chunk's charges traced:
+    /// one [`OpTrace`] per chunk, phase 1 then phase 3, and an empty trace
+    /// for an empty chunk.
+    #[cfg(test)]
+    pub(crate) fn step_chunk_traces(&mut self, procs: usize) -> (StepTiming, Vec<OpTrace>) {
+        let mut traces = Vec::new();
+        let timing = self.step_inner(procs, 1, None, Some(&mut traces));
+        (timing, traces)
     }
 
     /// Advance one timestep on `procs` processors while collecting an
@@ -437,7 +388,7 @@ impl Ccm2Proxy {
         procs: usize,
         nodes: usize,
         mut ftrace: Option<&mut Ftrace>,
-        mut record: Option<&mut StepProgram>,
+        mut traces: Option<&mut Vec<OpTrace>>,
     ) -> StepTiming {
         let t = self.transform.clone();
         let res = self.config.resolution;
@@ -497,14 +448,14 @@ impl Ccm2Proxy {
         for (chunk_idx, chunk) in chunks.iter().enumerate() {
             let mut vm = self.vm();
             if chunk.is_empty() {
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.phase1.push(ChargeProgram::new());
+                if let Some(traces) = traces.as_deref_mut() {
+                    traces.push(OpTrace::new());
                 }
                 phase1.push(Cost::ZERO);
                 continue;
             }
-            if record.is_some() {
-                vm.start_program_record();
+            if traces.is_some() {
+                vm.start_trace();
             }
             // FTRACE instruments processor 0's chunk only.
             let mut trace = if chunk_idx == 0 { ftrace.as_deref_mut() } else { None };
@@ -679,8 +630,8 @@ impl Ccm2Proxy {
                 }
             }
             self.op_stats.add(vm.stats());
-            if let Some(rec) = record.as_deref_mut() {
-                rec.phase1.push(vm.take_program().expect("recording was started above"));
+            if let Some(traces) = traces.as_deref_mut() {
+                traces.push(vm.take_trace().expect("tracing was started above"));
             }
             phase1.push(vm.take_cost());
         }
@@ -712,14 +663,14 @@ impl Ccm2Proxy {
         for (sc_idx, sc) in spec_chunks.iter().enumerate() {
             let mut vm = self.vm();
             if sc.is_empty() {
-                if let Some(rec) = record.as_deref_mut() {
-                    rec.phase3.push(ChargeProgram::new());
+                if let Some(traces) = traces.as_deref_mut() {
+                    traces.push(OpTrace::new());
                 }
                 phase3.push(Cost::ZERO);
                 continue;
             }
-            if record.is_some() {
-                vm.start_program_record();
+            if traces.is_some() {
+                vm.start_trace();
             }
             let mut trace = if sc_idx == 0 { ftrace.as_deref_mut() } else { None };
             if let Some(ft) = trace.as_deref_mut() {
@@ -769,8 +720,8 @@ impl Ccm2Proxy {
                 ft.exit(&mut vm).expect("region is open");
             }
             self.op_stats.add(vm.stats());
-            if let Some(rec) = record.as_deref_mut() {
-                rec.phase3.push(vm.take_program().expect("recording was started above"));
+            if let Some(traces) = traces.as_deref_mut() {
+                traces.push(vm.take_trace().expect("tracing was started above"));
             }
             phase3.push(vm.take_cost());
         }
@@ -862,7 +813,7 @@ impl Ccm2Proxy {
 /// spread across the processors (the coefficient range is chunked), so the
 /// reduction is a short parallel phase with a barrier per round, not an
 /// Amdahl wall. It is pure charging (no functional math shadows it), so a
-/// replay re-issues it verbatim. `None` on one processor.
+/// pricing step issues it unchanged. `None` on one processor.
 fn reduction_phase(
     machine: &MachineModel,
     procs: usize,
@@ -894,8 +845,7 @@ fn reduction_phase(
     Some(Region::Parallel(per_proc))
 }
 
-/// Time a step's regions on the node — the shared tail of a real step and
-/// a replay. For a multi-node system each node brings its own memory banks
+/// Time a step's regions on the node. For a multi-node system each node brings its own memory banks
 /// and crossbar, so capacity scales with `nodes`; the IXS adds the
 /// tendency all-to-all and internode barriers.
 fn time_step(
@@ -1083,25 +1033,10 @@ mod program_tests {
     }
 
     #[test]
-    fn recording_does_not_perturb_the_step() {
-        let mut a = mk();
-        let mut b = mk();
-        a.step(4);
-        b.step(4);
-        let ta = a.step(4);
-        let (tb, _) = b.record_step_program(4);
-        assert_eq!(ta.timing.wall_cycles.to_bits(), tb.timing.wall_cycles.to_bits());
-        assert_eq!(ta.seconds.to_bits(), tb.seconds.to_bits());
-        assert_eq!(ta.timing.work, tb.timing.work);
-        assert_eq!(a.mean_phi(0), b.mean_phi(0));
-    }
-
-    #[test]
     fn replay_is_bit_identical_to_the_recorded_step() {
         let mut m = mk();
         m.step(4); // forward spin-up step
         let (recorded, program) = m.record_step_program(4);
-        assert!(program.total_charges() > program.instructions(), "coalescing bought nothing");
         let replayed = m.replay_step(&program);
         assert_eq!(recorded.timing.wall_cycles.to_bits(), replayed.timing.wall_cycles.to_bits());
         assert_eq!(recorded.seconds.to_bits(), replayed.seconds.to_bits());
@@ -1114,8 +1049,8 @@ mod program_tests {
 
     #[test]
     fn replay_matches_a_later_real_step_of_the_same_parity() {
-        // Every leapfrog step after the forward first one charges the same
-        // program, so a replay also reproduces *future* steps bit-exactly.
+        // Every step charges the same, so a replay also reproduces *future*
+        // steps bit-exactly.
         let mut a = mk();
         a.step(4);
         let (_, program) = a.record_step_program(4);
@@ -1158,17 +1093,6 @@ mod program_tests {
         assert_eq!(s1.vector_elements - s0.vector_elements, s_step.vector_elements);
         assert_eq!(s1.intrinsic_calls - s0.intrinsic_calls, s_step.intrinsic_calls);
         assert_eq!(s1.scalar_iters - s0.scalar_iters, s_step.scalar_iters);
-        assert!(s1.program_replays > s0.program_replays);
-    }
-
-    #[test]
-    fn a_t42_step_program_fits_in_one_mib() {
-        let mut m = mk();
-        m.step(4);
-        let (_, program) = m.record_step_program(4);
-        let bytes = program.heap_bytes();
-        assert!(bytes <= 1 << 20, "T42/4 step program holds {bytes} heap bytes");
-        assert!(program.instructions() > 10_000, "{} instructions", program.instructions());
     }
 }
 

@@ -49,7 +49,6 @@ pub fn steady_step_multinode(
 #[cfg(test)]
 mod pricing_tests {
     use super::*;
-    use crate::model::StepProgram;
     use crate::Resolution;
     use sxsim::presets;
 
@@ -78,19 +77,30 @@ mod pricing_tests {
         }
     }
 
-    /// One model of each kind takes the same three steps: a recorded step
-    /// (its charge programs compared instruction for instruction), a
-    /// traced step and a two-node step.
+    /// One model of each kind takes the same three steps: a step with
+    /// every processor chunk's charges traced (the traces compared run for
+    /// run, each event with its exact cost), an FTRACE-traced step and a
+    /// two-node step.
     fn pricing_matches_functional(config: Ccm2Config, procs: usize) {
         let machine = presets::sx4_benchmarked();
         let ctx = format!("{} adiabatic={} procs={procs}", config.resolution.name(), !config.slt);
         let mut functional = Ccm2Proxy::new(config.clone(), machine.clone());
         let mut pricing = Ccm2Proxy::pricing(config.clone(), machine.clone());
 
-        let (first, fp): (StepTiming, StepProgram) = functional.record_step_program(procs);
-        let (pt, pp) = pricing.record_step_program(procs);
+        let (first, f_chunks) = functional.step_chunk_traces(procs);
+        let (pt, p_chunks) = pricing.step_chunk_traces(procs);
         assert_timing_bits(&first, &pt, &ctx);
-        assert_eq!(format!("{fp:?}"), format!("{pp:?}"), "{ctx}: charge programs");
+        assert_eq!(f_chunks.len(), p_chunks.len(), "{ctx}: chunks");
+        for (i, (f, p)) in f_chunks.iter().zip(&p_chunks).enumerate() {
+            let (fr, pr) = (f.runs(), p.runs());
+            if let Some(at) = (0..fr.len().max(pr.len())).find(|&at| fr.get(at) != pr.get(at)) {
+                panic!(
+                    "{ctx}: chunk {i} run {at}: functional {:?}, pricing {:?}",
+                    fr.get(at),
+                    pr.get(at)
+                );
+            }
+        }
 
         let (ft, f_trace) = functional.step_traced(procs);
         let (pt, p_trace) = pricing.step_traced(procs);

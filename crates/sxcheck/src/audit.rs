@@ -41,22 +41,27 @@ fn err(code: &'static str, region: &str, message: String) -> Diagnostic {
 pub fn audit_vm(vm: &Vm, trace: &OpTrace) -> Vec<Diagnostic> {
     let mut out = Vec::new();
 
-    // SXC201: each event's cost is finite and non-negative.
+    // SXC201: each event's cost is finite and non-negative. A run of
+    // identical events is one finding per event, numbered in charge order.
     let mut sum = Cost::ZERO;
-    for (i, ev) in trace.events().iter().enumerate() {
+    let mut i = 0;
+    for (ev, reps) in trace.runs() {
         let c = ev.cost();
-        if !c.cycles.is_finite()
+        let bad = !c.cycles.is_finite()
             || c.cycles < 0.0
             || !c.cray_flops.is_finite()
-            || c.cray_flops < 0.0
-        {
-            out.push(err(
-                "SXC201",
-                "(trace)",
-                format!("event {i} charged a non-finite or negative cost: {c:?}"),
-            ));
+            || c.cray_flops < 0.0;
+        for _ in 0..*reps {
+            if bad {
+                out.push(err(
+                    "SXC201",
+                    "(trace)",
+                    format!("event {i} charged a non-finite or negative cost: {c:?}"),
+                ));
+            }
+            sum.add(c);
+            i += 1;
         }
-        sum.add(c);
     }
 
     // SXC202: trace sum == lifetime ledger.

@@ -106,8 +106,6 @@ impl Ftrace {
             other_cycles: s1.other_cycles - s0.other_cycles,
             memo_hits: s1.memo_hits - s0.memo_hits,
             memo_misses: s1.memo_misses - s0.memo_misses,
-            program_records: s1.program_records - s0.program_records,
-            program_replays: s1.program_replays - s0.program_replays,
         });
         Ok(())
     }
@@ -261,7 +259,6 @@ mod tests {
         let trace = vm.take_trace().unwrap();
         let names: Vec<String> = trace
             .events()
-            .iter()
             .filter_map(|e| match e {
                 crate::trace::TraceEvent::EnterRegion { name } => Some(format!("+{name}")),
                 crate::trace::TraceEvent::ExitRegion { name } => Some(format!("-{name}")),

@@ -19,9 +19,9 @@
 //! - [`timing`] — the analytic cost of vector ops, scalar loops and
 //!   intrinsic calls;
 //! - [`vm`] — the functional facade kernels program against;
-//! - [`program`] — charge programs: record a `Vm`'s charge sequence once
-//!   into a compact IR, replay it in one batched pass with bit-identical
-//!   ledgers (the record-once/replay-many path the applications use);
+//!   A pricing processor ([`Vm::pricing`]) takes every charge and skips
+//!   the arithmetic: it is how the applications price a step without
+//!   computing it;
 //! - [`error`] — [`SimError`], the typed error for misuse of the facade
 //!   (oversubscribed nodes, out-of-range communications registers,
 //!   mismatched regions);
@@ -29,8 +29,9 @@
 //!   co-scheduling;
 //! - [`commreg`] — the communications registers: register sets, the
 //!   [`SpinLock`], and the 6-cycle access charge barriers are built from;
-//! - [`trace`] — the [`Recorder`] hook and [`OpTrace`]: an optional,
-//!   pay-only-if-used recording of every charged operation;
+//! - [`trace`] — the [`Recorder`] hook and [`OpTrace`]: the one charge
+//!   recorder, optional and pay-only-if-used, storing every charged
+//!   operation with its exact cost as runs of identical events;
 //! - [`proginf`], [`ftrace`] — the two SUPER-UX diagnostic reports,
 //!   reproduced from the ledger (see below);
 //! - [`xmu`], [`ixs`] — extended memory and internode crossbar.
@@ -85,7 +86,6 @@ pub mod model;
 pub mod node;
 pub mod presets;
 pub mod proginf;
-pub mod program;
 pub mod timing;
 pub mod trace;
 pub mod vm;
@@ -100,7 +100,6 @@ pub use ixs::Ixs;
 pub use model::{Intrinsic, MachineModel, VopClass};
 pub use node::{JobDemand, Node, NodeTiming, Region};
 pub use proginf::{OpStats, Proginf};
-pub use program::{ChargeProgram, ProgramOp};
 pub use timing::{Access, LocalityPattern, VecOp, MAX_STREAMS};
 pub use trace::{OpTrace, Recorder, TraceEvent};
 pub use vm::Vm;

@@ -29,12 +29,6 @@ pub struct OpStats {
     pub memo_hits: u64,
     /// Vector-op timings computed analytically (memo misses + fills).
     pub memo_misses: u64,
-    /// Charge programs recorded ([`crate::Vm::start_program_record`]).
-    pub program_records: u64,
-    /// Charge programs replayed in a batched pass
-    /// ([`crate::Vm::replay_program`]) instead of re-deriving the charge
-    /// stream op by op — the program-cache hit count.
-    pub program_replays: u64,
 }
 
 impl OpStats {
@@ -49,8 +43,6 @@ impl OpStats {
         self.other_cycles += other.other_cycles;
         self.memo_hits += other.memo_hits;
         self.memo_misses += other.memo_misses;
-        self.program_records += other.program_records;
-        self.program_replays += other.program_replays;
     }
 }
 
@@ -70,10 +62,6 @@ pub struct Proginf {
     /// Simulator internals: fraction of vector-op timings answered from
     /// the per-`Vm` memo cache, in percent.
     pub timing_memo_hit_pct: f64,
-    /// Simulator internals: charge programs recorded / replayed (the
-    /// program-cache record and hit counts).
-    pub program_records: u64,
-    pub program_replays: u64,
 }
 
 impl Proginf {
@@ -109,8 +97,6 @@ impl Proginf {
                     0.0
                 }
             },
-            program_records: stats.program_records,
-            program_replays: stats.program_replays,
         }
     }
 }
@@ -126,12 +112,7 @@ impl std::fmt::Display for Proginf {
         writeln!(f, "  MOPS                       : {:>14.1}", self.mops)?;
         writeln!(f, "  MFLOPS                     : {:>14.1}", self.mflops)?;
         writeln!(f, "  Cray-equivalent MFLOPS     : {:>14.1}", self.cray_equiv_mflops)?;
-        writeln!(f, "  Timing Memo Hit Ratio (%)  : {:>14.2}", self.timing_memo_hit_pct)?;
-        writeln!(
-            f,
-            "  Charge Programs (rec/replay): {:>6} / {:>6}",
-            self.program_records, self.program_replays
-        )
+        writeln!(f, "  Timing Memo Hit Ratio (%)  : {:>14.2}", self.timing_memo_hit_pct)
     }
 }
 

@@ -17,7 +17,6 @@
 use crate::cost::Cost;
 use crate::model::{Intrinsic, MachineModel, VopClass};
 use crate::proginf::{OpStats, Proginf};
-use crate::program::{ChargeProgram, ProgramOp, Recorder};
 use crate::timing::{self, Access, LocalityPattern, VecOp};
 use crate::trace::{OpTrace, TraceEvent};
 
@@ -77,14 +76,12 @@ pub struct Vm {
     lifetime: Cost,
     /// Lifetime operation statistics for the PROGINF report.
     stats: OpStats,
-    /// Optional op recording for `sxcheck`; `None` (free) unless enabled.
+    /// Optional charge recording (for `sxcheck` and tests); `None` (free)
+    /// unless enabled via [`Vm::start_trace`].
     trace: Option<Box<OpTrace>>,
     /// Timing memo for [`Vm::charge_vector_op`] (never invalidated — the
     /// model is immutable per `Vm`).
     memo: CostMemo,
-    /// Optional charge-program recording; `None` (free) unless enabled via
-    /// [`Vm::start_program_record`].
-    program: Option<Box<Recorder>>,
     /// Whether array operations compute their results (false for a
     /// pricing processor, which only charges).
     computes: bool,
@@ -100,7 +97,6 @@ impl Vm {
             stats: OpStats::default(),
             trace: None,
             memo: CostMemo::new(),
-            program: None,
             computes: true,
         }
     }
@@ -151,57 +147,13 @@ impl Vm {
 
     /// Append an event if tracing; the closure runs only when enabled.
     pub(crate) fn trace_event(&mut self, make: impl FnOnce() -> TraceEvent) {
+        self.trace_run(1, make);
+    }
+
+    /// Append a run of `reps` identical events if tracing.
+    fn trace_run(&mut self, reps: usize, make: impl FnOnce() -> TraceEvent) {
         if let Some(t) = self.trace.as_mut() {
-            t.push(make());
-        }
-    }
-
-    /// Begin recording every subsequent charge into a [`ChargeProgram`]
-    /// (replacing any program recorded so far). Charges still execute
-    /// normally — the recording pass is a fully functional run.
-    pub fn start_program_record(&mut self) {
-        self.program = Some(Box::default());
-        self.stats.program_records += 1;
-    }
-
-    /// Whether charges are currently being recorded into a program.
-    pub fn is_recording_program(&self) -> bool {
-        self.program.is_some()
-    }
-
-    /// Stop recording and take the program, if recording was enabled.
-    pub fn take_program(&mut self) -> Option<ChargeProgram> {
-        self.program.take().map(|b| b.finish())
-    }
-
-    /// Re-charge a recorded program in one batched pass. Ledgers, op
-    /// statistics (program counters aside), memo accounting and trace
-    /// events end up bit-identical to executing the original charge calls
-    /// op by op — see the [`crate::program`] module docs for the contract.
-    pub fn replay_program(&mut self, p: &ChargeProgram) {
-        self.stats.program_replays += 1;
-        for (instr, reps) in p.ops() {
-            match instr {
-                ProgramOp::Vector(op) => self.charge_vector_op_repeated(op, reps),
-                ProgramOp::Intrinsic { f, n } => self.charge_intrinsic_repeated(*f, *n, reps),
-                ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern } => {
-                    for _ in 0..reps {
-                        match branches {
-                            Some(b) => self.charge_scalar_loop_branchy(
-                                *iters, *flops, *loads, *stores, *b, *pattern,
-                            ),
-                            None => {
-                                self.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern)
-                            }
-                        }
-                    }
-                }
-                ProgramOp::Raw(cost) => {
-                    for _ in 0..reps {
-                        self.charge(*cost);
-                    }
-                }
-            }
+            t.push_run(make(), reps);
         }
     }
 
@@ -253,9 +205,6 @@ impl Vm {
         self.lifetime.add(c);
         self.stats.other_cycles += c.cycles;
         self.trace_event(|| TraceEvent::Charge { cost: c });
-        if let Some(p) = self.program.as_mut() {
-            p.push(ProgramOp::Raw(c), 1);
-        }
     }
 
     /// Charge an elementwise vector operation without executing data
@@ -273,9 +222,6 @@ impl Vm {
     pub fn charge_vector_op_repeated(&mut self, op: &VecOp, reps: usize) {
         if reps == 0 {
             return;
-        }
-        if let Some(p) = self.program.as_mut() {
-            p.push(ProgramOp::Vector(*op), reps);
         }
         let c = self.vector_op_cost(op);
         // The loop of single charges would hit the freshly filled slot on
@@ -310,17 +256,13 @@ impl Vm {
             .filter(|a| matches!(a, Access::Indexed))
             .count();
         self.stats.indexed_elements += (indexed * op.n * reps) as u64;
-        if self.trace.is_some() {
-            for _ in 0..reps {
-                self.trace_event(|| TraceEvent::VecOp {
-                    class: op.class,
-                    n: op.n,
-                    loads: op.loads.to_vec(),
-                    stores: op.stores.to_vec(),
-                    cost: c,
-                });
-            }
-        }
+        self.trace_run(reps, || TraceEvent::VecOp {
+            class: op.class,
+            n: op.n,
+            loads: op.loads.to_vec(),
+            stores: op.stores.to_vec(),
+            cost: c,
+        });
     }
 
     /// Charge a scalar loop (cache-machine path or scalar residue).
@@ -338,10 +280,6 @@ impl Vm {
         self.stats.scalar_cycles += c.cycles;
         self.stats.scalar_iters += iters as u64;
         self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
-        if let Some(p) = self.program.as_mut() {
-            let branches = None;
-            p.push(ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern }, 1);
-        }
     }
 
     /// Charge a control-heavy scalar loop with explicit branches per
@@ -370,10 +308,6 @@ impl Vm {
         self.stats.scalar_cycles += c.cycles;
         self.stats.scalar_iters += iters as u64;
         self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
-        if let Some(p) = self.program.as_mut() {
-            let branches = Some(branches);
-            p.push(ProgramOp::ScalarLoop { iters, flops, loads, stores, branches, pattern }, 1);
-        }
     }
 
     /// Charge `n` vectorizable intrinsic calls without executing them.
@@ -387,9 +321,6 @@ impl Vm {
     pub fn charge_intrinsic_repeated(&mut self, f: Intrinsic, n: usize, reps: usize) {
         if reps == 0 {
             return;
-        }
-        if let Some(p) = self.program.as_mut() {
-            p.push(ProgramOp::Intrinsic { f, n }, reps);
         }
         let c = timing::intrinsic_op(&self.model, f, n);
         for _ in 0..reps {
@@ -415,11 +346,7 @@ impl Vm {
                 self.stats.scalar_cycles += c.cycles;
             }
         }
-        if self.trace.is_some() {
-            for _ in 0..reps {
-                self.trace_event(|| TraceEvent::Intrinsic { f, n, cost: c });
-            }
-        }
+        self.trace_run(reps, || TraceEvent::Intrinsic { f, n, cost: c });
     }
 
     // ---- data movement -----------------------------------------------

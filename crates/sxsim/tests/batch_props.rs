@@ -3,8 +3,9 @@
 //! The contract under test is strict: `charge_vector_op_repeated(op, k)`
 //! must leave the `Vm` in a state *bit-identical* to `k` single
 //! `charge_vector_op` calls — every float accumulator compared by
-//! `to_bits`, every counter exactly, the trace event-for-event — and a
-//! memo hit must return the exact `Cost` of the miss that filled its slot.
+//! `to_bits`, every counter exactly, the coalesced trace run for run — and
+//! a memo hit must return the exact `Cost` of the miss that filled its
+//! slot.
 //!
 //! Inputs are drawn by a seeded SplitMix64 sampler (hermetic replacement
 //! for proptest), so every run exercises the same deterministic case set.
@@ -127,34 +128,11 @@ enum Charge {
 
 impl Charge {
     /// Issue through the batched entry points, exactly as the converted
-    /// call sites do (this is what gets recorded into a program).
+    /// call sites do.
     fn issue(&self, vm: &mut Vm) {
         match self {
             Charge::Vector { op, reps } => vm.charge_vector_op_repeated(op, *reps),
             Charge::Intrinsic { f, n, reps } => vm.charge_intrinsic_repeated(*f, *n, *reps),
-            Charge::Scalar { iters, flops, loads, stores, branches, pattern } => match branches {
-                Some(b) => {
-                    vm.charge_scalar_loop_branchy(*iters, *flops, *loads, *stores, *b, *pattern)
-                }
-                None => vm.charge_scalar_loop(*iters, *flops, *loads, *stores, *pattern),
-            },
-            Charge::Raw { cost } => vm.charge(*cost),
-        }
-    }
-
-    /// Issue as the fully unrolled op-by-op loop.
-    fn issue_singles(&self, vm: &mut Vm) {
-        match self {
-            Charge::Vector { op, reps } => {
-                for _ in 0..*reps {
-                    vm.charge_vector_op(op);
-                }
-            }
-            Charge::Intrinsic { f, n, reps } => {
-                for _ in 0..*reps {
-                    vm.charge_intrinsic(*f, *n);
-                }
-            }
             Charge::Scalar { iters, flops, loads, stores, branches, pattern } => match branches {
                 Some(b) => {
                     vm.charge_scalar_loop_branchy(*iters, *flops, *loads, *stores, *b, *pattern)
@@ -179,7 +157,7 @@ fn assert_bits(a: f64, b: f64, what: &str) {
 }
 
 /// Every ledger surface the `Vm` exposes, compared bit-for-bit.
-fn assert_vms_identical(batch: &mut Vm, single: &mut Vm, ctx: &str) {
+fn assert_ledgers_identical(batch: &Vm, single: &Vm, ctx: &str) {
     for (which, a, b) in [
         ("cost", batch.cost(), single.cost()),
         ("lifetime", batch.lifetime_cost(), single.lifetime_cost()),
@@ -210,9 +188,17 @@ fn assert_vms_identical(batch: &mut Vm, single: &mut Vm, ctx: &str) {
         pb.timing_memo_hit_pct,
         &format!("{ctx}: proginf.timing_memo_hit_pct"),
     );
+}
+
+/// The ledgers and the coalesced traces of a batched charge of `reps` and
+/// the loop of single charges are identical, and the batch traced as one
+/// run.
+fn assert_batch_equals_loop(batch: &mut Vm, single: &mut Vm, reps: usize, ctx: &str) {
+    assert_ledgers_identical(batch, single, ctx);
     let (ta, tb) = (batch.take_trace().unwrap(), single.take_trace().unwrap());
-    assert_eq!(ta.len(), tb.len(), "{ctx}: trace length");
-    assert_eq!(ta.events(), tb.events(), "{ctx}: trace events");
+    assert_eq!(ta, tb, "{ctx}: coalesced traces");
+    assert_eq!(ta.len(), reps, "{ctx}: trace length");
+    assert_eq!(ta.runs().len(), usize::from(reps > 0), "{ctx}: one run per batch");
 }
 
 /// One batched charge is bit-identical to the loop of single charges, on
@@ -234,7 +220,7 @@ fn batched_vector_charge_equals_loop() {
             for _ in 0..reps {
                 single.charge_vector_op(&op);
             }
-            assert_vms_identical(&mut batch, &mut single, &ctx);
+            assert_batch_equals_loop(&mut batch, &mut single, reps, &ctx);
         }
     }
 }
@@ -257,7 +243,7 @@ fn batched_intrinsic_charge_equals_loop() {
             for _ in 0..reps {
                 single.charge_intrinsic(f, n);
             }
-            assert_vms_identical(&mut batch, &mut single, &ctx);
+            assert_batch_equals_loop(&mut batch, &mut single, reps, &ctx);
         }
     }
 }
@@ -330,64 +316,28 @@ fn transpose_batch_matches_column_loop() {
     }
 }
 
-/// Recording a charge program and replaying it on a fresh `Vm` is
-/// bit-identical to the fully unrolled op-by-op loop: ledgers, memo
-/// accounting (the rounded byte count included) and the trace, on every
-/// preset machine. This is the end-to-end form of the batching contract —
-/// replay routes through the same `*_repeated` entry points the
-/// per-charge tests above pin down.
+/// Tracing is invisible to the traced `Vm`: with the recorder attached,
+/// every ledger surface stays bit-identical to issuing the same batched
+/// charges without one.
 #[test]
-fn recorded_replay_is_bit_identical_to_op_by_op() {
-    let mut g = Gen(15);
-    for case in 0..64 {
-        let seq = g.sequence();
-        for m in machines() {
-            let ctx = format!("case {case} ({}, {} charges)", m.name, seq.len());
-            let mut single = Vm::new(m.clone());
-            single.start_trace();
-            for c in &seq {
-                c.issue_singles(&mut single);
-            }
-
-            let mut recorder = Vm::new(m.clone());
-            recorder.start_program_record();
-            for c in &seq {
-                c.issue(&mut recorder);
-            }
-            let program = recorder.take_program().expect("recording was active");
-
-            let mut replay = Vm::new(m.clone());
-            replay.start_trace();
-            replay.replay_program(&program);
-            assert_vms_identical(&mut replay, &mut single, &format!("{ctx}: replay vs loop"));
-        }
-    }
-}
-
-/// Recording is invisible to the recording `Vm`: with the recorder
-/// attached, every ledger surface stays bit-identical to issuing the same
-/// batched charges without one.
-#[test]
-fn recording_does_not_perturb_the_recording_vm() {
+fn tracing_does_not_perturb_the_vm() {
     let mut g = Gen(16);
     for case in 0..64 {
         let seq = g.sequence();
         for m in machines() {
             let ctx = format!("case {case} ({})", m.name);
             let mut plain = Vm::new(m.clone());
-            plain.start_trace();
             for c in &seq {
                 c.issue(&mut plain);
             }
 
-            let mut recorder = Vm::new(m.clone());
-            recorder.start_trace();
-            recorder.start_program_record();
+            let mut traced = Vm::new(m.clone());
+            traced.start_trace();
             for c in &seq {
-                c.issue(&mut recorder);
+                c.issue(&mut traced);
             }
-            assert!(recorder.take_program().is_some(), "{ctx}: program captured");
-            assert_vms_identical(&mut recorder, &mut plain, &ctx);
+            assert_ledgers_identical(&traced, &plain, &ctx);
+            assert!(traced.take_trace().is_some_and(|t| !t.is_empty()), "{ctx}: trace captured");
         }
     }
 }
