@@ -136,12 +136,13 @@ fn climate_t42_priced(steps: usize, smoke: bool) -> impl FnMut() -> (f64, u64) {
     } else {
         Ccm2Config::benchmark(Resolution::T42)
     };
-    let mut model = Ccm2Proxy::new(config.clone(), machine());
+    let machine = machine();
+    let mut model = Ccm2Proxy::new(config.clone(), machine.clone());
     model.step(4);
     let ops_per_step = model.op_stats().vector_ops;
     let steps = steps.max(1);
     move || {
-        let sim_seconds = (0..steps).map(|_| steady_step(&config, &machine(), 4).seconds).sum();
+        let sim_seconds = (0..steps).map(|_| steady_step(&config, &machine, 4).seconds).sum();
         (sim_seconds, ops_per_step * steps as u64)
     }
 }

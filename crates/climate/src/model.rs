@@ -845,9 +845,9 @@ fn reduction_phase(
     Some(Region::Parallel(per_proc))
 }
 
-/// Time a step's regions on the node. For a multi-node system each node brings its own memory banks
-/// and crossbar, so capacity scales with `nodes`; the IXS adds the
-/// tendency all-to-all and internode barriers.
+/// Time a step's regions on the node. For a multi-node system each node
+/// brings its own memory banks and crossbar, so capacity scales with
+/// `nodes`; the IXS adds the tendency all-to-all and internode barriers.
 fn time_step(
     machine: &MachineModel,
     regions: &[Region],

@@ -77,14 +77,14 @@ impl Ftrace {
             });
         }
         self.open = Some((name.to_string(), vm.lifetime_cost(), *vm.stats()));
-        vm.trace_event(|| TraceEvent::EnterRegion { name: name.to_string() });
+        vm.trace_run(1, || TraceEvent::EnterRegion { name: name.to_string() });
         Ok(())
     }
 
     /// Exit the open region, attributing everything charged since `enter`.
     pub fn exit(&mut self, vm: &mut Vm) -> Result<(), SimError> {
         let (name, c0, s0) = self.open.take().ok_or(SimError::NoOpenRegion)?;
-        vm.trace_event(|| TraceEvent::ExitRegion { name: name.clone() });
+        vm.trace_run(1, || TraceEvent::ExitRegion { name: name.clone() });
         let c1 = vm.lifetime_cost();
         let s1 = vm.stats();
         let entry = self.regions.entry(name).or_default();

@@ -18,9 +18,9 @@
 //!   from it (no wall clocks — runs are bit-reproducible);
 //! - [`timing`] — the analytic cost of vector ops, scalar loops and
 //!   intrinsic calls;
-//! - [`vm`] — the functional facade kernels program against;
-//!   A pricing processor ([`Vm::pricing`]) takes every charge and skips
-//!   the arithmetic: it is how the applications price a step without
+//! - [`vm`] — the functional facade kernels program against; a pricing
+//!   processor ([`Vm::pricing`]) takes every charge and skips the
+//!   arithmetic, which is how the applications price a step without
 //!   computing it;
 //! - [`error`] — [`SimError`], the typed error for misuse of the facade
 //!   (oversubscribed nodes, out-of-range communications registers,

@@ -145,13 +145,9 @@ impl Vm {
         self.trace.take().map(|b| *b)
     }
 
-    /// Append an event if tracing; the closure runs only when enabled.
-    pub(crate) fn trace_event(&mut self, make: impl FnOnce() -> TraceEvent) {
-        self.trace_run(1, make);
-    }
-
-    /// Append a run of `reps` identical events if tracing.
-    fn trace_run(&mut self, reps: usize, make: impl FnOnce() -> TraceEvent) {
+    /// Append a run of `reps` identical events if tracing; the closure
+    /// runs only when enabled.
+    pub(crate) fn trace_run(&mut self, reps: usize, make: impl FnOnce() -> TraceEvent) {
         if let Some(t) = self.trace.as_mut() {
             t.push_run(make(), reps);
         }
@@ -204,7 +200,7 @@ impl Vm {
         self.cost.add(c);
         self.lifetime.add(c);
         self.stats.other_cycles += c.cycles;
-        self.trace_event(|| TraceEvent::Charge { cost: c });
+        self.trace_run(1, || TraceEvent::Charge { cost: c });
     }
 
     /// Charge an elementwise vector operation without executing data
@@ -279,7 +275,7 @@ impl Vm {
         self.lifetime.add(c);
         self.stats.scalar_cycles += c.cycles;
         self.stats.scalar_iters += iters as u64;
-        self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
+        self.trace_run(1, || TraceEvent::ScalarLoop { iters, cost: c });
     }
 
     /// Charge a control-heavy scalar loop with explicit branches per
@@ -307,7 +303,7 @@ impl Vm {
         self.lifetime.add(c);
         self.stats.scalar_cycles += c.cycles;
         self.stats.scalar_iters += iters as u64;
-        self.trace_event(|| TraceEvent::ScalarLoop { iters, cost: c });
+        self.trace_run(1, || TraceEvent::ScalarLoop { iters, cost: c });
     }
 
     /// Charge `n` vectorizable intrinsic calls without executing them.
