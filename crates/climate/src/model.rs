@@ -339,9 +339,9 @@ impl Ccm2Proxy {
         (self.step(procs), StepProgram { procs })
     }
 
-    /// Re-charge a recorded step by pricing one
-    /// ([`Ccm2Proxy::pricing`]): bit-identical [`StepTiming`] to the
-    /// recorded step, with no synthesis, physics or transport computed.
+    /// Re-charge a recorded step by pricing one on pricing processors
+    /// ([`Vm::pricing`]): bit-identical [`StepTiming`] to the recorded
+    /// step, with no synthesis, physics or transport computed.
     /// Op statistics accumulate into [`Ccm2Proxy::op_stats`] exactly as a
     /// real step's would; the prognostic state and the step counter are
     /// untouched. Kept for `servebench` (see [`StepProgram`]).

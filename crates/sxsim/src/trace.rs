@@ -1,7 +1,7 @@
 //! Operation tracing — the one charge recorder, and the substrate for
 //! `sxcheck`.
 //!
-//! A [`Vm`] can carry an [`OpTrace`]: when enabled (see
+//! A [`Vm`](crate::Vm) can carry an [`OpTrace`]: when enabled (see
 //! [`Vm::start_trace`](crate::Vm::start_trace)), every charge the ledger
 //! sees is also appended to the trace as a [`TraceEvent`], with the exact
 //! cost the timing model assigned. FTRACE region boundaries are recorded
