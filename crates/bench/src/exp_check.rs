@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn exit_1_when_deny_and_findings_exist() {
         // The seeded pathologies *must* report, so plain --deny-warnings
-        // always trips — this is the contract ci.sh relies on.
+        // always trips: exit 1 means "findings", never "checker broken".
         let code = run_with(&opts(true, false), sxcheck::fixtures::run_all(), &Baseline::empty());
         assert_eq!(code, 1);
     }

@@ -121,9 +121,8 @@ fn main() {
         );
         eprintln!(
             "       ncar-bench serve [--addr A] [--workers N] [--cache-cap N] \
-             [--admit-timeout SECS] [--state-dir DIR] [--drain-deadline SECS] \
-             [--idle-timeout SECS] [--dispatchers N] [--pipeline-depth K] \
-             [--cluster N]"
+             [--admit-timeout SECS] [--state-dir DIR] [--idle-timeout SECS] \
+             [--pipeline-depth K] [--cluster N]"
         );
         eprintln!(
             "       ncar-bench submit <suite> [--addr A] [--machine M] [--param k=v]... \

@@ -6,8 +6,9 @@
 //! per second or the daemon serves machine models slower than the models
 //! run. This subcommand times fixed macro-workloads (the Figure 5 ladder's
 //! charge stream, the Figure 6 RFFT families, a short priced CCM2 run)
-//! with warmup + median-of-K and writes `BENCH_<pr>.json` so every later
-//! PR can compare against the trajectory. Serving is measured by the
+//! with warmup + median-of-K and prints a table; `--out FILE` also writes
+//! the JSON below (the committed `BENCH_<n>.json` files) so every later
+//! change can compare against the trajectory. Serving is measured by the
 //! standalone `servebench` package, not here.
 //!
 //! Schema (`ncar-bench-perf-v1`):
@@ -216,9 +217,12 @@ fn validate_text(text: &str) -> Result<usize, String> {
 }
 
 /// `ncar-bench perf [--smoke] [--out FILE] [--runs K] [--validate FILE]`
+///
+/// Without `--out` nothing is written: a run from the repository root
+/// must not overwrite a committed baseline.
 pub fn cmd_perf(args: &[String]) -> i32 {
     let mut smoke = false;
-    let mut out_path = "BENCH_7.json".to_string();
+    let mut out_path: Option<String> = None;
     let mut runs: Option<usize> = None;
     let mut validate: Option<String> = None;
     let mut it = args.iter();
@@ -226,7 +230,7 @@ pub fn cmd_perf(args: &[String]) -> i32 {
         match a.as_str() {
             "--smoke" => smoke = true,
             "--out" => match it.next() {
-                Some(v) => out_path = v.clone(),
+                Some(v) => out_path = Some(v.clone()),
                 None => return usage("--out needs a path"),
             },
             "--runs" => match it.next().map(|v| v.parse::<usize>()) {
@@ -283,9 +287,11 @@ pub fn cmd_perf(args: &[String]) -> i32 {
         eprintln!("error: emitted JSON fails its own schema: {e}");
         return 1;
     }
-    if let Err(e) = std::fs::write(&out_path, format!("{text}\n")) {
-        eprintln!("error: cannot write {out_path}: {e}");
-        return 1;
+    if let Some(path) = &out_path {
+        if let Err(e) = std::fs::write(path, format!("{text}\n")) {
+            eprintln!("error: cannot write {path}: {e}");
+            return 1;
+        }
     }
 
     println!(
@@ -298,7 +304,9 @@ pub fn cmd_perf(args: &[String]) -> i32 {
             s.wall_ms, s.sim_seconds, s.ops_charged, s.ops_per_sec
         );
     }
-    println!("wrote {out_path}");
+    if let Some(path) = &out_path {
+        println!("wrote {path}");
+    }
     0
 }
 

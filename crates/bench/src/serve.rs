@@ -134,16 +134,14 @@ fn fail(detail: &str) -> i32 {
 }
 
 /// `ncar-bench serve [--addr A] [--workers N] [--cache-cap N]
-/// [--admit-timeout SECS] [--state-dir DIR] [--drain-deadline SECS]
-/// [--idle-timeout SECS] [--dispatchers N] [--pipeline-depth K]
-/// [--cluster N]`
+/// [--admit-timeout SECS] [--state-dir DIR] [--idle-timeout SECS]
+/// [--pipeline-depth K] [--cluster N]`
 ///
 /// `--idle-timeout SECS` bounds how long a silent connection may hold a
 /// socket before the reactor closes it (counted under `conns.idle_closed`
 /// in STATS); `0` disables the bound. The reactor thread classifies every
-/// frame once, answering cache hits, STATS and typed errors inline;
-/// `--dispatchers N` sizes the pool that finishes the rest (`0` auto-sizes
-/// from the worker count).
+/// frame once, answering cache hits, STATS and typed errors inline; a
+/// dispatcher pool sized from the worker count finishes the rest.
 ///
 /// `--pipeline-depth K` lets each connection keep up to K decoded frames
 /// in flight at once (default 1, strictly serial); replies always come
@@ -178,12 +176,6 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
     if let Some(dir) = args.get("state-dir") {
         config.state_dir = Some(std::path::PathBuf::from(dir));
     }
-    match args.get_f64("drain-deadline") {
-        Ok(Some(secs)) if secs >= 0.0 => config.drain_deadline = Duration::from_secs_f64(secs),
-        Ok(Some(_)) => return fail("--drain-deadline wants a non-negative number of seconds"),
-        Ok(None) => {}
-        Err(e) => return fail(&e),
-    }
     match args.get_f64("idle-timeout") {
         Ok(Some(0.0)) => config.idle_timeout = None,
         Ok(Some(secs)) if secs > 0.0 => config.idle_timeout = Some(Duration::from_secs_f64(secs)),
@@ -191,10 +183,6 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
         Ok(None) => {}
         Err(e) => return fail(&e),
     }
-    config.dispatchers = match args.get_usize("dispatchers", config.dispatchers) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
     config.pipeline_depth = match args.get_usize("pipeline-depth", config.pipeline_depth) {
         Ok(0) => return fail("--pipeline-depth wants at least 1"),
         Ok(n) => n,
@@ -467,8 +455,8 @@ pub fn cmd_shutdown(args: &[String]) -> i32 {
 /// `ncar-bench drain [--addr A] [--deadline SECS] [--member K]` —
 /// graceful drain: the daemon stops admission, gives in-flight jobs the
 /// deadline to finish, checkpoints the stragglers to restart specs (when
-/// it has a state dir) and exits. Without `--deadline` the server's
-/// configured default applies. `--member K` targets a cluster router:
+/// it has a state dir) and exits. Without `--deadline` the deadline is
+/// 10 s. `--member K` targets a cluster router:
 /// only shard K drains, and the router hands its durable keyspace to the
 /// ring successors before acknowledging.
 pub fn cmd_drain(args: &[String]) -> i32 {
@@ -510,7 +498,8 @@ pub fn cmd_drain(args: &[String]) -> i32 {
 }
 
 /// `ncar-bench raw <line> [--addr A]` — send one raw frame, print the raw
-/// reply. The CI smoke test uses this to feed the daemon garbage.
+/// reply. `cli_subcommands_drive_a_served_cluster` in
+/// `tests/crash_recovery.rs` uses it to feed the daemon a non-JSON frame.
 pub fn cmd_raw(args: &[String]) -> i32 {
     let args = match Args::parse(args) {
         Ok(a) => a,

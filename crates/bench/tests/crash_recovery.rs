@@ -3,13 +3,17 @@
 //! crash injected at every registered fault point. After each crash the
 //! daemon must come back with no cache corruption (replayed results are
 //! byte-identical), no double-counted jobs, and counters that reconcile.
+//! One more test drives each client subcommand of the CLI against a
+//! served cluster.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::Receiver;
+use std::time::Duration;
 #[cfg(feature = "faults")]
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ncar_suite::Json;
 use sxd::Client;
@@ -24,6 +28,8 @@ fn scratch(name: &str) -> PathBuf {
 struct Daemon {
     child: Child,
     addr: String,
+    /// The stdout lines printed after the listening address.
+    stdout: Receiver<String>,
 }
 
 /// Spawn the real binary on an ephemeral port, optionally with a fault
@@ -60,8 +66,25 @@ fn spawn_daemon(state_dir: &Path, extra: &[&str], fault: Option<&str>) -> Daemon
         }
     };
     // Keep draining stdout so the daemon can never block on a full pipe.
-    std::thread::spawn(move || for _ in lines {});
-    Daemon { child, addr }
+    let (tx, stdout) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in lines.map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    Daemon { child, addr, stdout }
+}
+
+/// Run `ncar-bench <args> --addr <addr>`, require exit 0, return stdout.
+fn cli(addr: &str, args: &[&str]) -> String {
+    let out = Command::new(env!("CARGO_BIN_EXE_ncar-bench"))
+        .args(args)
+        .args(["--addr", addr])
+        .output()
+        .expect("run ncar-bench");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "ncar-bench {args:?} failed: {stderr}");
+    String::from_utf8(out.stdout).expect("UTF-8 stdout")
 }
 
 fn tagged(tag: &str) -> BTreeMap<String, String> {
@@ -90,6 +113,7 @@ fn sigkill_then_restart_serves_prior_results_byte_identically() {
         assert!(!sub.cached);
         runs.push((suite, tag, sub.raw));
     }
+    assert!(client.submit("radabs", "sx4-9.2", &tagged("a")).unwrap().cached);
     // SIGKILL: no drain, no compaction — only the write-ahead appends.
     d.child.kill().unwrap();
     d.child.wait().unwrap();
@@ -106,7 +130,50 @@ fn sigkill_then_restart_serves_prior_results_byte_identically() {
     assert_eq!(journal.get("replayed").unwrap().as_u64(), Some(3));
     assert_eq!(journal.get("truncated_bytes").unwrap().as_u64(), Some(0));
     assert_reconciled(&stats);
+    let metrics = client.metrics().unwrap();
+    assert_eq!(metrics.get("reconciled").and_then(Json::as_bool), Some(true), "{metrics}");
     client.shutdown().unwrap();
+    assert!(d.child.wait().unwrap().success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every client subcommand against `serve --cluster 3`: each exits 0 and
+/// prints what a script would look for. The typed checks behind these
+/// lines live in the `sxd` tests; this pins the CLI glue around them.
+#[test]
+fn cli_subcommands_drive_a_served_cluster() {
+    let dir = scratch("cli");
+    let mut d = spawn_daemon(&dir, &["--cluster", "3"], None);
+    let banner = d.stdout.recv_timeout(Duration::from_secs(30)).expect("cluster banner");
+    assert!(banner.starts_with("sxd cluster: 3 shards on "), "{banner}");
+    let addr = d.addr.clone();
+
+    let first = cli(&addr, &["submit", "radabs", "--json", "true"]);
+    let second = cli(&addr, &["submit", "radabs", "--json", "true"]);
+    assert!(first.contains("\"cached\":false"), "{first}");
+    assert_eq!(second, first.replace("\"cached\":false", "\"cached\":true"));
+
+    let garbage = cli(&addr, &["raw", "not json at all"]);
+    assert!(garbage.starts_with("{\"ok\":false,\"error\":{\"kind\":\"bad_json\""), "{garbage}");
+
+    let routed = cli(&addr, &["submit", "radabs", "--show-route", "true"]);
+    assert!(routed.starts_with("route: member="), "{routed}");
+
+    let flooded = cli(&addr, &["flood", "--clients", "4", "--jobs", "24"]);
+    assert!(flooded.contains("flood: all acceptance checks passed"), "{flooded}");
+    let metrics = cli(&addr, &["metrics", "--json", "true"]);
+    assert!(metrics.contains("\"reconciled\":true"), "{metrics}");
+    // Both FTRACE-style tables: per-stage latency and per-suite runs.
+    let rendered = cli(&addr, &["metrics"]);
+    assert_eq!(rendered.matches("FTRACE ANALYSIS LIST").count(), 2, "{rendered}");
+    assert!(rendered.contains("P50(us)") && rendered.contains("AVG.STRETCH"), "{rendered}");
+
+    let drained = cli(&addr, &["drain", "--member", "0", "--deadline", "5"]);
+    assert!(drained.starts_with("sxd drained member 0"), "{drained}");
+    let stats = cli(&addr, &["stats"]);
+    assert!(stats.contains("\"members_alive\":2"), "{stats}");
+
+    assert!(cli(&addr, &["shutdown"]).starts_with("sxd acknowledged shutdown"));
     assert!(d.child.wait().unwrap().success());
     let _ = std::fs::remove_dir_all(&dir);
 }

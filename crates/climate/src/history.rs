@@ -10,13 +10,13 @@
 //! This module implements both for the proxy model: a binary history-tape
 //! encoding with one record per latitude, and a restart record that
 //! round-trips the full model state bit-exactly. The encodings are real
-//! (written with [`crate::wire`], parsed back, checksummed) so the I/O
+//! (written with [`ncar_suite::wire`], parsed back, checksummed) so the I/O
 //! benchmark moves honest payloads.
 
 use crate::model::Ccm2Proxy;
 use crate::resolution::Resolution;
-use crate::wire::{WireReader, WireWriter};
 use ncar_kernels::fft::C64;
+use ncar_suite::wire::{WireReader, WireWriter};
 
 /// Magic number at the head of every record ("NCAR" in ASCII).
 const MAGIC: u32 = 0x4e43_4152;

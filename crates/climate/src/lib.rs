@@ -31,7 +31,6 @@ pub mod spectra;
 pub mod spectral;
 pub mod steady;
 pub mod vertical;
-pub mod wire;
 
 pub use model::{Ccm2Config, Ccm2Proxy, StepTiming};
 pub use resolution::Resolution;

@@ -47,7 +47,7 @@ pub use hash::{fnv64, Fnv64};
 pub use json::{Json, JsonError};
 pub use ktries::{best_of, KTRIES_DEFAULT, KTRIES_VFFT};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS,
+    Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, LATENCY_BUCKETS,
 };
 pub use par::{
     host_parallelism, par_map, par_map_with, plock, plock_named, set_host_parallelism, SiteGuard,
@@ -57,7 +57,7 @@ pub use reactor::{Reactor, ReactorConfig, ReactorHandle};
 pub use registry::Registry;
 pub use report::{Artifact, Figure, Series, Table};
 pub use rng::SmallRng;
-pub use suite::{find, suite, Category, SuiteEntry};
+pub use suite::{suite, Category, SuiteEntry};
 pub use sweep::{
     constant_volume_ladder, rfft_instances, xpose_ladder, FftFamily, Instance, VFFT_M,
 };

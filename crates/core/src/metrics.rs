@@ -1,12 +1,11 @@
-//! Process-wide observability primitives: counters, gauges and fixed-bucket
-//! latency histograms, all dependency-free and cheap enough for hot paths.
+//! Process-wide observability primitives: gauges and fixed-bucket latency
+//! histograms, all dependency-free and cheap enough for hot paths.
 //!
 //! SUPER-UX explained performance with two instruments: PROGINF job
 //! accounting at program exit and FTRACE per-region timers during a run.
 //! The serving daemon needs the same spine — numbers that say *where* a
 //! request's time went — without pulling in an external metrics stack. A
-//! [`MetricsRegistry`] hands out [`Counter`]s, [`Gauge`]s and
-//! [`Histogram`]s by name; every mutation is a relaxed atomic, so
+//! [`MetricsRegistry`] hands out [`Gauge`]s and [`Histogram`]s by name; every mutation is a relaxed atomic, so
 //! instrumenting a stage costs nanoseconds; [`MetricsRegistry::snapshot`]
 //! freezes everything into plain data the wire layer can serialize.
 //!
@@ -22,30 +21,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json::Json;
-
-/// Monotonic event counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    v: AtomicU64,
-}
-
-impl Counter {
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-}
 
 /// Instantaneous level (queue depth, stretch factor). Stores an `f64` so
 /// one type covers both integral depths and ratio gauges.
@@ -288,7 +263,6 @@ impl HistogramSnapshot {
 
 #[derive(Default)]
 struct RegistryInner {
-    counters: BTreeMap<String, Arc<Counter>>,
     gauges: BTreeMap<String, Arc<Gauge>>,
     histograms: BTreeMap<String, Arc<Histogram>>,
 }
@@ -309,11 +283,6 @@ impl MetricsRegistry {
         // Metric registration never panics while holding the lock, but a
         // poisoned registry must still serve reads: recover the data.
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Get or create the counter named `name`.
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        Arc::clone(self.locked().counters.entry(name.to_string()).or_default())
     }
 
     /// Get or create the gauge named `name`.
@@ -341,7 +310,6 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let inner = self.locked();
         MetricsSnapshot {
-            counters: inner.counters.iter().map(|(k, c)| (k.clone(), c.get())).collect(),
             gauges: inner.gauges.iter().map(|(k, g)| (k.clone(), g.get())).collect(),
             histograms: inner.histograms.iter().map(|(k, h)| (k.clone(), h.snapshot())).collect(),
         }
@@ -351,32 +319,8 @@ impl MetricsRegistry {
 /// Everything a registry held at one instant.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
-    pub counters: BTreeMap<String, u64>,
     pub gauges: BTreeMap<String, f64>,
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-}
-
-impl MetricsSnapshot {
-    /// JSON form with stable key order:
-    /// `{"counters":{...},"gauges":{...},"latency":{name:hist,...}}`.
-    pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            (
-                "counters".into(),
-                Json::Obj(
-                    self.counters.iter().map(|(k, &v)| (k.clone(), Json::Num(v as f64))).collect(),
-                ),
-            ),
-            (
-                "gauges".into(),
-                Json::Obj(self.gauges.iter().map(|(k, &v)| (k.clone(), Json::Num(v))).collect()),
-            ),
-            (
-                "latency".into(),
-                Json::Obj(self.histograms.iter().map(|(k, h)| (k.clone(), h.to_json())).collect()),
-            ),
-        ])
-    }
 }
 
 #[cfg(test)]
@@ -384,21 +328,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges_round_trip() {
+    fn gauges_round_trip() {
         let m = MetricsRegistry::new();
-        let c = m.counter("jobs");
-        c.inc();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        // Same name, same counter.
-        m.counter("jobs").inc();
-        assert_eq!(c.get(), 6);
-
         let g = m.gauge("depth");
         g.set(3.0);
         g.addf(2.0);
         g.addf(-4.0);
         assert_eq!(g.get(), 1.0);
+        // Same name, same gauge.
+        assert_eq!(m.gauge("depth").get(), 1.0);
     }
 
     #[test]
@@ -438,42 +376,19 @@ mod tests {
     fn concurrent_observations_are_not_lost() {
         let m = MetricsRegistry::new();
         let h = m.latency("lat");
-        let c = m.counter("n");
         std::thread::scope(|s| {
             for _ in 0..8 {
                 let h = Arc::clone(&h);
-                let c = Arc::clone(&c);
                 s.spawn(move || {
                     for i in 0..1000 {
                         h.observe(i as f64 * 1e-6);
-                        c.inc();
                     }
                 });
             }
         });
         let snap = m.snapshot();
-        assert_eq!(snap.counters["n"], 8000);
         assert_eq!(snap.histograms["lat"].count, 8000);
         assert_eq!(snap.histograms["lat"].buckets.iter().sum::<u64>(), 8000);
-    }
-
-    #[test]
-    fn snapshot_json_is_valid_and_stable() {
-        let m = MetricsRegistry::new();
-        m.counter("b").inc();
-        m.counter("a").add(2);
-        m.gauge("g").set(1.5);
-        m.latency("lat").observe(0.003);
-        let one = m.snapshot().to_json().to_string();
-        let two = m.snapshot().to_json().to_string();
-        assert_eq!(one, two, "snapshots of unchanged metrics render identically");
-        let doc = Json::parse(&one).expect("snapshot JSON parses");
-        assert_eq!(doc.get("counters").unwrap().get("a").unwrap().as_u64(), Some(2));
-        let lat = doc.get("latency").unwrap().get("lat").unwrap();
-        assert_eq!(lat.get("count").unwrap().as_u64(), Some(1));
-        let le = lat.get("le").unwrap().as_arr().unwrap();
-        let n = lat.get("n").unwrap().as_arr().unwrap();
-        assert_eq!(n.len(), le.len() + 1, "one overflow bucket past the last bound");
     }
 
     #[test]

@@ -134,35 +134,21 @@ pub enum Classified<J> {
 /// It either answers inline or returns the job a dispatcher should run.
 /// `handle` runs that job on a dispatcher thread and may block
 /// (admission waits, journal writes); the reactor thread never calls it.
-/// Each connection owns one `Conn` value of per-connection service
-/// state, created at accept and shared by reference with every
-/// (possibly concurrent, under pipelining) call for that connection.
 pub trait Service: Send + Sync + 'static {
-    type Conn: Send + Sync + 'static;
     /// A classified frame on its way to a dispatcher.
     type Job: Send + 'static;
 
-    /// A connection was accepted; build its per-connection state.
-    fn open(&self, id: u64) -> Self::Conn;
-
     /// Decide one decoded frame on the reactor thread: answer it inline
     /// or hand it to a dispatcher.
-    fn classify(&self, conn: &Self::Conn, frame: String) -> Classified<Self::Job>;
+    fn classify(&self, frame: String) -> Classified<Self::Job>;
 
     /// Finish a dispatched job. Runs on a dispatcher thread.
-    fn handle(&self, conn: &Self::Conn, job: Self::Job) -> Reply;
+    fn handle(&self, job: Self::Job) -> Reply;
 
     /// Render the reply line for a frame that could not be decoded. The
     /// connection always closes after this reply (there is no resync
     /// point inside a lost frame).
     fn decode_error_reply(&self, err: &DecodeError) -> String;
-
-    /// A connection closed; a handler for it may still be completing on
-    /// a dispatcher thread (its reply will be dropped). Runs on the
-    /// reactor thread — keep it cheap.
-    fn closed(&self, id: u64, conn: &Self::Conn) {
-        let _ = (id, conn);
-    }
 }
 
 /// Reactor tuning. `Default` matches the daemon's protocol limits.
@@ -241,10 +227,6 @@ impl ReactorHandle {
         self.wake();
     }
 
-    pub fn is_shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Connections accepted over the reactor's lifetime.
     pub fn accepted(&self) -> u64 {
         self.shared.stats.accepted.load(Ordering::Relaxed)
@@ -271,11 +253,9 @@ impl ReactorHandle {
     }
 }
 
-struct Conn<C> {
+struct Conn {
     stream: TcpStream,
     decoder: LineDecoder,
-    /// Per-connection service state, shared with every in-flight handler.
-    sconn: Arc<C>,
     /// Rendered replies awaiting the socket, oldest first; the front
     /// buffer's first `outpos` bytes are already written.
     out: VecDeque<Vec<u8>>,
@@ -303,7 +283,7 @@ struct Conn<C> {
     interest: Interest,
 }
 
-impl<C> Conn<C> {
+impl Conn {
     /// Frames consumed but not yet released as replies.
     fn in_flight(&self) -> u64 {
         self.next_seq - self.next_reply
@@ -333,7 +313,7 @@ pub struct Reactor<S: Service> {
     config: ReactorConfig,
     shared: Arc<Shared>,
     waker_rx: UnixStream,
-    conns: HashMap<u64, Conn<S::Conn>>,
+    conns: HashMap<u64, Conn>,
     next_id: u64,
     in_flight: usize,
     wheel: Option<TimerWheel>,
@@ -437,12 +417,9 @@ impl<S: Service> Reactor<S> {
             events = batch;
         }
 
-        // Teardown: notify the service for every surviving connection.
-        let service = Arc::clone(&self.service);
-        for (id, conn) in self.conns.drain() {
-            self.shared.stats.closed.fetch_add(1, Ordering::Relaxed);
-            service.closed(id, &conn.sconn);
-        }
+        // Teardown: every surviving connection counts as closed.
+        self.shared.stats.closed.fetch_add(self.conns.len() as u64, Ordering::Relaxed);
+        self.conns.clear();
         self.shared.stats.open.store(0, Ordering::Relaxed);
         // Dropping the pool joins the dispatchers; the completion
         // channel outlives it (`self.rx`), so a late send is dropped,
@@ -493,13 +470,11 @@ impl<S: Service> Reactor<S> {
                     let now = Instant::now();
                     self.shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
                     self.shared.stats.open.fetch_add(1, Ordering::Relaxed);
-                    let sconn = Arc::new(self.service.open(id));
                     self.conns.insert(
                         id,
                         Conn {
                             stream,
                             decoder: LineDecoder::new(self.config.max_frame),
-                            sconn,
                             out: VecDeque::new(),
                             outpos: 0,
                             next_seq: 0,
@@ -635,7 +610,7 @@ impl<S: Service> Reactor<S> {
                     let Some(conn) = self.conns.get_mut(&token) else { return };
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
-                    match self.service.classify(&conn.sconn, frame) {
+                    match self.service.classify(frame) {
                         Classified::Inline(reply) => {
                             conn.pending.insert(seq, reply);
                         }
@@ -721,10 +696,6 @@ impl<S: Service> Reactor<S> {
     }
 
     fn dispatch(&mut self, token: u64, seq: u64, job: S::Job, pool: &WorkerPool) {
-        let sconn = {
-            let Some(conn) = self.conns.get(&token) else { return };
-            Arc::clone(&conn.sconn)
-        };
         self.in_flight += 1;
         let service = Arc::clone(&self.service);
         let tx = self.tx.clone();
@@ -734,7 +705,7 @@ impl<S: Service> Reactor<S> {
             // loop or strand the connection: turn it into "no reply,
             // close". The daemon's own panic accounting happens inside
             // `handle` (its job runner has its own catch_unwind).
-            let reply = match catch_unwind(AssertUnwindSafe(|| service.handle(&sconn, job))) {
+            let reply = match catch_unwind(AssertUnwindSafe(|| service.handle(job))) {
                 Ok(reply) => reply,
                 Err(_) => Reply { line: String::new(), close: true },
             };
@@ -746,8 +717,7 @@ impl<S: Service> Reactor<S> {
     fn apply_completion(&mut self, done: Completion, pool: &WorkerPool) {
         let Completion { id, seq, reply } = done;
         let Some(conn) = self.conns.get_mut(&id) else {
-            // Closed while the frame was in flight; the service was
-            // already notified at close time.
+            // Closed while the frame was in flight: the reply is dropped.
             return;
         };
         conn.pending.insert(seq, reply);
@@ -897,7 +867,6 @@ impl<S: Service> Reactor<S> {
         if idle {
             self.shared.stats.idle_closed.fetch_add(1, Ordering::Relaxed);
         }
-        self.service.closed(token, &conn.sconn);
     }
 }
 
@@ -911,40 +880,32 @@ mod tests {
     use std::thread;
 
     struct Echo {
-        closed: Arc<AtomicUsize>,
         fast_hits: Arc<AtomicUsize>,
     }
 
     impl Echo {
         fn new() -> Echo {
-            Echo { closed: Arc::new(AtomicUsize::new(0)), fast_hits: Arc::new(AtomicUsize::new(0)) }
+            Echo { fast_hits: Arc::new(AtomicUsize::new(0)) }
         }
     }
 
     impl Service for Echo {
-        type Conn = u64;
         type Job = String;
 
-        fn open(&self, id: u64) -> u64 {
-            id
-        }
-
-        fn classify(&self, conn: &u64, frame: String) -> Classified<String> {
-            match frame.strip_prefix("fast:") {
-                Some(hot) => {
-                    self.fast_hits.fetch_add(1, Ordering::SeqCst);
-                    Classified::Inline(Reply::send(format!("fast[{conn}]:{hot}")))
-                }
-                None => Classified::Dispatch(frame),
+        fn classify(&self, frame: String) -> Classified<String> {
+            if frame.starts_with("fast:") {
+                self.fast_hits.fetch_add(1, Ordering::SeqCst);
+                return Classified::Inline(Reply::send(frame));
             }
+            Classified::Dispatch(frame)
         }
 
-        fn handle(&self, conn: &u64, frame: String) -> Reply {
+        fn handle(&self, frame: String) -> Reply {
             match frame.as_str() {
                 "quit" => Reply::send_and_close("bye".into()),
                 "boom" => panic!("handler exploded (expected by test)"),
                 "big" => Reply::send("B".repeat(96 * 1024 * 1024)),
-                f => Reply::send(format!("echo[{conn}]:{f}")),
+                f => Reply::send(format!("echo:{f}")),
             }
         }
 
@@ -953,10 +914,6 @@ mod tests {
                 DecodeError::FrameTooLong { len, max } => format!("err:too_long:{len}:{max}"),
                 DecodeError::NotUtf8 => "err:not_utf8".into(),
             }
-        }
-
-        fn closed(&self, _id: u64, _conn: &u64) {
-            self.closed.fetch_add(1, Ordering::SeqCst);
         }
     }
 
@@ -1154,16 +1111,13 @@ mod tests {
     struct Jitter;
 
     impl Service for Jitter {
-        type Conn = ();
         type Job = String;
 
-        fn open(&self, _id: u64) {}
-
-        fn classify(&self, _conn: &(), frame: String) -> Classified<String> {
+        fn classify(&self, frame: String) -> Classified<String> {
             Classified::Dispatch(frame)
         }
 
-        fn handle(&self, _conn: &(), frame: String) -> Reply {
+        fn handle(&self, frame: String) -> Reply {
             let mut h = 0xcbf2_9ce4_8422_2325u64;
             for b in frame.bytes() {
                 h ^= u64::from(b);
@@ -1227,10 +1181,10 @@ mod tests {
         let mut reader = io::BufReader::new(sock.try_clone().unwrap());
 
         (&sock).write_all(b"slow-1\nfast:x\nslow-2\nfast:y\n").unwrap();
-        assert!(read_line(&mut reader).unwrap().ends_with(":slow-1"));
-        assert!(read_line(&mut reader).unwrap().starts_with("fast["));
-        assert!(read_line(&mut reader).unwrap().ends_with(":slow-2"));
-        assert!(read_line(&mut reader).unwrap().ends_with("]:y"));
+        assert_eq!(read_line(&mut reader).unwrap(), "echo:slow-1");
+        assert_eq!(read_line(&mut reader).unwrap(), "fast:x");
+        assert_eq!(read_line(&mut reader).unwrap(), "echo:slow-2");
+        assert_eq!(read_line(&mut reader).unwrap(), "fast:y");
         assert_eq!(r.handle.frames(), 4, "inline frames count too");
         assert_eq!(fast_hits.load(Ordering::SeqCst), 2);
         finish(r);
@@ -1262,7 +1216,7 @@ mod tests {
             let before = hist.snapshot();
             (&sock).write_all(burst.as_bytes()).unwrap();
             for i in 0..8 {
-                assert!(read_line(&mut reader).unwrap().ends_with(&format!("]:{i}")));
+                assert_eq!(read_line(&mut reader).unwrap(), format!("fast:{i}"));
             }
             // The histogram is observed on the reactor thread just after
             // the write syscall, so the client can read the replies

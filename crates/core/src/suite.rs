@@ -145,23 +145,9 @@ pub fn suite() -> Vec<SuiteEntry> {
     ]
 }
 
-/// Look up a suite entry by its paper name, case-insensitively ("radabs"
-/// finds "RADABS"). Serving-layer requests arrive as text.
-pub fn find(name: &str) -> Option<SuiteEntry> {
-    suite().into_iter().find(|e| e.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn find_is_case_insensitive() {
-        assert_eq!(find("radabs").unwrap().name, "RADABS");
-        assert_eq!(find("CcM2").unwrap().name, "CCM2");
-        assert!(find("radabs").unwrap().category == Category::RawPerformance);
-        assert!(find("no-such-benchmark").is_none());
-    }
 
     #[test]
     fn thirteen_kernels_three_applications() {

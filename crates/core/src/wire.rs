@@ -179,13 +179,6 @@ impl<'a> WireReader<'a> {
         f64::from_be_bytes(self.take::<8>())
     }
 
-    /// Split off the next `n` bytes as a sub-reader.
-    pub fn sub_reader(&mut self, n: usize) -> WireReader<'a> {
-        let r = WireReader::new(&self.data[self.pos..self.pos + n]);
-        self.pos += n;
-        r
-    }
-
     pub fn try_get_u16(&mut self) -> Result<u16, WireError> {
         Ok(u16::from_be_bytes(self.try_take::<2>()?))
     }
@@ -210,14 +203,6 @@ impl<'a> WireReader<'a> {
         let r = &self.data[self.pos..];
         self.pos = self.data.len();
         r
-    }
-
-    /// Fallible [`WireReader::sub_reader`].
-    pub fn try_sub_reader(&mut self, n: usize) -> Result<WireReader<'a>, WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Underflow { needed: n, remaining: self.remaining() });
-        }
-        Ok(self.sub_reader(n))
     }
 
     /// Read a [`WireWriter::put_str`] field. The claimed length is checked
@@ -291,18 +276,6 @@ mod tests {
         assert_eq!(r.get_u64(), u64::MAX - 1);
         assert_eq!(r.get_f64(), -1234.5678);
         assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn sub_reader_advances_parent() {
-        let mut w = WireWriter::default();
-        w.put_u32(7);
-        w.put_u32(9);
-        let v = w.into_vec();
-        let mut r = WireReader::new(&v);
-        let mut head = r.sub_reader(4);
-        assert_eq!(head.get_u32(), 7);
-        assert_eq!(r.get_u32(), 9);
     }
 
     #[test]

@@ -71,8 +71,8 @@ impl Client {
     }
 
     /// Send one raw line and return the raw reply line. The building block
-    /// for everything else, and what the CI smoke test uses to throw
-    /// malformed frames at the daemon.
+    /// for everything else, and what the tests use to throw malformed
+    /// frames at the daemon.
     ///
     /// The frame and its newline leave in one `write`: sent as two, the
     /// one-byte tail waited out the daemon's delayed ACK (~40 ms on Linux)
@@ -256,8 +256,8 @@ impl Client {
     }
 
     /// Ask the daemon to drain gracefully: stop admission, give in-flight
-    /// jobs `deadline_ms` to finish (the server's configured default when
-    /// `None`), checkpoint the stragglers to restart specs, then exit.
+    /// jobs `deadline_ms` to finish (10 s when `None`), checkpoint the
+    /// stragglers to restart specs, then exit.
     pub fn drain(&mut self, deadline_ms: Option<u64>) -> Result<(), SxdError> {
         self.roundtrip(&Request::Drain { deadline_ms, member: None }.to_line()).map(|_| ())
     }

@@ -7,8 +7,8 @@
 //! re-weight by served traffic, latency histograms merge bucket-wise (see
 //! `ncar_suite::metrics::HistogramSnapshot::merge`),
 //! per-suite rows combine with run-weighted average stretch — so every
-//! existing consumer (`flood`, `ncar-bench metrics`, the CI smoke greps)
-//! reads a router exactly as it reads a daemon.
+//! existing consumer (`flood`, `ncar-bench metrics`, servebench) reads a
+//! router exactly as it reads a daemon.
 //!
 //! The reconciliation guarantee survives the merge because it is linear:
 //! each member's METRICS snapshot satisfies

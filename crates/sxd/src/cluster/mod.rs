@@ -130,9 +130,7 @@ pub fn spawn(registry: Registry<JobEntry>, config: ClusterConfig) -> Result<Clus
         members,
         handles,
         &config.addr,
-        config.server.drain_deadline,
         config.server.idle_timeout,
-        config.server.dispatchers,
         config.server.pipeline_depth,
     )?;
     let addr = router.local_addr();

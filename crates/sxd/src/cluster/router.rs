@@ -59,6 +59,7 @@ use crate::client::Client;
 use crate::error::SxdError;
 use crate::journal::{self, Journal};
 use crate::proto::{cache_key, read_frame, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
+use crate::server::DRAIN_DEADLINE;
 
 /// How the router dials a member: a few quick retries so member startup
 /// races (the member thread is still binding) resolve without failing the
@@ -134,9 +135,7 @@ struct RouterInner {
     reactor: Mutex<Option<ReactorHandle>>,
     addr: SocketAddr,
     shutting_down: AtomicBool,
-    drain_deadline: Duration,
     idle_timeout: Option<Duration>,
-    dispatchers: usize,
     pipeline_depth: usize,
 }
 
@@ -151,22 +150,16 @@ pub struct Router {
 impl Router {
     /// Bind the router over `members`. `handles` pairs with `members` by
     /// index; pass `None` for shards this process does not own.
-    /// `dispatchers == 0` auto-sizes (the router does no compute of its
-    /// own — dispatchers only hold blocking forward I/O).
     /// `pipeline_depth` is the per-client-connection frame window, as on
     /// the member daemons ([`crate::ServerConfig::pipeline_depth`]).
-    #[allow(clippy::too_many_arguments)]
     pub fn bind(
         members: Vec<RouterMember>,
         handles: Vec<MemberHandle>,
         addr: &str,
-        drain_deadline: Duration,
         idle_timeout: Option<Duration>,
-        dispatchers: usize,
         pipeline_depth: usize,
     ) -> Result<Router, SxdError> {
         assert_eq!(members.len(), handles.len(), "one handle slot per member");
-        let dispatchers = if dispatchers == 0 { 8 } else { dispatchers };
         let listener = TcpListener::bind(addr).map_err(SxdError::io)?;
         let local = listener.local_addr().map_err(SxdError::io)?;
         let ring = Ring::new(members.iter().map(|m| m.name.clone()).collect::<Vec<_>>());
@@ -186,9 +179,7 @@ impl Router {
                 reactor: Mutex::new(None),
                 addr: local,
                 shutting_down: AtomicBool::new(false),
-                drain_deadline,
                 idle_timeout,
-                dispatchers,
                 pipeline_depth: pipeline_depth.max(1),
             }),
         })
@@ -210,7 +201,9 @@ impl Router {
             ReactorConfig {
                 max_frame: MAX_REQUEST_FRAME,
                 idle_timeout: inner.idle_timeout,
-                dispatchers: inner.dispatchers,
+                // The router does no compute of its own: dispatchers only
+                // hold blocking forward I/O.
+                dispatchers: 8,
                 pipeline_depth: inner.pipeline_depth,
                 ..ReactorConfig::default()
             },
@@ -238,24 +231,21 @@ impl Router {
     }
 }
 
-/// The router as a [`Service`]: connections carry no per-connection state
-/// (member sockets are multiplexed router-wide), so `Conn` is `()`.
+/// The router as a [`Service`]. Member sockets are multiplexed
+/// router-wide, so client connections carry no state of their own.
 struct RouterService {
     inner: Arc<RouterInner>,
 }
 
 impl Service for RouterService {
-    type Conn = ();
     /// The parsed request and the frame it came from.
     type Job = (Request, String);
 
-    fn open(&self, _id: u64) {}
-
-    fn classify(&self, _conn: &(), frame: String) -> Classified<(Request, String)> {
+    fn classify(&self, frame: String) -> Classified<(Request, String)> {
         classify(&self.inner, frame)
     }
 
-    fn handle(&self, _conn: &(), (req, frame): (Request, String)) -> Reply {
+    fn handle(&self, (req, frame): (Request, String)) -> Reply {
         Reply::send(handle(&self.inner, req, &frame))
     }
 
@@ -522,7 +512,7 @@ fn handle(inner: &Arc<RouterInner>, req: Request, frame: &str) -> String {
             "{\"ok\":true,\"shutting_down\":true}".into()
         }
         Request::Drain { deadline_ms, member: Some(idx) } => {
-            let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(inner.drain_deadline);
+            let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(DRAIN_DEADLINE);
             match drain_member(inner, idx, deadline) {
                 Ok(reply) => reply,
                 Err(e) => e.to_reply(),
@@ -531,7 +521,7 @@ fn handle(inner: &Arc<RouterInner>, req: Request, frame: &str) -> String {
         Request::Drain { deadline_ms, member: None } => {
             // Cluster-wide graceful drain: every member drains (each
             // checkpointing its own stragglers), then the router follows.
-            let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(inner.drain_deadline);
+            let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(DRAIN_DEADLINE);
             let alive: Vec<usize> = {
                 let members = plock_named(&inner.members, "sxd.router.members");
                 (0..members.len()).filter(|&m| members[m].alive).collect()
@@ -805,9 +795,7 @@ mod tests {
             })
             .collect();
         let handles = vec![None, None, None];
-        let router =
-            Router::bind(members, handles, "127.0.0.1:0", Duration::from_secs(1), None, 0, 1)
-                .unwrap();
+        let router = Router::bind(members, handles, "127.0.0.1:0", None, 1).unwrap();
         let inner = &router.inner;
         let put = format!("{{\"op\":\"put\",\"key\":\"{:016x}\",\"result\":{{}}}}", 7u64);
         // (frame, inline, fastpath_hits delta, bad_requests delta)

@@ -25,7 +25,7 @@
 //! breakdown — reconciled against the same job counters `stats` reports
 //! (see the README section "Observing the daemon" for the schema).
 //!
-//! `drain` stops admission, waits `deadline_ms` (forever when omitted)
+//! `drain` stops admission, waits `deadline_ms` (10 s when omitted)
 //! for in-flight jobs, checkpoints whatever is still pending to restart
 //! specs, and then shuts down — see the README section "Durability and
 //! restart". The optional `member` field targets one shard of a cluster
@@ -114,8 +114,8 @@ pub enum Request {
     },
     Stats,
     Metrics,
-    /// Stop admission, wait up to `deadline_ms` for in-flight jobs (no
-    /// deadline = wait indefinitely), checkpoint the stragglers, shut
+    /// Stop admission, wait up to `deadline_ms` for in-flight jobs (10 s
+    /// when omitted), checkpoint the stragglers, shut
     /// down. `member` targets one shard of a cluster router; a single-node
     /// daemon rejects it.
     Drain {

@@ -90,6 +90,10 @@ use crate::proto::{cache_key, submit_reply, Request, MAX_REQUEST_FRAME};
 const CKPT_SECONDS: f64 = 0.5;
 const RESTART_SECONDS: f64 = 0.5;
 
+/// Grace period a `drain` request without its own `deadline_ms` gives
+/// in-flight jobs before checkpointing them.
+pub(crate) const DRAIN_DEADLINE: Duration = Duration::from_secs(10);
+
 /// What one job asks of the node, in NQS Resource-Block terms.
 #[derive(Debug, Clone, Copy)]
 pub struct Demand {
@@ -156,18 +160,10 @@ pub struct ServerConfig {
     /// restart specs. `None` (the default) serves from memory only, as
     /// before.
     pub state_dir: Option<PathBuf>,
-    /// Grace period a `drain` request without its own `deadline_ms` gives
-    /// in-flight jobs before checkpointing them.
-    pub drain_deadline: Duration,
     /// Close connections that send nothing for this long (the reactor's
     /// timeout wheel; `None` disables it). Bounds slowloris clients — the
     /// old thread-per-connection model held a thread for them forever.
     pub idle_timeout: Option<Duration>,
-    /// Reactor dispatcher threads decoding-side frame handlers run on.
-    /// `0` (the default) auto-sizes to `max(8, 2 * workers)`: enough that
-    /// herd followers parking in the single-flight table never starve
-    /// their leader, which always occupies a dispatcher of its own.
-    pub dispatchers: usize,
     /// Decoded frames allowed in flight per connection before the reactor
     /// stops reading from it ([`ReactorConfig::pipeline_depth`]). Replies
     /// always leave in request order whatever the completion order, so a
@@ -185,9 +181,7 @@ impl Default for ServerConfig {
             machine: presets::sx4_benchmarked(),
             admit_timeout: Duration::from_secs(30),
             state_dir: None,
-            drain_deadline: Duration::from_secs(10),
             idle_timeout: Some(Duration::from_secs(300)),
-            dispatchers: 0,
             pipeline_depth: 1,
         }
     }
@@ -365,13 +359,11 @@ struct Daemon {
     /// named lock (see module docs).
     reactor: Mutex<Option<ReactorHandle>>,
     idle_timeout: Option<Duration>,
-    dispatchers: usize,
     pipeline_depth: usize,
     /// The write-ahead result journal (`None` without a state dir).
     /// Lock order: `journal` before `cache`, never the reverse.
     journal: Mutex<Option<Journal>>,
     state_dir: Option<PathBuf>,
-    drain_deadline: Duration,
     /// Set by the `drain` verb: admission refuses new submits while
     /// in-flight work winds down.
     draining: AtomicBool,
@@ -434,15 +426,9 @@ impl Server {
             seq: AtomicU64::new(0),
             reactor: Mutex::new(None),
             idle_timeout: config.idle_timeout,
-            dispatchers: if config.dispatchers == 0 {
-                (config.workers.max(1) * 2).max(8)
-            } else {
-                config.dispatchers
-            },
             pipeline_depth: config.pipeline_depth.max(1),
             journal: Mutex::new(journal_slot),
             state_dir: config.state_dir.clone(),
-            drain_deadline: config.drain_deadline,
             draining: AtomicBool::new(false),
             pending: Mutex::new(HashMap::new()),
             ckpt: Mutex::new(HashSet::new()),
@@ -486,7 +472,10 @@ impl Server {
             ReactorConfig {
                 max_frame: MAX_REQUEST_FRAME,
                 idle_timeout: self.daemon.idle_timeout,
-                dispatchers: self.daemon.dispatchers,
+                // Enough dispatchers that herd followers parking in the
+                // single-flight table never starve their leader, which
+                // always occupies a dispatcher of its own.
+                dispatchers: (self.daemon.workers * 2).max(8),
                 pipeline_depth: self.daemon.pipeline_depth,
                 flush_batch: Some(Arc::clone(&self.daemon.metrics.flush_batch)),
                 ..ReactorConfig::default()
@@ -520,16 +509,13 @@ struct DaemonService {
 }
 
 impl Service for DaemonService {
-    type Conn = ();
     type Job = Job;
 
-    fn open(&self, _id: u64) {}
-
-    fn classify(&self, _conn: &(), frame: String) -> Classified<Job> {
+    fn classify(&self, frame: String) -> Classified<Job> {
         self.daemon.classify(&frame)
     }
 
-    fn handle(&self, _conn: &(), job: Job) -> Reply {
+    fn handle(&self, job: Job) -> Reply {
         Reply::send(self.daemon.handle(job))
     }
 
@@ -627,8 +613,7 @@ impl Daemon {
                 Ok("{\"ok\":true,\"shutting_down\":true}".into())
             }
             Job::Drain { deadline_ms } => {
-                let deadline =
-                    deadline_ms.map(Duration::from_millis).unwrap_or(self.drain_deadline);
+                let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(DRAIN_DEADLINE);
                 self.start_drain(deadline);
                 let ms = deadline.as_millis();
                 Ok(format!("{{\"ok\":true,\"draining\":true,\"deadline_ms\":{ms}}}"))

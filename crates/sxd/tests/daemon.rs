@@ -52,7 +52,14 @@ fn toy_registry() -> Registry<JobEntry> {
 
 /// Start a daemon on an ephemeral port; returns (addr, server thread).
 fn spawn_daemon(registry: Registry<JobEntry>) -> (String, JoinHandle<()>) {
-    let server = Server::bind(registry, ServerConfig::default()).expect("bind");
+    spawn_configured(registry, ServerConfig::default())
+}
+
+fn spawn_configured(
+    registry: Registry<JobEntry>,
+    config: ServerConfig,
+) -> (String, JoinHandle<()>) {
+    let server = Server::bind(registry, config).expect("bind");
     let addr = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().expect("daemon run"));
     (addr, handle)
@@ -120,12 +127,16 @@ fn garbage_truncated_and_oversized_frames_yield_typed_errors() {
 
     // Garbage and truncated JSON: typed reply, connection stays usable.
     let mut client = Client::connect(&addr).unwrap();
-    for frame in ["not json at all", "{\"op\":\"submit\"", "{\"op\":\"submit\",\"suite\":7}"] {
+    for (frame, want) in [
+        ("not json at all", "bad_json"),
+        ("{\"op\":\"submit\"", "bad_json"),
+        ("{\"op\":\"submit\",\"suite\":7}", "bad_request"),
+    ] {
         let reply = client.raw(frame).unwrap();
         let doc = Json::parse(&reply).expect("error replies are valid JSON");
         assert_eq!(doc.get("ok").unwrap().as_bool(), Some(false));
-        let kind = doc.get("error").unwrap().get("kind").unwrap().as_str().unwrap().to_string();
-        assert!(kind == "bad_json" || kind == "bad_request", "kind={kind}");
+        let kind = doc.get("error").unwrap().get("kind").unwrap().as_str();
+        assert_eq!(kind, Some(want), "frame {frame:?} got {reply}");
     }
     // ... and the same connection still serves good requests afterwards.
     assert!(!client.submit("radabs", "sx4", &BTreeMap::new()).unwrap().cached);
@@ -173,34 +184,47 @@ fn infeasible_jobs_are_rejected_and_reconciled() {
     shut_down(&addr, handle);
 }
 
+/// Serial and pipelined floods, the pipelined one against a durable
+/// daemon. Pipelined replies must stay in order and byte-identical (the
+/// flood checks each reply's key), and on both rows repeat configurations
+/// are answered inline on the reactor thread.
 #[test]
 fn flood_completes_with_zero_drops_and_reconciled_counters() {
-    let (addr, handle) = spawn_daemon(toy_registry());
-    let outcome = flood(&FloodConfig {
-        addr: addr.clone(),
-        clients: 8,
-        jobs: 64,
-        suites: vec!["shallow".into(), "radabs".into()],
-        machine: "sx4-9.2".into(),
-        pipeline: 1,
-    })
-    .unwrap();
-    assert!(outcome.ok(), "flood problems: {:?}", outcome.problems);
-    assert_eq!(outcome.completed, 64);
-    assert!(outcome.cache_hits > 0, "repeated configs must hit the cache");
-    assert_eq!(
-        outcome.accepted,
-        outcome.done + outcome.rejected + outcome.queued + outcome.running
-    );
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("pipelined-flood");
+    let _ = std::fs::remove_dir_all(&dir);
+    // (server pipeline depth, frames each client keeps in flight, jobs, state dir)
+    for (depth, pipeline, jobs, state_dir) in [(1, 1, 64, None), (8, 8, 256, Some(dir.clone()))] {
+        let config = ServerConfig { pipeline_depth: depth, state_dir, ..ServerConfig::default() };
+        let (addr, handle) = spawn_configured(toy_registry(), config);
+        let outcome = flood(&FloodConfig {
+            addr: addr.clone(),
+            clients: 8,
+            jobs,
+            suites: vec!["shallow".into(), "radabs".into()],
+            machine: "sx4-9.2".into(),
+            pipeline,
+        })
+        .unwrap();
+        assert!(outcome.ok(), "depth {depth}: flood problems: {:?}", outcome.problems);
+        assert_eq!(outcome.completed, jobs);
+        assert!(outcome.reconciled, "depth {depth}: metrics snapshot must reconcile");
+        assert!(outcome.cache_hits > 0, "repeated configs must hit the cache");
+        assert!(outcome.fastpath_hits > 0, "depth {depth}: cache hits must be answered inline");
+        assert_eq!(
+            outcome.accepted,
+            outcome.done + outcome.rejected + outcome.queued + outcome.running
+        );
 
-    // Simulated seconds accumulated for both suites (stretch >= 1).
-    let mut client = Client::connect(&addr).unwrap();
-    let stats = client.stats().unwrap();
-    let secs = stats.get("suite_seconds").unwrap();
-    assert!(secs.get("shallow").unwrap().as_f64().unwrap() >= 3.0);
-    assert!(secs.get("radabs").unwrap().as_f64().unwrap() >= 1.5);
+        // Simulated seconds accumulated for both suites (stretch >= 1).
+        let mut client = Client::connect(&addr).unwrap();
+        let stats = client.stats().unwrap();
+        let secs = stats.get("suite_seconds").unwrap();
+        assert!(secs.get("shallow").unwrap().as_f64().unwrap() >= 3.0);
+        assert!(secs.get("radabs").unwrap().as_f64().unwrap() >= 1.5);
 
-    shut_down(&addr, handle);
+        shut_down(&addr, handle);
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

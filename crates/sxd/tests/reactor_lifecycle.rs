@@ -193,13 +193,17 @@ fn shutdown_with_zero_inflight_clients_completes_within_deadline() {
 }
 
 /// FD hygiene under real load: 1000 concurrent connections' worth of
-/// flood, then the process file-descriptor count returns to baseline —
-/// no leaked sockets on either side — with the counters reconciled.
+/// flood against a durable daemon (every result journaled), then the
+/// process file-descriptor count returns to baseline — no leaked sockets
+/// on either side — with the counters reconciled.
 #[cfg(target_os = "linux")]
 #[test]
 fn flood_at_1000_connections_returns_fd_count_to_baseline() {
     let _serial = serialize();
-    let (addr, handle) = spawn_daemon(ServerConfig::default());
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("reactor-flood");
+    let _ = std::fs::remove_dir_all(&dir);
+    let (addr, handle) =
+        spawn_daemon(ServerConfig { state_dir: Some(dir.clone()), ..ServerConfig::default() });
     Client::connect(&addr).unwrap().submit("radabs", "sx4-9.2", &BTreeMap::new()).unwrap();
     let baseline = fd_count();
 
@@ -226,4 +230,5 @@ fn flood_at_1000_connections_returns_fd_count_to_baseline() {
 
     Client::connect(&addr).unwrap().shutdown().unwrap();
     handle.join().expect("daemon exits");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -135,11 +135,6 @@ impl Vm {
         self.trace = Some(Box::default());
     }
 
-    /// Whether charges are currently being recorded.
-    pub fn is_tracing(&self) -> bool {
-        self.trace.is_some()
-    }
-
     /// Stop recording and take the trace, if tracing was enabled.
     pub fn take_trace(&mut self) -> Option<OpTrace> {
         self.trace.take().map(|b| *b)
