@@ -32,6 +32,14 @@ struct Daemon {
     stdout: Receiver<String>,
 }
 
+/// A test that panics before reaping its daemon must not leave it serving.
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.child.kill();
+        let _ = self.child.wait();
+    }
+}
+
 /// Spawn the real binary on an ephemeral port, optionally with a fault
 /// point armed, and wait for it to report its listening address.
 fn spawn_daemon(state_dir: &Path, extra: &[&str], fault: Option<&str>) -> Daemon {
