@@ -74,12 +74,18 @@ struct Args {
 }
 
 impl Args {
-    fn parse(args: &[String]) -> Result<Args, String> {
+    /// Parse `args`, accepting only the flags a subcommand declares in
+    /// `known`, so a misspelt or retired flag fails instead of being
+    /// ignored.
+    fn parse(args: &[String], known: &[&str]) -> Result<Args, String> {
         let mut flags = Vec::new();
         let mut positionals = Vec::new();
         let mut it = args.iter();
         while let Some(a) = it.next() {
             if let Some(key) = a.strip_prefix("--") {
+                if !known.contains(&key) {
+                    return Err(format!("unknown flag --{key}"));
+                }
                 let value = it.next().ok_or_else(|| format!("flag --{key} needs a value"))?.clone();
                 flags.push((key.to_string(), value));
             } else {
@@ -152,7 +158,19 @@ fn fail(detail: &str) -> i32 {
 /// other flag configures each member. `--state-dir DIR` becomes the
 /// cluster state root (member `i` journals under `DIR/shard-i`).
 pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
-    let args = match Args::parse(args) {
+    let args = match Args::parse(
+        args,
+        &[
+            "addr",
+            "workers",
+            "cache-cap",
+            "admit-timeout",
+            "state-dir",
+            "idle-timeout",
+            "pipeline-depth",
+            "cluster",
+        ],
+    ) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -242,10 +260,11 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
 /// watching a cold entry warm up: reply 0 says `cached=false`, the rest
 /// `cached=true`.
 pub fn cmd_submit(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
-        Ok(a) => a,
-        Err(e) => return fail(&e),
-    };
+    let args =
+        match Args::parse(args, &["addr", "machine", "param", "json", "show-route", "pipeline"]) {
+            Ok(a) => a,
+            Err(e) => return fail(&e),
+        };
     let Some(suite) = args.positionals.first() else {
         return fail("submit needs a suite name (try `ncar-bench list`)");
     };
@@ -307,7 +326,7 @@ pub fn cmd_submit(args: &[String]) -> i32 {
 
 /// `ncar-bench stats [--addr A]`
 pub fn cmd_stats(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
+    let args = match Args::parse(args, &["addr"]) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -397,7 +416,7 @@ fn render_metrics(m: &Json) -> String {
 
 /// `ncar-bench metrics [--addr A] [--json true] [--watch SECS]`
 pub fn cmd_metrics(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
+    let args = match Args::parse(args, &["addr", "json", "watch"]) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -435,7 +454,7 @@ pub fn cmd_metrics(args: &[String]) -> i32 {
 
 /// `ncar-bench shutdown [--addr A]`
 pub fn cmd_shutdown(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
+    let args = match Args::parse(args, &["addr"]) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -460,7 +479,7 @@ pub fn cmd_shutdown(args: &[String]) -> i32 {
 /// only shard K drains, and the router hands its durable keyspace to the
 /// ring successors before acknowledging.
 pub fn cmd_drain(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
+    let args = match Args::parse(args, &["addr", "deadline", "member"]) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -501,7 +520,7 @@ pub fn cmd_drain(args: &[String]) -> i32 {
 /// reply. `cli_subcommands_drive_a_served_cluster` in
 /// `tests/crash_recovery.rs` uses it to feed the daemon a non-JSON frame.
 pub fn cmd_raw(args: &[String]) -> i32 {
-    let args = match Args::parse(args) {
+    let args = match Args::parse(args, &["addr"]) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };
@@ -534,7 +553,10 @@ pub fn cmd_raw(args: &[String]) -> i32 {
 /// scaling measurement; `--addr` is ignored. Without it the flood targets
 /// an already-running endpoint, daemon or router alike.
 pub fn cmd_flood(args: &[String], experiments: &[Experiment]) -> i32 {
-    let args = match Args::parse(args) {
+    let args = match Args::parse(
+        args,
+        &["addr", "clients", "jobs", "suite", "pipeline", "cluster", "machine"],
+    ) {
         Ok(a) => a,
         Err(e) => return fail(&e),
     };

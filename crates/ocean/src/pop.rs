@@ -14,6 +14,11 @@
 //! Numerics: barotropic free-surface dynamics solved with the implicit
 //! method (a CG Helmholtz solve per step, as POP does), plus a baroclinic
 //! tracer leg with EOS evaluations.
+//!
+//! Only the barotropic solve decides what a step costs: the CG iteration
+//! count depends on the free surface and transports, every other charge on
+//! the grid shape alone. [`Pop::priced_mflops`] therefore computes the
+//! barotropic fields and prices the tracer leg without its arithmetic.
 
 use crate::eos::density;
 use crate::poisson::{conjugate_gradient, lon_neighbours, CgOptions, Grid2};
@@ -75,7 +80,12 @@ pub struct Pop {
     pub vbar: Grid2,
     /// Tracer (temperature) levels: `[lev][lat*nlon+lon]`.
     pub temp: Vec<Vec<f64>>,
+    /// The levels a step writes before swapping them into `temp`.
+    temp_next: Vec<Vec<f64>>,
     pub steps: usize,
+    /// Whether the tracer phase computes the tracers (false for a pricing
+    /// model, see [`Pop::priced_mflops`]).
+    computes: bool,
 }
 
 /// Gravity x mean depth (wave speed squared, grid units).
@@ -93,15 +103,6 @@ pub struct PopStepTiming {
 impl Pop {
     pub fn new(config: PopConfig, machine: MachineModel) -> Pop {
         let (nlat, nlon, nlev) = (config.nlat, config.nlon, config.nlev);
-        let mut eta = Grid2::zeros(nlat, nlon);
-        // An initial surface bump sets the free surface in motion.
-        for i in 0..nlat {
-            for j in 0..nlon {
-                let y = (i as f64 / nlat as f64 - 0.5) * 4.0;
-                let x = (j as f64 / nlon as f64 - 0.5) * 4.0;
-                eta.set(i, j, 0.3 * (-(x * x + y * y)).exp());
-            }
-        }
         let mut temp = vec![vec![0.0; nlat * nlon]; nlev];
         for (k, lev) in temp.iter_mut().enumerate() {
             for i in 0..nlat {
@@ -113,13 +114,44 @@ impl Pop {
             }
         }
         Pop {
+            temp_next: vec![vec![0.0; nlat * nlon]; nlev],
+            temp,
+            computes: true,
+            ..Pop::pricing(config, machine)
+        }
+    }
+
+    /// Sustained Mflops of a `steps`-step single-processor run, with the
+    /// tracer phase priced rather than computed: what [`Pop::mflops`] of a
+    /// fresh functional model returns, bit for bit.
+    pub fn priced_mflops(config: PopConfig, machine: MachineModel, steps: usize) -> f64 {
+        Pop::pricing(config, machine).mflops(steps)
+    }
+
+    /// A model that computes the barotropic fields and prices the tracer
+    /// phase. It holds no tracer levels, so only [`Pop::priced_mflops`],
+    /// which returns a rate, steps it.
+    fn pricing(config: PopConfig, machine: MachineModel) -> Pop {
+        let (nlat, nlon) = (config.nlat, config.nlon);
+        let mut eta = Grid2::zeros(nlat, nlon);
+        // An initial surface bump sets the free surface in motion.
+        for i in 0..nlat {
+            for j in 0..nlon {
+                let y = (i as f64 / nlat as f64 - 0.5) * 4.0;
+                let x = (j as f64 / nlon as f64 - 0.5) * 4.0;
+                eta.set(i, j, 0.3 * (-(x * x + y * y)).exp());
+            }
+        }
+        Pop {
             eta,
             ubar: Grid2::zeros(nlat, nlon),
             vbar: Grid2::zeros(nlat, nlon),
-            temp,
+            temp: Vec::new(),
+            temp_next: Vec::new(),
             config,
             machine,
             steps: 0,
+            computes: false,
         }
     }
 
@@ -164,46 +196,43 @@ impl Pop {
         let mut regions = Vec::new();
 
         // ---- Baroclinic/tracer phase (parallel over latitude). -----------
+        // Every point of `temp_next` is written: the chunks cover all rows.
+        // A pricing model runs this phase on pricing processors and hands
+        // the equation of state one zero level, which it never reads.
         let mut phase = Vec::with_capacity(procs);
-        let mut new_temp = self.temp.clone();
+        let zero_level = if self.computes { Vec::new() } else { vec![0.0; ncol] };
+        let mut rho = vec![0.0f64; ncol];
         for chunk in &chunks {
-            let mut vm = Vm::new(self.machine.clone());
+            let mut vm = if self.computes {
+                Vm::new(self.machine.clone())
+            } else {
+                Vm::pricing(self.machine.clone())
+            };
             if chunk.is_empty() {
                 phase.push(Cost::ZERO);
                 continue;
             }
-            let mut rho = vec![0.0f64; ncol];
             for k in 0..nlev {
                 let lo = chunk.start * nlon;
                 let hi = (chunk.end * nlon).min(ncol);
-                density(
-                    &mut vm,
-                    &mut rho[lo..hi],
-                    &self.temp[k][lo..hi],
-                    &self.temp[k][lo..hi], // reuse T as a salinity proxy field width
-                    (k as f64 + 0.5) * 150.0,
-                );
+                // T doubles as the salinity proxy of the same field width.
+                let temp = if self.computes { &self.temp[k][lo..hi] } else { &zero_level[lo..hi] };
+                density(&mut vm, &mut rho[lo..hi], temp, temp, (k as f64 + 0.5) * 150.0);
                 // F90-style stencil group: 4 CSHIFTs over this processor's
                 // rows.
                 self.charge_cshift_group(&mut vm, chunk.len() * nlon, 4);
-                for i in chunk.clone() {
-                    for j in 0..nlon {
-                        let idx = i * nlon + j;
-                        let (jm, jp) = lon_neighbours(j, nlon);
-                        let (jm, jp) = (i * nlon + jm, i * nlon + jp);
-                        let up = if i + 1 < nlat {
-                            self.temp[k][(i + 1) * nlon + j]
-                        } else {
-                            self.temp[k][idx]
-                        };
-                        let dn = if i > 0 {
-                            self.temp[k][(i - 1) * nlon + j]
-                        } else {
-                            self.temp[k][idx]
-                        };
-                        let lap =
-                            up + dn + self.temp[k][jp] + self.temp[k][jm] - 4.0 * self.temp[k][idx];
-                        new_temp[k][idx] = self.temp[k][idx] + 0.05 * lap - 1e-6 * rho[idx];
+                if vm.computes() {
+                    let (t, out) = (&self.temp[k], &mut self.temp_next[k]);
+                    for i in chunk.clone() {
+                        for j in 0..nlon {
+                            let idx = i * nlon + j;
+                            let (jm, jp) = lon_neighbours(j, nlon);
+                            let (jm, jp) = (i * nlon + jm, i * nlon + jp);
+                            let up = if i + 1 < nlat { t[(i + 1) * nlon + j] } else { t[idx] };
+                            let dn = if i > 0 { t[(i - 1) * nlon + j] } else { t[idx] };
+                            let lap = up + dn + t[jp] + t[jm] - 4.0 * t[idx];
+                            out[idx] = t[idx] + 0.05 * lap - 1e-6 * rho[idx];
+                        }
                     }
                 }
                 // Tracer + full 3-D momentum arithmetic of a POP level
@@ -223,7 +252,7 @@ impl Pop {
             phase.push(vm.take_cost());
         }
         regions.push(Region::Parallel(phase));
-        self.temp = new_temp;
+        std::mem::swap(&mut self.temp, &mut self.temp_next);
 
         // ---- Implicit free surface (the POP signature move). -------------
         // Semi-implicit: (1 - GH dt'^2 lap) eta^{n+1} = eta^n - dt' div(U).
@@ -433,5 +462,70 @@ mod conservation_tests {
             assert!(final_peak < 1.5 * peak0, "amplified: {peak0} -> {final_peak}");
         }
         assert!(final_peak < peak0, "no net decay: {peak0} -> {final_peak}");
+    }
+}
+
+#[cfg(test)]
+mod pricing_tests {
+    use super::*;
+    use sxsim::presets;
+
+    fn bits(g: &Grid2) -> Vec<u64> {
+        g.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Every step of a pricing model times, charges and solves bit for bit
+    /// as the functional model's step does.
+    fn pricing_matches_functional(config: PopConfig, procs: usize, steps: usize) {
+        let machine = presets::sx4_benchmarked();
+        let mut functional = Pop::new(config.clone(), machine.clone());
+        let mut pricing = Pop::pricing(config.clone(), machine);
+        for n in 1..=steps {
+            let (f, p) = (functional.step(procs), pricing.step(procs));
+            let ctx = format!(
+                "{}x{}x{} vectorized={} procs={procs} step {n}",
+                config.nlat, config.nlon, config.nlev, config.cshift_vectorized
+            );
+            assert_eq!(f.seconds.to_bits(), p.seconds.to_bits(), "{ctx}");
+            assert_eq!(f.cg_iters, p.cg_iters, "{ctx}");
+            let (fw, pw) = (f.timing.work, p.timing.work);
+            assert_eq!(fw.cycles.to_bits(), pw.cycles.to_bits(), "{ctx}");
+            assert_eq!(fw.flops, pw.flops, "{ctx}");
+            assert_eq!(fw.cray_flops.to_bits(), pw.cray_flops.to_bits(), "{ctx}");
+            assert_eq!(fw.bytes, pw.bytes, "{ctx}");
+            assert_eq!(bits(&functional.eta), bits(&pricing.eta), "{ctx}");
+            assert_eq!(bits(&functional.ubar), bits(&pricing.ubar), "{ctx}");
+            assert_eq!(bits(&functional.vbar), bits(&pricing.vbar), "{ctx}");
+        }
+        assert!(pricing.temp.is_empty() && pricing.temp_next.is_empty());
+    }
+
+    #[test]
+    fn priced_steps_match_functional_steps() {
+        for config in [PopConfig::tiny(), PopConfig::two_degree()] {
+            for cshift_vectorized in [false, true] {
+                for procs in [1usize, 2, 3, 4, 8, 32] {
+                    let config = PopConfig { cshift_vectorized, ..config.clone() };
+                    pricing_matches_functional(config, procs, 4);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn priced_mflops_match_functional_mflops() {
+        let machine = presets::sx4_benchmarked();
+        for config in [PopConfig::tiny(), PopConfig::two_degree()] {
+            for cshift_vectorized in [false, true] {
+                let config = PopConfig { cshift_vectorized, ..config.clone() };
+                let priced = Pop::priced_mflops(config.clone(), machine.clone(), 3);
+                let functional = Pop::new(config, machine.clone()).mflops(3);
+                assert_eq!(
+                    priced.to_bits(),
+                    functional.to_bits(),
+                    "vectorized={cshift_vectorized}"
+                );
+            }
+        }
     }
 }
