@@ -3,7 +3,7 @@
 
 use ncar_suite::{Artifact, Figure, Table};
 use othersuites::stream::stream_table;
-use othersuites::{hint_mquips, linpack, linpack_tpp, run_hint};
+use othersuites::{linpack, linpack_tpp, run_hint};
 use superux::accounting::qacct_table;
 use superux::iobench::{hippi_benchmark, io_table, network_table};
 use superux::nqs::Nqs;
@@ -116,7 +116,6 @@ pub fn other_suites() -> Vec<Artifact> {
         }
         hint_fig.push(s);
     }
-    let _ = hint_mquips(&presets::sparc20()); // exercised by table1 as well
 
     vec![Artifact::Table(lp), Artifact::Table(st), Artifact::Figure(hint_fig)]
 }

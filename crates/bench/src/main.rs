@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! ncar-bench [--json] [--jobs N] <experiment>...
-//! ncar-bench all            # everything (slow: full CCM2/MOM runs)
+//! ncar-bench all            # every experiment (a few seconds)
 //! ncar-bench list           # list experiment names
 //! ncar-bench serve …        # daemon mode: serve suites over TCP (sxd)
 //! ```
@@ -79,7 +79,7 @@ fn main() {
 
     // `--jobs N` caps the worker threads every experiment's internal
     // parallel fan-out uses (core::par::par_map_with).
-    if let Some(pos) = args.iter().position(|a| a == "--jobs") {
+    while let Some(pos) = args.iter().position(|a| a == "--jobs") {
         if pos + 1 >= args.len() {
             eprintln!("--jobs needs a thread count");
             std::process::exit(2);
@@ -92,6 +92,18 @@ fn main() {
             }
         }
         args.drain(pos..pos + 2);
+    }
+
+    // Every other flag must be one the batch run reads, so a misspelt
+    // flag fails instead of being ignored.
+    let known: &[&str] = if args.iter().any(|a| a == "check") {
+        &["--json", "--deny-warnings", "--matrix", "--baseline"]
+    } else {
+        &["--json"]
+    };
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+        eprintln!("unknown flag {flag}");
+        std::process::exit(2);
     }
 
     let json = args.iter().any(|a| a == "--json");

@@ -1,0 +1,33 @@
+//! The batch experiment runner rejects flags it does not read, like the
+//! serving subcommands do: a misspelt `--json` must not print the text
+//! rendering and exit 0.
+
+use std::process::{Command, Output};
+
+fn ncar_bench(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ncar-bench")).args(args).output().expect("run ncar-bench")
+}
+
+#[test]
+fn a_misspelt_flag_exits_2_without_running() {
+    let out = ncar_bench(&["--jsn", "table4"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert_eq!(stderr.trim(), "unknown flag --jsn");
+    assert!(out.stdout.is_empty(), "ran anyway: {:?}", String::from_utf8_lossy(&out.stdout));
+}
+
+#[test]
+fn check_flags_are_only_read_by_check() {
+    let out = ncar_bench(&["--matrix", "table2"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert_eq!(String::from_utf8_lossy(&out.stderr).trim(), "unknown flag --matrix");
+}
+
+#[test]
+fn the_batch_flags_still_run() {
+    let out = ncar_bench(&["--jobs", "1", "--json", "table2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout.starts_with('{') && stdout.contains("Table 2"), "{stdout}");
+}

@@ -5,8 +5,9 @@
 //! EXP, LOG, PWR, SIN, and SQRT. The accuracy leg checks each intrinsic
 //! against mathematical identities over deterministic sample sets and
 //! reports the worst error in units of the last place (ULPs); the
-//! performance leg runs the vectorized intrinsic through the machine model.
+//! performance leg prices the vectorized intrinsic on the machine model.
 
+use crate::once::CheckOnce;
 use sxsim::{Intrinsic, MachineModel, Vm};
 
 /// Worst-case error of one intrinsic, in ULPs of the expected result.
@@ -109,9 +110,12 @@ pub fn accuracy_suite() -> (bool, Vec<AccuracyReport>) {
     (passed, reports)
 }
 
-/// Throughput of one intrinsic on `model`, in millions of calls per second
-/// (the unit of the paper's Table 3).
-pub fn mcalls_per_second(model: &MachineModel, f: Intrinsic, n: usize) -> f64 {
+/// The `(intrinsic, n)` sweeps whose spot check has passed.
+static SPOT_CHECKED: CheckOnce<(Intrinsic, usize)> = CheckOnce::new();
+
+/// The Table 3 sweep of `f` over `n` calls on a functional processor,
+/// through the facade: the processor and the values it computed.
+fn functional_sweep(model: &MachineModel, f: Intrinsic, n: usize) -> (Vm, Vec<f64>) {
     let mut vm = Vm::new(model.clone());
     let x: Vec<f64> = samples(0.1, 2.0, n);
     let mut y = vec![0.0f64; n];
@@ -125,10 +129,26 @@ pub fn mcalls_per_second(model: &MachineModel, f: Intrinsic, n: usize) -> f64 {
             vm.pow(&mut y, &x, &e);
         }
     }
-    // Functional spot check: results must be finite and consistent.
-    assert!(y.iter().all(|v| v.is_finite()));
-    let secs = vm.seconds();
-    n as f64 / secs / 1e6
+    (vm, y)
+}
+
+/// The same sweep on a pricing processor: every charge, no values.
+fn priced_sweep(model: &MachineModel, f: Intrinsic, n: usize) -> Vm {
+    let mut vm = Vm::pricing(model.clone());
+    vm.charge_intrinsic(f, n);
+    vm
+}
+
+/// Throughput of one intrinsic on `model`, in millions of calls per second
+/// (the unit of the paper's Table 3). The rate is priced; the functional
+/// spot check (every value finite) reads only constant inputs, so it runs
+/// once per process for each `(f, n)`.
+pub fn mcalls_per_second(model: &MachineModel, f: Intrinsic, n: usize) -> f64 {
+    SPOT_CHECKED.run((f, n), || {
+        let (_, y) = functional_sweep(model, f, n);
+        assert!(y.iter().all(|v| v.is_finite()), "{} produced a non-finite value", f.name());
+    });
+    n as f64 / priced_sweep(model, f, n).seconds() / 1e6
 }
 
 /// The Table 3 measurement: all five intrinsics on `model` at the
@@ -194,5 +214,38 @@ mod tests {
         let a = mcalls_per_second(&sx, Intrinsic::Exp, 100_000);
         let b = mcalls_per_second(&sp, Intrinsic::Exp, 100_000);
         assert!(a > 50.0 * b, "sx4 {a} vs sparc {b}");
+    }
+}
+
+#[cfg(test)]
+mod pricing_tests {
+    use super::*;
+    use sxsim::{presets, Cost};
+
+    /// The priced Table 3 rate is the rate of a functional run through the
+    /// facade, by bits: the same seconds, every ledger field and every op
+    /// statistic, for all five intrinsics on the benchmarked SX-4 and each
+    /// Table 1 machine, at a short sweep and the benchmark's length.
+    #[test]
+    fn priced_rate_matches_the_functional_sweep() {
+        let bits = |c: Cost| [c.cycles.to_bits(), c.flops, c.cray_flops.to_bits(), c.bytes];
+        let machines =
+            std::iter::once(presets::sx4_benchmarked()).chain(presets::table1_machines());
+        for model in machines {
+            for n in [10_000, 100_000] {
+                for f in Intrinsic::ALL {
+                    let at = format!("{} {} n={n}", model.name, f.name());
+                    let (functional, _) = functional_sweep(&model, f, n);
+                    let priced = priced_sweep(&model, f, n);
+                    assert_eq!(functional.seconds().to_bits(), priced.seconds().to_bits(), "{at}");
+                    assert_eq!(bits(functional.cost()), bits(priced.cost()), "{at}");
+                    assert_eq!(bits(functional.lifetime_cost()), bits(priced.lifetime_cost()));
+                    assert_eq!(functional.stats(), priced.stats(), "{at}");
+                    let want = n as f64 / functional.seconds() / 1e6;
+                    let rate = mcalls_per_second(&model, f, n);
+                    assert_eq!(rate.to_bits(), want.to_bits(), "{at}");
+                }
+            }
+        }
     }
 }

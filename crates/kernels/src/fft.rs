@@ -14,6 +14,7 @@
 //! loops at their natural (short) vector lengths, VFFT prices every
 //! butterfly at vector length M across instances.
 
+use crate::once::CheckOnce;
 use sxsim::{Access, Cost, MachineModel, VecOp, Vm, VopClass};
 
 /// A complex number; local so the workspace needs no numerics dependency.
@@ -366,17 +367,22 @@ pub struct FftPoint {
     pub cost: Cost,
 }
 
+/// The lengths whose round trip has passed.
+static ROUND_TRIPPED: CheckOnce<usize> = CheckOnce::new();
+
 /// The functional leg of a benchmark point: transform a deterministic real
 /// signal of length `n` forward and back, and panic unless it round-trips.
-/// The point's price does not depend on it, so a sweep checks each
-/// distinct `n` once.
+/// The point's price does not depend on it, and its input depends on `n`
+/// alone, so each length is checked once per process.
 pub fn verify_round_trip(n: usize) {
-    let signal: Vec<f64> =
-        (0..n).map(|i| (i as f64 * 0.37).sin() + 0.25 * (i as f64 * 1.13).cos()).collect();
-    let spec = rfft_spectrum(&signal);
-    let back = irfft(&spec, n);
-    let err = signal.iter().zip(&back).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
-    assert!(err < 1e-9, "FFT round-trip failed for n={n}: err={err}");
+    ROUND_TRIPPED.run(n, || {
+        let signal: Vec<f64> =
+            (0..n).map(|i| (i as f64 * 0.37).sin() + 0.25 * (i as f64 * 1.13).cos()).collect();
+        let spec = rfft_spectrum(&signal);
+        let back = irfft(&spec, n);
+        let err = signal.iter().zip(&back).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
+        assert!(err < 1e-9, "FFT round-trip failed for n={n}: err={err}");
+    });
 }
 
 /// The timing leg of a benchmark point: charge `model` for M instances of
@@ -397,9 +403,9 @@ pub fn price_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder) -
     FftPoint { n, m, mflops, cost }
 }
 
-/// Run one (N, M) point of RFFT or VFFT on `model`: functionally transform
-/// one instance (verifying it round-trips) and charge the machine for all M
-/// in the requested loop order.
+/// Run one (N, M) point of RFFT or VFFT on `model`: verify that length N
+/// round-trips ([`verify_round_trip`], once per process) and charge the
+/// machine for all M in the requested loop order.
 pub fn run_fft_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder) -> FftPoint {
     verify_round_trip(n);
     price_point(model, n, m, order)
@@ -493,6 +499,18 @@ mod tests {
             for (a, b) in signal.iter().zip(&back) {
                 assert!((a - b).abs() < 1e-9, "n={n}");
             }
+        }
+    }
+
+    #[test]
+    fn a_failing_length_fails_its_round_trip_on_every_call() {
+        // 112 = 7 * 16: no mixed-radix 2/3/5 transform exists, so the
+        // check panics, and being checked before must not let it pass.
+        for call in 1..=2 {
+            let err = std::panic::catch_unwind(|| verify_round_trip(112))
+                .expect_err("a length with a factor of 7 round-tripped");
+            let msg = err.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains("112"), "call {call}: panic does not name n: {msg:?}");
         }
     }
 

@@ -16,6 +16,7 @@
 pub mod elefunt;
 pub mod fft;
 pub mod membw;
+mod once;
 pub mod paranoia;
 pub mod radabs;
 

@@ -26,7 +26,7 @@ pub enum VopClass {
 
 /// Vectorizable intrinsic functions measured by ELEFUNT and dominating
 /// RADABS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Intrinsic {
     Exp,
     Log,
