@@ -9,7 +9,6 @@ cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
-cargo clippy --offline --workspace --all-targets --features sxcheck/audit,ncar-bench/audit -- -D warnings
 cargo clippy --offline --workspace --all-targets --features sxd/faults,ncar-bench/faults -- -D warnings
 cargo clippy --offline --workspace --all-targets --features ncar-suite/lockcheck,sxd/lockcheck -- -D warnings
 
@@ -17,7 +16,6 @@ echo "==> cargo test"
 # Serving is tested in-process and against the real `ncar-bench serve`
 # binary by the sxd and ncar-bench integration tests this stage runs.
 cargo test --offline --workspace -q
-cargo test --offline -q -p sxcheck -p ncar-bench --features sxcheck/audit,ncar-bench/audit
 
 echo "==> lock-order audit (lockcheck feature: registry round-trip + flooded daemon AND cluster graphs)"
 cargo test --offline -q -p ncar-suite -p sxd --features ncar-suite/lockcheck,sxd/lockcheck

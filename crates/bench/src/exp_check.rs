@@ -1,7 +1,7 @@
 //! `ncar-bench check` — run the `sxcheck` analyzer: seeded-pathology
 //! fixtures first (the checker's own self-test), then a traced run of the
-//! stock kernel suite, then (with the `audit` feature) the cost-ledger
-//! audit. All output is byte-identical across runs.
+//! stock kernel suite, then the cost-ledger audit. All output is
+//! byte-identical across runs.
 //!
 //! Three gating surfaces stack on the base run:
 //!
@@ -96,7 +96,10 @@ fn run_machines(keys: &[&'static str], baseline: &Baseline) -> (Vec<MachineRun>,
         let trace = vm.take_trace().expect("stock suite runs traced");
         let mut report = sxcheck::check_trace(&model, &trace);
         if keys.len() == 1 {
-            audit_findings = audit_extend(&vm, &trace, &ft, &mut report);
+            let before = report.len();
+            report.extend(sxcheck::audit::audit_vm(&vm, &trace));
+            report.extend(sxcheck::audit::audit_ftrace(&vm, &ft));
+            audit_findings = report.len() - before;
         }
         let rendered = report.render();
         let findings = report
@@ -107,29 +110,6 @@ fn run_machines(keys: &[&'static str], baseline: &Baseline) -> (Vec<MachineRun>,
         runs.push(MachineRun { machine: key, findings, rendered });
     }
     (runs, audit_findings)
-}
-
-#[cfg(feature = "audit")]
-fn audit_extend(
-    vm: &Vm,
-    trace: &sxsim::OpTrace,
-    ft: &Ftrace,
-    report: &mut sxcheck::Report,
-) -> usize {
-    let before = report.len();
-    report.extend(sxcheck::audit::audit_vm(vm, trace));
-    report.extend(sxcheck::audit::audit_ftrace(vm, ft));
-    report.len() - before
-}
-
-#[cfg(not(feature = "audit"))]
-fn audit_extend(
-    _vm: &Vm,
-    _trace: &sxsim::OpTrace,
-    _ft: &Ftrace,
-    _report: &mut sxcheck::Report,
-) -> usize {
-    0
 }
 
 /// Resolve and parse the suppression baseline for this invocation.
@@ -226,7 +206,7 @@ fn run_with(opts: &CheckOpts, fixtures: Vec<Fixture>, baseline: &Baseline) -> i3
         }
     }
     if !opts.matrix {
-        audit_note(audit_findings);
+        println!("\n==> ledger audit: {audit_findings} finding(s)");
     }
 
     if !self_test_ok {
@@ -253,16 +233,6 @@ fn run_with(opts: &CheckOpts, fixtures: Vec<Fixture>, baseline: &Baseline) -> i3
         );
     }
     exit
-}
-
-#[cfg(feature = "audit")]
-fn audit_note(findings: usize) {
-    println!("\n==> ledger audit (feature `audit`): {findings} finding(s)");
-}
-
-#[cfg(not(feature = "audit"))]
-fn audit_note(_findings: usize) {
-    println!("\n==> ledger audit skipped (rebuild with `--features audit`)");
 }
 
 fn diag_json(d: &Diagnostic, suppressed: Option<bool>) -> Json {
@@ -360,7 +330,6 @@ mod tests {
         }
     }
 
-    #[cfg(feature = "audit")]
     #[test]
     fn stock_suite_ledger_audits_clean() {
         let (mut vm, ft) = stock_suite();

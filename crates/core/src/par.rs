@@ -179,7 +179,6 @@ struct PoolShared {
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     handles: Vec<std::thread::JoinHandle<()>>,
-    threads: usize,
 }
 
 impl WorkerPool {
@@ -226,11 +225,7 @@ impl WorkerPool {
                 })
             })
             .collect();
-        WorkerPool { shared, handles, threads }
-    }
-
-    pub fn threads(&self) -> usize {
-        self.threads
+        WorkerPool { shared, handles }
     }
 
     /// Jobs accepted but not yet picked up by a worker.
@@ -319,7 +314,6 @@ mod tests {
     fn worker_pool_executes_queued_jobs_and_drains_on_drop() {
         let counter = Arc::new(AtomicUsize::new(0));
         let pool = WorkerPool::new(3);
-        assert_eq!(pool.threads(), 3);
         for _ in 0..50 {
             let c = Arc::clone(&counter);
             pool.submit(move || {

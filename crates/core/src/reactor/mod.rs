@@ -97,6 +97,9 @@ const MAX_FLUSH_VEC: usize = 64;
 const BUF_POOL_CAP: usize = 64;
 const BUF_POOL_MAX_CAPACITY: usize = 64 * 1024;
 
+/// Grace window for flushing in-flight replies at shutdown.
+const SHUTDOWN_FLUSH: Duration = Duration::from_secs(2);
+
 /// What a [`Service`] wants sent back for one frame.
 #[derive(Debug, Clone)]
 pub struct Reply {
@@ -163,8 +166,6 @@ pub struct ReactorConfig {
     /// job-handling concurrency the way the old model's thread count
     /// bounded connections — but it no longer bounds *connections*.
     pub dispatchers: usize,
-    /// Grace window for flushing in-flight replies at shutdown.
-    pub shutdown_flush: Duration,
     /// Frames that may be in flight (consumed but unanswered) per
     /// connection. 1 preserves the strict request/reply lockstep of the
     /// unpipelined reactor; higher values let a pipelining client keep
@@ -181,7 +182,6 @@ impl Default for ReactorConfig {
             max_frame: 64 * 1024,
             idle_timeout: Some(Duration::from_secs(300)),
             dispatchers: 8,
-            shutdown_flush: Duration::from_secs(2),
             pipeline_depth: 1,
             flush_batch: None,
         }
@@ -436,7 +436,7 @@ impl<S: Service> Reactor<S> {
             return;
         }
         self.winding_down = true;
-        self.flush_deadline = Some(Instant::now() + self.config.shutdown_flush);
+        self.flush_deadline = Some(Instant::now() + SHUTDOWN_FLUSH);
         if let Some(listener) = self.listener.take() {
             let _ = self.poller.deregister(poller::raw_fd(&listener));
         }

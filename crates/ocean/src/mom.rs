@@ -490,12 +490,6 @@ impl Mom {
         MomStepTiming { timing, seconds: timing.seconds(self.machine.clock_ns) }
     }
 
-    /// Global tracer inventory (sum of temperature over the grid) — exactly
-    /// conserved by flux-form advection when mixing/adjustment preserve it.
-    pub fn temp_inventory(&self) -> f64 {
-        self.temp.iter().flat_map(|l| l.iter()).sum()
-    }
-
     /// Run `steps` steps and report total simulated seconds.
     pub fn run(&mut self, steps: usize, procs: usize) -> f64 {
         (0..steps).map(|_| self.step(procs).seconds).sum()

@@ -14,31 +14,21 @@
 //!   `sxd` serving daemon) rather than a replayed batch;
 //! - [`iobench`] — the I/O, HIPPI and NETWORK benchmarks of §4.5;
 //! - [`mod@prodload`] — the PRODLOAD production-mix benchmark of §4.6
-//!   (paper headline: 93 minutes 28 seconds on the SX-4/32);
-//! - [`backstore`] — SXBackStore file-archiving management (§2.6.5);
-//! - [`mls`] — the Multilevel Security option (§2.6.6).
+//!   (paper headline: 93 minutes 28 seconds on the SX-4/32).
 
 pub mod accounting;
 pub mod admission;
-pub mod autoops;
-pub mod backstore;
 pub mod chan;
 pub mod iobench;
-pub mod mls;
 pub mod nqs;
 pub mod prodload;
-pub mod qcat;
 pub mod queues;
 pub mod sfs;
 
 pub use accounting::{account, qacct_table, utilization, JobAccount};
 pub use admission::Admission;
-pub use autoops::{Action, Console, SystemState};
-pub use backstore::BackStore;
 pub use chan::{Channel, DiskArray};
-pub use mls::{check_read, check_write, Decision, Label, Policy};
 pub use nqs::{JobSpec, Nqs, NqsError, ResourceBlock, Schedule};
 pub use prodload::{prodload, CcmRates, ProdloadResult};
-pub use qcat::{SpoolDir, Stream};
 pub use queues::{Queue, QueueComplex, QueueManager, SubmitError};
 pub use sfs::{Sfs, WriteBack};

@@ -1,4 +1,4 @@
-//! Cost-ledger auditing (feature `audit`).
+//! Cost-ledger auditing.
 //!
 //! The simulator's credibility rests on its accounting: every simulated
 //! second must be the sum of recorded charges, and every report (PROGINF,

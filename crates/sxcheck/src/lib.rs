@@ -18,9 +18,9 @@
 //!   (SXC302);
 //! - **[`baseline`]** — a suppression file (`sxcheck.baseline`) so CI can
 //!   deny *new* findings without first driving known ones to zero;
-//! - **`audit`** (feature `audit`) — a cost-ledger auditor that
-//!   cross-checks the trace sum, the PROGINF cycle partition and FTRACE
-//!   region totals against the lifetime ledger (SXC201–SXC204);
+//! - **[`audit`]** — a cost-ledger auditor that cross-checks the trace
+//!   sum, the PROGINF cycle partition and FTRACE region totals against the
+//!   lifetime ledger (SXC201–SXC204);
 //! - **[`fixtures`]** — seeded pathologies (a stride-128 copy, an unlocked
 //!   shared accumulator) that must be flagged, plus clean controls that
 //!   must not be.
@@ -46,15 +46,13 @@
 //! println!("{}", report.render());
 //! ```
 
+pub mod audit;
 pub mod baseline;
 pub mod fixtures;
 pub mod lockgraph;
 pub mod race;
 pub mod report;
 pub mod vlint;
-
-#[cfg(feature = "audit")]
-pub mod audit;
 
 pub use baseline::Baseline;
 pub use race::RaceChecker;

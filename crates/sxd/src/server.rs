@@ -478,7 +478,6 @@ impl Server {
                 dispatchers: (self.daemon.workers * 2).max(8),
                 pipeline_depth: self.daemon.pipeline_depth,
                 flush_batch: Some(Arc::clone(&self.daemon.metrics.flush_batch)),
-                ..ReactorConfig::default()
             },
         )
         .map_err(SxdError::io)?;

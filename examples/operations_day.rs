@@ -1,15 +1,14 @@
 //! A day in the SX-4 machine room: submit a batch mix through NQS with
-//! Resource Blocks, checkpoint a long run mid-flight, let SXBackStore
-//! migrate cold history tapes, and watch the MLS policy gate who can read
-//! what — the SUPER-UX feature list of paper §2.6 as one program.
+//! Resource Blocks, then checkpoint a long run mid-flight, write the
+//! record through SFS and restart from it — the SUPER-UX scheduling and
+//! checkpoint features of paper §2.6 as one program.
 //!
 //! Run with: `cargo run --release --example operations_day`
 
 use ncar_sx4::climate::history::{checkpoint, read_checkpoint, restore};
 use ncar_sx4::climate::{Ccm2Config, Ccm2Proxy, Resolution};
-use ncar_sx4::os::mls::{check_read, Decision, Policy};
 use ncar_sx4::os::nqs::{JobSpec, Nqs, ResourceBlock};
-use ncar_sx4::os::{BackStore, Sfs};
+use ncar_sx4::os::Sfs;
 use ncar_sx4::sim::{presets, Node};
 
 fn main() {
@@ -84,33 +83,8 @@ fn main() {
     model.step(16);
     resumed.step(16);
     println!(
-        "restart check: mean phi original {:.10} == resumed {:.10}\n",
+        "restart check: mean phi original {:.10} == resumed {:.10}",
         model.mean_phi(0),
         resumed.mean_phi(0)
     );
-
-    // --- afternoon: SXBackStore migrates last season's history tapes -----
-    let per_day = model.history_bytes_per_day();
-    let mut store = BackStore::new(per_day * 30, 14.0 * 86400.0);
-    for day in 0..90u64 {
-        let now = day as f64 * 86400.0;
-        store.track(format!("h{day:03}"), per_day, now);
-        store.sweep(now);
-    }
-    println!(
-        "SXBackStore after 90 days of history: {:.1} GB online (cap {:.1} GB), old tapes on mass storage",
-        store.online_bytes() as f64 / 1e9,
-        (per_day * 30) as f64 / 1e9
-    );
-    let recall = store.access("h000", 91.0 * 86400.0).unwrap();
-    println!("  recalling day-0 tape stalls the reader {:.1} s over HIPPI\n", recall.stall_s);
-
-    // --- evening: the MLS audit ------------------------------------------
-    let policy = Policy::site_default();
-    let operator = policy.label("classified", &["climate"]).unwrap();
-    let visitor = policy.label("public", &[]).unwrap();
-    let tape = policy.label("restricted", &["climate"]).unwrap();
-    println!("MLS: operator reads restricted/climate tape: {:?}", check_read(&operator, &tape));
-    println!("MLS: visitor  reads restricted/climate tape: {:?}", check_read(&visitor, &tape));
-    assert_eq!(check_read(&visitor, &tape), Decision::Deny);
 }

@@ -1,13 +1,11 @@
 //! Operating-software scenarios spanning crates: checkpoint/restart
-//! through SFS, archiving under capacity pressure, Resource Block
-//! partitioning, and MLS gating — the SUPER-UX features of paper §2.6
-//! working together on real model state.
+//! through SFS and Resource Block partitioning — the SUPER-UX features of
+//! paper §2.6 working together on real model state.
 
 use ncar_sx4::climate::history::{checkpoint, read_checkpoint, restore};
 use ncar_sx4::climate::{Ccm2Config, Ccm2Proxy, Resolution};
-use ncar_sx4::os::mls::{check_read, Decision, Policy};
 use ncar_sx4::os::nqs::{checkpoint_split, JobSpec, Nqs, ResourceBlock};
-use ncar_sx4::os::{BackStore, Sfs};
+use ncar_sx4::os::Sfs;
 use ncar_sx4::sim::{presets, Node};
 
 /// §2.6.2: checkpoint a running CCM2, push the record through SFS, restart
@@ -55,28 +53,6 @@ fn checkpoint_restart_through_sfs() {
     assert_eq!(original.energy(3), resumed.energy(3));
 }
 
-/// §2.6.5: a year of daily history tapes overflows the online disk; the
-/// archiver migrates cold tapes to mass storage and recalls stall readers.
-#[test]
-fn history_year_drives_archiver() {
-    let model = Ccm2Proxy::new(Ccm2Config::benchmark(Resolution::T63), presets::sx4_benchmarked());
-    let per_day = model.history_bytes_per_day();
-    // Online capacity holds only ~2 months of T63 history.
-    let mut store = BackStore::new(per_day * 60, 30.0 * 86400.0);
-    let mut migrated_total = 0;
-    for day in 0..365u64 {
-        let now = day as f64 * 86400.0;
-        store.track(format!("h{day:03}"), per_day, now);
-        let (migrated, _) = store.sweep(now);
-        migrated_total += migrated;
-    }
-    assert!(migrated_total > 250, "most of the year must migrate: {migrated_total}");
-    assert!(store.online_bytes() <= per_day * 61);
-    // Reading back an old tape stalls for the HIPPI recall.
-    let recall = store.access("h000", 366.0 * 86400.0).unwrap();
-    assert!(recall.stall_s > 0.3, "recall of {per_day} bytes: {}", recall.stall_s);
-}
-
 /// §2.6.4: an interactive Resource Block keeps short work responsive while
 /// the batch block grinds a long job.
 #[test]
@@ -118,17 +94,4 @@ fn resource_blocks_protect_interactive_work() {
     for r in &s.records[1..] {
         assert!(r.end_s < 60.0, "interactive job delayed to {}", r.end_s);
     }
-}
-
-/// §2.6.6: classified model output is invisible to uncleared users even
-/// though both share the machine.
-#[test]
-fn mls_gates_history_files() {
-    let policy = Policy::site_default();
-    let operator = policy.label("classified", &["climate"]).unwrap();
-    let student = policy.label("public", &[]).unwrap();
-    let tape_label = policy.label("restricted", &["climate"]).unwrap();
-
-    assert_eq!(check_read(&operator, &tape_label), Decision::Grant);
-    assert_eq!(check_read(&student, &tape_label), Decision::Deny);
 }
