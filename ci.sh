@@ -23,7 +23,7 @@ cargo test --offline -q -p ncar-suite -p sxd --features ncar-suite/lockcheck,sxd
 echo "==> crash-recovery fault matrix (SXD_FAULTPOINT, kill-and-restart at every point)"
 cargo test --offline -q -p ncar-bench --features faults --test crash_recovery
 
-echo "==> perf smoke (release harness, schema validation, batched-vs-loop equivalence)"
+echo "==> release equivalence (batched-vs-loop and priced-vs-functional, under --release)"
 # The equivalence tests — batched charges against the loop of single
 # charges, and priced steps against functional ones (their ledgers and
 # per-chunk charge traces) — must also hold under release-mode float
@@ -32,13 +32,6 @@ cargo test --offline -q -p sxsim --release --test batch_props
 cargo test --offline -q -p ccm-proxy --release pricing_tests
 cargo test --offline -q -p ocean-models --release pricing_tests
 cargo test --offline -q -p ncar-kernels --release pricing_tests
-cargo build --offline -q --release -p ncar-bench
-perf_json="$(mktemp)"
-target/release/ncar-bench perf --smoke --out "$perf_json" >/dev/null
-target/release/ncar-bench perf --validate "$perf_json"
-rm -f "$perf_json"
-# The committed baseline must stay schema-valid too.
-target/release/ncar-bench perf --validate BENCH_7.json
 
 echo "==> servebench tests (the serving benchmark's gates build and pass against this tree)"
 # servebench is a package outside the workspace that calls sxd, ccm-proxy

@@ -14,7 +14,6 @@ mod exp_check;
 mod exp_extra;
 mod exp_kernels;
 mod exp_system;
-mod perf;
 mod serve;
 
 use ncar_suite::Artifact;
@@ -69,7 +68,6 @@ fn main() {
             "drain" => Some(serve::cmd_drain(rest)),
             "flood" => Some(serve::cmd_flood(rest, &exps)),
             "raw" => Some(serve::cmd_raw(rest)),
-            "perf" => Some(perf::cmd_perf(rest)),
             _ => None,
         };
         if let Some(code) = code {
@@ -94,23 +92,44 @@ fn main() {
         args.drain(pos..pos + 2);
     }
 
-    // Every other flag must be one the batch run reads, so a misspelt
-    // flag fails instead of being ignored.
-    let known: &[&str] = if args.iter().any(|a| a == "check") {
-        &["--json", "--deny-warnings", "--matrix", "--baseline"]
-    } else {
-        &["--json"]
-    };
+    // The word after `--baseline` is a path; every other word must name
+    // something to run.
+    let baseline_at = args.iter().position(|a| a == "--baseline");
+    let names: Vec<&str> = args
+        .iter()
+        .enumerate()
+        .filter(|&(i, a)| !a.starts_with("--") && baseline_at.is_none_or(|b| i != b + 1))
+        .map(|(_, a)| a.as_str())
+        .collect();
+    let check = names.contains(&"check");
+
+    // Every flag and word must be one the batch run reads, so a misspelt
+    // one fails before anything runs instead of being ignored.
+    let known: &[&str] =
+        if check { &["--json", "--deny-warnings", "--matrix", "--baseline"] } else { &["--json"] };
     if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
         eprintln!("unknown flag {flag}");
         std::process::exit(2);
     }
+    let runnable = |n: &str| {
+        if check {
+            n == "check"
+        } else {
+            n == "all" || n == "list" || exps.iter().any(|(name, _, _)| *name == n)
+        }
+    };
+    if let Some(bad) = names.iter().find(|n| !runnable(n)) {
+        if check {
+            eprintln!("check runs on its own, not with {bad}");
+        } else {
+            eprintln!("unknown experiment {bad}; try `ncar-bench list`");
+        }
+        std::process::exit(2);
+    }
 
     let json = args.iter().any(|a| a == "--json");
-    let names: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-
-    if names.iter().any(|n| n.as_str() == "check") {
-        let baseline_path = args.iter().position(|a| a == "--baseline").map(|pos| {
+    if check {
+        let baseline_path = baseline_at.map(|pos| {
             if pos + 1 >= args.len() {
                 eprintln!("--baseline needs a file path");
                 std::process::exit(2);
@@ -126,7 +145,7 @@ fn main() {
         std::process::exit(exp_check::run(&opts));
     }
 
-    if names.is_empty() || names.iter().any(|n| n.as_str() == "list") {
+    if names.is_empty() || names.contains(&"list") {
         eprintln!("usage: ncar-bench [--json] [--jobs N] <experiment>... | all | list\n");
         eprintln!(
             "       ncar-bench check [--deny-warnings] [--json] [--matrix] [--baseline FILE]"
@@ -147,7 +166,6 @@ fn main() {
             "       ncar-bench flood [--addr A] [--clients N] [--jobs M] [--suite s]... \
              [--pipeline K] [--cluster N]"
         );
-        eprintln!("       ncar-bench perf [--smoke] [--out FILE] [--runs K] [--validate FILE]");
         eprintln!("experiments:");
         for (name, desc, _) in &exps {
             eprintln!("  {name:<12} {desc}");
@@ -155,10 +173,9 @@ fn main() {
         std::process::exit(if names.is_empty() { 2 } else { 0 });
     }
 
-    let run_all = names.iter().any(|n| n.as_str() == "all");
-    let mut ran = 0;
+    let run_all = names.contains(&"all");
     for (name, _desc, runner) in &exps {
-        if run_all || names.iter().any(|n| n.as_str() == *name) {
+        if run_all || names.contains(name) {
             if !json {
                 println!("==> {name}");
             }
@@ -169,11 +186,6 @@ fn main() {
                     println!("{}", artifact.render());
                 }
             }
-            ran += 1;
         }
-    }
-    if ran == 0 {
-        eprintln!("no such experiment; try `ncar-bench list`");
-        std::process::exit(2);
     }
 }

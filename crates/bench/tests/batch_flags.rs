@@ -1,6 +1,6 @@
-//! The batch experiment runner rejects flags it does not read, like the
-//! serving subcommands do: a misspelt `--json` must not print the text
-//! rendering and exit 0.
+//! The batch experiment runner rejects flags it does not read and words
+//! that name nothing to run, like the serving subcommands do: a misspelt
+//! `--json` or experiment must not print the rest and exit 0.
 
 use std::process::{Command, Output};
 
@@ -25,9 +25,29 @@ fn check_flags_are_only_read_by_check() {
 }
 
 #[test]
+fn a_word_that_names_nothing_to_run_exits_2_without_running() {
+    for (args, word) in [
+        (&["--json", "table2", "tabel4"][..], "tabel4"),
+        (&["check", "table2"], "table2"),
+        (&["perf"], "perf"),
+    ] {
+        let out = ncar_bench(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(word), "{args:?} must name {word}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran anyway");
+    }
+}
+
+#[test]
 fn the_batch_flags_still_run() {
     let out = ncar_bench(&["--jobs", "1", "--json", "table2"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout.starts_with('{') && stdout.contains("Table 2"), "{stdout}");
+
+    // `--baseline`'s path is not an experiment name.
+    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../sxcheck.baseline");
+    let out = ncar_bench(&["check", "--json", "--baseline", baseline]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }

@@ -128,8 +128,8 @@ pub struct Ccm2Proxy {
     /// Steps taken.
     pub steps: usize,
     /// Lifetime op statistics absorbed from every internal `Vm` (the
-    /// model creates one per simulated processor per phase); feeds the
-    /// perf harness and PROGINF-style reporting.
+    /// model creates one per simulated processor per phase); the pricing
+    /// tests compare it, and servebench counts a step's vector ops with it.
     op_stats: OpStats,
     /// Whether steps compute the fields (false for a pricing model, see
     /// [`Ccm2Proxy::pricing`]).

@@ -112,8 +112,11 @@ mod pricing_tests {
         assert_timing_bits(&ft, &pt, &format!("{ctx} on 2 nodes"));
         assert_eq!(functional.op_stats(), pricing.op_stats(), "{ctx}: op stats");
 
-        // The public entry points are the pricing model's steps.
-        assert_timing_bits(&steady_step(&config, &machine, procs), &first, &ctx);
+        // The public entry points are the pricing model's steps, the same
+        // bits on every call.
+        let entry = steady_step(&config, &machine, procs);
+        assert_timing_bits(&entry, &first, &ctx);
+        assert_timing_bits(&steady_step(&config, &machine, procs), &entry, &ctx);
         let (_, entry_trace) = steady_step_traced(&config, &machine, procs);
         assert_ftrace_bits(&entry_trace, &f_trace, &ctx);
         assert_timing_bits(&steady_step_multinode(&config, &machine, 2, procs), &ft, &ctx);

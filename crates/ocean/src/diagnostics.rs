@@ -52,14 +52,6 @@ pub fn compute(m: &Mom) -> Diagnostics {
     Diagnostics { mean_temp, mean_salt, kinetic_energy: ke, overturning, max_overturning: max_abs }
 }
 
-/// Render the snapshot the way a Fortran ocean model prints it.
-pub fn format_report(step: usize, d: &Diagnostics) -> String {
-    format!(
-        " step {step:>6}  Tbar = {:>9.5} C  Sbar = {:>8.5}  KE = {:>12.5e}  max|psi_m| = {:>10.4}",
-        d.mean_temp, d.mean_salt, d.kinetic_energy, d.max_overturning
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,14 +97,5 @@ mod tests {
         }
         let after = compute(&m).mean_temp;
         assert!((after - before).abs() < 0.2, "{before} -> {after}");
-    }
-
-    #[test]
-    fn report_renders() {
-        let mut m = model();
-        m.step(1);
-        let text = format_report(1, &compute(&m));
-        assert!(text.contains("Tbar"));
-        assert!(text.contains("max|psi_m|"));
     }
 }

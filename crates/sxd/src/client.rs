@@ -338,7 +338,7 @@ pub struct FloodOutcome {
     /// Wall seconds from the submit barrier dropping to the last client
     /// finishing (connect time excluded).
     pub wall: f64,
-    /// `completed / wall` — the number BENCH_7's `sxd_flood` reports.
+    /// `completed / wall`, the rate `ncar-bench flood` prints.
     pub jobs_per_sec: f64,
     /// Empty when every acceptance criterion held.
     pub problems: Vec<String>,

@@ -77,17 +77,6 @@ impl Cost {
             self.bytes as f64 / s / 1e6
         }
     }
-
-    /// Average bytes per cycle demanded from the memory system — used by the
-    /// node model to detect bandwidth oversubscription between co-scheduled
-    /// jobs.
-    pub fn bytes_per_cycle(&self) -> f64 {
-        if self.cycles == 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.cycles
-        }
-    }
 }
 
 impl std::ops::Add for Cost {
@@ -165,6 +154,5 @@ mod tests {
         // 128 bytes/cycle at 8ns => 16 GB/s => 16000 MB/s.
         let c = Cost { cycles: 1e6, flops: 0, cray_flops: 0.0, bytes: 128_000_000 };
         assert!((c.mb_per_s(8.0) - 16_000.0).abs() < 1e-6);
-        assert!((c.bytes_per_cycle() - 128.0).abs() < 1e-12);
     }
 }

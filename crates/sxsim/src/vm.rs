@@ -534,22 +534,6 @@ impl Vm {
         ));
     }
 
-    /// In-place `dst += b`.
-    pub fn add_in_place(&mut self, dst: &mut [f64], b: &[f64]) {
-        assert_eq!(dst.len(), b.len());
-        if self.computes {
-            for (d, &y) in dst.iter_mut().zip(b) {
-                *d += y;
-            }
-        }
-        self.charge_vector_op(&VecOp::new(
-            dst.len(),
-            VopClass::Add,
-            &[Access::Stride(1), Access::Stride(1)],
-            &[Access::Stride(1)],
-        ));
-    }
-
     /// In-place `dst *= b`.
     pub fn mul_in_place(&mut self, dst: &mut [f64], b: &[f64]) {
         assert_eq!(dst.len(), b.len());
