@@ -8,9 +8,11 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy -D warnings"
+# Two passes: the default features (the `cfg(not(feature))` arms), then
+# every feature together.
 cargo clippy --offline --workspace --all-targets -- -D warnings
-cargo clippy --offline --workspace --all-targets --features sxd/faults,ncar-bench/faults -- -D warnings
-cargo clippy --offline --workspace --all-targets --features ncar-suite/lockcheck,sxd/lockcheck -- -D warnings
+cargo clippy --offline --workspace --all-targets \
+  --features sxd/faults,ncar-bench/faults,ncar-suite/lockcheck,sxd/lockcheck -- -D warnings
 
 echo "==> cargo test"
 # Serving is tested in-process and against the real `ncar-bench serve`

@@ -6,6 +6,7 @@
 //! ncar-bench [--json] [--jobs N] <experiment>...
 //! ncar-bench all            # every experiment (a few seconds)
 //! ncar-bench list           # list experiment names
+//! ncar-bench check [--json] # sxcheck diagnoses of the stock suite
 //! ncar-bench serve …        # daemon mode: serve suites over TCP (sxd)
 //! ```
 
@@ -92,22 +93,13 @@ fn main() {
         args.drain(pos..pos + 2);
     }
 
-    // The word after `--baseline` is a path; every other word must name
-    // something to run.
-    let baseline_at = args.iter().position(|a| a == "--baseline");
-    let names: Vec<&str> = args
-        .iter()
-        .enumerate()
-        .filter(|&(i, a)| !a.starts_with("--") && baseline_at.is_none_or(|b| i != b + 1))
-        .map(|(_, a)| a.as_str())
-        .collect();
+    let names: Vec<&str> =
+        args.iter().filter(|a| !a.starts_with("--")).map(String::as_str).collect();
     let check = names.contains(&"check");
 
     // Every flag and word must be one the batch run reads, so a misspelt
     // one fails before anything runs instead of being ignored.
-    let known: &[&str] =
-        if check { &["--json", "--deny-warnings", "--matrix", "--baseline"] } else { &["--json"] };
-    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && !known.contains(&a.as_str())) {
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--") && *a != "--json") {
         eprintln!("unknown flag {flag}");
         std::process::exit(2);
     }
@@ -129,31 +121,15 @@ fn main() {
 
     let json = args.iter().any(|a| a == "--json");
     if check {
-        let baseline_path = baseline_at.map(|pos| {
-            if pos + 1 >= args.len() {
-                eprintln!("--baseline needs a file path");
-                std::process::exit(2);
-            }
-            args[pos + 1].clone()
-        });
-        let opts = exp_check::CheckOpts {
-            deny_warnings: args.iter().any(|a| a == "--deny-warnings"),
-            json,
-            matrix: args.iter().any(|a| a == "--matrix"),
-            baseline_path,
-        };
-        std::process::exit(exp_check::run(&opts));
+        std::process::exit(exp_check::run(json));
     }
 
     if names.is_empty() || names.contains(&"list") {
         eprintln!("usage: ncar-bench [--json] [--jobs N] <experiment>... | all | list\n");
+        eprintln!("       ncar-bench check [--json]");
         eprintln!(
-            "       ncar-bench check [--deny-warnings] [--json] [--matrix] [--baseline FILE]"
-        );
-        eprintln!(
-            "       ncar-bench serve [--addr A] [--workers N] [--cache-cap N] \
-             [--admit-timeout SECS] [--state-dir DIR] [--idle-timeout SECS] \
-             [--pipeline-depth K] [--cluster N]"
+            "       ncar-bench serve [--addr A] [--cache-cap N] [--admit-timeout SECS] \
+             [--state-dir DIR] [--idle-timeout SECS] [--pipeline-depth K] [--cluster N]"
         );
         eprintln!(
             "       ncar-bench submit <suite> [--addr A] [--machine M] [--param k=v]... \

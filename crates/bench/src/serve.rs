@@ -139,15 +139,16 @@ fn fail(detail: &str) -> i32 {
     1
 }
 
-/// `ncar-bench serve [--addr A] [--workers N] [--cache-cap N]
-/// [--admit-timeout SECS] [--state-dir DIR] [--idle-timeout SECS]
-/// [--pipeline-depth K] [--cluster N]`
+/// `ncar-bench serve [--addr A] [--cache-cap N] [--admit-timeout SECS]
+/// [--state-dir DIR] [--idle-timeout SECS] [--pipeline-depth K]
+/// [--cluster N]`
 ///
 /// `--idle-timeout SECS` bounds how long a silent connection may hold a
 /// socket before the reactor closes it (counted under `conns.idle_closed`
 /// in STATS); `0` disables the bound. The reactor thread classifies every
 /// frame once, answering cache hits, STATS and typed errors inline; a
-/// dispatcher pool sized from the worker count finishes the rest.
+/// pool of 8 dispatchers finishes the rest, running simulations on 4
+/// workers.
 ///
 /// `--pipeline-depth K` lets each connection keep up to K decoded frames
 /// in flight at once (default 1, strictly serial); replies always come
@@ -162,7 +163,6 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
         args,
         &[
             "addr",
-            "workers",
             "cache-cap",
             "admit-timeout",
             "state-dir",
@@ -175,10 +175,6 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
         Err(e) => return fail(&e),
     };
     let mut config = ServerConfig { addr: args.addr(), ..ServerConfig::default() };
-    config.workers = match args.get_usize("workers", config.workers) {
-        Ok(n) => n,
-        Err(e) => return fail(&e),
-    };
     config.cache_cap = match args.get_usize("cache-cap", config.cache_cap) {
         Ok(n) => n,
         Err(e) => return fail(&e),

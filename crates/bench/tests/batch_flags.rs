@@ -10,18 +10,23 @@ fn ncar_bench(args: &[&str]) -> Output {
 
 #[test]
 fn a_misspelt_flag_exits_2_without_running() {
-    let out = ncar_bench(&["--jsn", "table4"]);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "{stderr}");
-    assert_eq!(stderr.trim(), "unknown flag --jsn");
-    assert!(out.stdout.is_empty(), "ran anyway: {:?}", String::from_utf8_lossy(&out.stdout));
-}
-
-#[test]
-fn check_flags_are_only_read_by_check() {
-    let out = ncar_bench(&["--matrix", "table2"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert_eq!(String::from_utf8_lossy(&out.stderr).trim(), "unknown flag --matrix");
+    for (args, flag) in [
+        (&["--jsn", "table4"][..], "--jsn"),
+        // `check` reads `--json` and no other flag.
+        (&["check", "--matrix"], "--matrix"),
+        (&["check", "--deny-warnings"], "--deny-warnings"),
+        (&["check", "--baseline", "sxcheck.baseline"], "--baseline"),
+    ] {
+        let out = ncar_bench(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert_eq!(stderr.trim(), format!("unknown flag {flag}"), "{args:?}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran anyway: {:?}",
+            String::from_utf8_lossy(&out.stdout)
+        );
+    }
 }
 
 #[test]
@@ -45,9 +50,4 @@ fn the_batch_flags_still_run() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     assert!(stdout.starts_with('{') && stdout.contains("Table 2"), "{stdout}");
-
-    // `--baseline`'s path is not an experiment name.
-    let baseline = concat!(env!("CARGO_MANIFEST_DIR"), "/../../sxcheck.baseline");
-    let out = ncar_bench(&["check", "--json", "--baseline", baseline]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }

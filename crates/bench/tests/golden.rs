@@ -8,10 +8,11 @@
 //! into it (`ncar-bench --json table5 > tests/golden/table5.json`) and list
 //! the changed files in CHANGES.md.
 //!
-//! `check.json` and `check_matrix.json` pin the `sxcheck` diagnostics the
-//! same way (`ncar-bench check --json` and `check --matrix --json`, run
-//! from the repository root, where the matrix reads `sxcheck.baseline`).
-//! `served/` holds full daemon replies; the `serve` module's tests own it.
+//! `check.json` pins the `sxcheck` diagnostics the same way (`ncar-bench
+//! check --json`: the fixtures, and every preset's lints and ledger
+//! audit), so a new finding, a lost finding or an unsatisfied fixture
+//! fails here. `served/` holds full daemon replies; the `serve` module's
+//! tests own it.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -25,11 +26,6 @@ fn golden_dir() -> PathBuf {
 fn bench() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ncar-bench"))
 }
-
-/// The `ncar-bench check` invocations pinned beside the experiments:
-/// (golden file, arguments).
-const CHECKS: [(&str, &[&str]); 2] =
-    [("check.json", &["check", "--json"]), ("check_matrix.json", &["check", "--matrix", "--json"])];
 
 /// The experiment names `ncar-bench list` prints (to stderr, after the
 /// `experiments:` line).
@@ -104,10 +100,10 @@ fn every_experiment_matches_its_golden_file() {
         .collect();
     files.sort();
     let mut expected: Vec<String> = names.iter().map(|n| format!("{n}.json")).collect();
-    expected.extend(CHECKS.iter().map(|(file, _)| file.to_string()));
+    expected.push("check.json".into());
     expected.push("served".into());
     expected.sort();
-    assert_eq!(files, expected, "one golden file per experiment and check report, no strays");
+    assert_eq!(files, expected, "one golden file per experiment and the check report, no strays");
 
     let failures: Vec<String> = ncar_suite::par_map(names, |name| {
         let want = std::fs::read_to_string(golden_dir().join(format!("{name}.json")))
@@ -131,17 +127,12 @@ fn every_experiment_matches_its_golden_file() {
 
 #[test]
 fn check_reports_match_their_golden_files() {
-    for (file, args) in CHECKS {
-        let want = std::fs::read_to_string(golden_dir().join(file)).expect("golden file readable");
-        let out = bench()
-            .args(args)
-            .current_dir(golden_dir().join("../.."))
-            .output()
-            .expect("run ncar-bench check");
-        assert!(out.status.success(), "{file}: exited with {}", out.status);
-        let got = String::from_utf8(out.stdout).expect("utf-8 report");
-        assert!(got == want, "{file} moved:\nwant {want}\ngot  {got}");
-    }
+    let want =
+        std::fs::read_to_string(golden_dir().join("check.json")).expect("golden file readable");
+    let out = bench().args(["check", "--json"]).output().expect("run ncar-bench check");
+    assert!(out.status.success(), "check.json: exited with {}", out.status);
+    let got = String::from_utf8(out.stdout).expect("utf-8 report");
+    assert!(got == want, "check.json moved:\nwant {want}\ngot  {got}");
 }
 
 #[test]

@@ -21,27 +21,29 @@ fn stats_rejects_an_unknown_flag_before_connecting() {
 
 #[test]
 fn serve_rejects_an_unknown_flag_instead_of_starting() {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_ncar-bench"))
-        .args(["serve", "--addr", "127.0.0.1:0", "--dispatchers", "4"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn ncar-bench serve");
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let status = loop {
-        if let Some(status) = child.try_wait().expect("poll serve") {
-            break status;
-        }
-        if Instant::now() > deadline {
-            let _ = child.kill();
-            let _ = child.wait();
-            panic!("serve --dispatchers 4 started a daemon");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    let out = child.wait_with_output().expect("collect serve output");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(!status.success());
-    assert!(stderr.contains("unknown flag --dispatchers"), "{stderr}");
-    assert!(out.stdout.is_empty(), "serve printed {:?}", String::from_utf8_lossy(&out.stdout));
+    for flag in ["--dispatchers", "--workers"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_ncar-bench"))
+            .args(["serve", "--addr", "127.0.0.1:0", flag, "4"])
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("spawn ncar-bench serve");
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll serve") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("serve {flag} 4 started a daemon");
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        let out = child.wait_with_output().expect("collect serve output");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!status.success());
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+        assert!(out.stdout.is_empty(), "serve printed {:?}", String::from_utf8_lossy(&out.stdout));
+    }
 }

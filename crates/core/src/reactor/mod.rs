@@ -154,6 +154,13 @@ pub trait Service: Send + Sync + 'static {
     fn decode_error_reply(&self, err: &DecodeError) -> String;
 }
 
+/// Dispatcher threads running [`Service::handle`]. This bounds
+/// job-handling concurrency, not connections. Eight is enough that a
+/// daemon's herd followers parking in its single-flight table never starve
+/// their leader, which always occupies a dispatcher of its own; a router's
+/// dispatchers only hold blocking forward I/O.
+const DISPATCHERS: usize = 8;
+
 /// Reactor tuning. `Default` matches the daemon's protocol limits.
 #[derive(Debug, Clone)]
 pub struct ReactorConfig {
@@ -162,10 +169,6 @@ pub struct ReactorConfig {
     /// Close connections idle longer than this; `None` disables the
     /// timeout wheel entirely.
     pub idle_timeout: Option<Duration>,
-    /// Dispatcher threads running [`Service::handle`]. This bounds
-    /// job-handling concurrency the way the old model's thread count
-    /// bounded connections — but it no longer bounds *connections*.
-    pub dispatchers: usize,
     /// Frames that may be in flight (consumed but unanswered) per
     /// connection. 1 preserves the strict request/reply lockstep of the
     /// unpipelined reactor; higher values let a pipelining client keep
@@ -181,7 +184,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             max_frame: 64 * 1024,
             idle_timeout: Some(Duration::from_secs(300)),
-            dispatchers: 8,
             pipeline_depth: 1,
             flush_batch: None,
         }
@@ -367,7 +369,7 @@ impl<S: Service> Reactor<S> {
     /// dispatched frame has either flushed its reply or overstayed the
     /// flush grace window.
     pub fn run(mut self) -> io::Result<()> {
-        let pool = WorkerPool::new(self.config.dispatchers.max(1));
+        let pool = WorkerPool::new(DISPATCHERS);
         let mut events: Vec<Event> = Vec::new();
         loop {
             while let Ok(done) = self.rx.try_recv() {
@@ -1139,10 +1141,8 @@ mod tests {
     fn shuffled_dispatcher_completions_release_replies_in_request_order() {
         let mut rng = SmallRng::seed_from_u64(0x5049_5045); // "PIPE"
         for trial in 0..4 {
-            let r = start_with(
-                Jitter,
-                ReactorConfig { pipeline_depth: 8, dispatchers: 8, ..ReactorConfig::default() },
-            );
+            let r =
+                start_with(Jitter, ReactorConfig { pipeline_depth: 8, ..ReactorConfig::default() });
             let sock = TcpStream::connect(r.addr).unwrap();
             sock.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
             let mut reader = io::BufReader::new(sock.try_clone().unwrap());

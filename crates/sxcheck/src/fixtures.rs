@@ -6,12 +6,10 @@
 //! CLI's `check` subcommand fails loudly if they come back clean — and the
 //! clean ones prove it stays quiet on healthy code.
 
-use crate::race::RaceChecker;
 use crate::report::Report;
 use crate::vlint::VectorLinter;
 use ncar_suite::par::lockreg::LockObservations;
-use sxsim::commreg::{access_cost, CommRegisters};
-use sxsim::{presets, Ftrace, SpinLock, Vm};
+use sxsim::{presets, Ftrace, Vm};
 
 /// One fixture: a named scenario, its report, and whether the scenario is
 /// a seeded pathology (so its findings are expected).
@@ -38,8 +36,6 @@ impl Fixture {
 pub fn run_all() -> Vec<Fixture> {
     vec![
         stride128_copy(),
-        unlocked_accumulator(),
-        locked_accumulator(),
         clean_copy(),
         bank_pressure(),
         reload_reduction(),
@@ -76,47 +72,6 @@ pub fn stride128_copy() -> Fixture {
     // The single bad stride also drags the region's aggregate strided
     // efficiency below the SXC006 pressure bar.
     Fixture { name: "stride128-copy", expect: &["SXC004", "SXC006"], report: lint_vm(&mut vm) }
-}
-
-/// Four processors bump a shared accumulator with no lock and no barrier:
-/// every pair of increments is an unordered write/write conflict.
-pub fn unlocked_accumulator() -> Fixture {
-    let mut rc = RaceChecker::new();
-    for proc in 0..4 {
-        rc.read(proc, "acc", 0..1);
-        rc.write(proc, "acc", 0..1);
-    }
-    let mut report = Report::new();
-    report.extend(rc.diagnostics());
-    Fixture { name: "unlocked-accumulator", expect: &["SXC101"], report }
-}
-
-/// The same accumulator guarded by a real communications-register
-/// SpinLock: each processor acquires, updates, releases — and charges the
-/// register accesses to its ledger, as a real SX-4 task would.
-pub fn locked_accumulator() -> Fixture {
-    let mut vm = Vm::new(presets::sx4_benchmarked());
-    let mut regs = CommRegisters::new(4);
-    let mut rc = RaceChecker::new();
-    // The lock lives in OS-set register 0: set index `procs` == 4.
-    let lock_id = (4usize, 0usize);
-    let mut acc = 0.0f64;
-    for proc in 0..4 {
-        let mut lock = SpinLock::new(&mut regs.os_set, 0);
-        assert!(lock.try_lock(), "uncontended acquire");
-        vm.charge(access_cost());
-        rc.lock(proc, lock_id);
-        rc.read(proc, "acc", 0..1);
-        acc += 1.0;
-        rc.write(proc, "acc", 0..1);
-        lock.unlock();
-        vm.charge(access_cost());
-        rc.unlock(proc, lock_id);
-    }
-    assert_eq!(acc, 4.0);
-    let mut report = Report::new();
-    report.extend(rc.diagnostics());
-    Fixture { name: "locked-accumulator", expect: &[], report }
 }
 
 /// A healthy long unit-stride kernel: nothing to report.

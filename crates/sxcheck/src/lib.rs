@@ -7,23 +7,19 @@
 //! - **[`vlint`]** — vectorization lints per FTRACE region: short average
 //!   vector length (SXC001), low vector-operation ratio (SXC002),
 //!   gather/scatter-dominated traffic (SXC003), power-of-two strides
-//!   colliding on the banked memory (SXC004), and Amdahl warnings when too
-//!   much of a region is scalar or overhead (SXC005);
-//! - **[`race`]** — a simulated-race detector over per-processor access
-//!   sets: overlapping writes in the same barrier epoch with no common
-//!   communications-register lock are reported as SXC101 errors;
+//!   colliding on the banked memory (SXC004), Amdahl warnings when too
+//!   much of a region is scalar or overhead (SXC005), aggregate bank
+//!   pressure (SXC006), reloads with no intervening write (SXC007) and
+//!   short strip-mine remainders (SXC008);
 //! - **[`lockgraph`]** — lock-order analysis over [`ncar_suite::par::lockreg`]
 //!   observations: acquisition-order cycles are potential deadlocks
 //!   (SXC301) and guards held across blocking IO are convoy hazards
 //!   (SXC302);
-//! - **[`baseline`]** — a suppression file (`sxcheck.baseline`) so CI can
-//!   deny *new* findings without first driving known ones to zero;
 //! - **[`audit`]** — a cost-ledger auditor that cross-checks the trace
 //!   sum, the PROGINF cycle partition and FTRACE region totals against the
 //!   lifetime ledger (SXC201–SXC204);
-//! - **[`fixtures`]** — seeded pathologies (a stride-128 copy, an unlocked
-//!   shared accumulator) that must be flagged, plus clean controls that
-//!   must not be.
+//! - **[`fixtures`]** — seeded pathologies (a stride-128 copy, an inverted
+//!   lock pair) that must be flagged, plus clean controls that must not be.
 //!
 //! Reports are byte-identical across runs on the same input: aggregation
 //! uses ordered maps, rendering sorts findings, and nothing reads a clock.
@@ -47,15 +43,11 @@
 //! ```
 
 pub mod audit;
-pub mod baseline;
 pub mod fixtures;
 pub mod lockgraph;
-pub mod race;
 pub mod report;
 pub mod vlint;
 
-pub use baseline::Baseline;
-pub use race::RaceChecker;
 pub use report::{Diagnostic, Report, Severity};
 pub use vlint::VectorLinter;
 

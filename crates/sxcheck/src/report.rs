@@ -10,7 +10,7 @@ use std::fmt;
 /// How bad a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// A ledger inconsistency or detected race — the simulation's
+    /// A ledger inconsistency or lock-order cycle — the simulation's
     /// accounting (or the program under test) is wrong.
     Error,
     /// A performance hazard: the code runs, but the SX-4 won't like it.
@@ -31,7 +31,7 @@ impl Severity {
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
     pub severity: Severity,
-    /// Stable lint code (`SXC001`…); what `--deny-warnings` keys on.
+    /// Stable lint code (`SXC001`…).
     pub code: &'static str,
     /// FTRACE region, fixture or array the finding is attributed to.
     pub region: String,

@@ -1,13 +1,12 @@
 //! Property test: `Report::render` is a pure function of the diagnostic
 //! *set* — insertion order never leaks into the output. This is what lets
-//! the `--matrix` gate diff reports across runs and lets the baseline key
-//! on (code, region) alone.
+//! `tests/golden/check.json` pin `ncar-bench check` byte for byte.
 
 use ncar_suite::SmallRng;
 use sxcheck::{Diagnostic, Report, Severity};
 
 const CODES: &[&str] = &[
-    "SXC001", "SXC002", "SXC003", "SXC004", "SXC005", "SXC006", "SXC007", "SXC008", "SXC101",
+    "SXC001", "SXC002", "SXC003", "SXC004", "SXC005", "SXC006", "SXC007", "SXC008", "SXC201",
     "SXC301", "SXC302",
 ];
 

@@ -85,7 +85,6 @@ pub fn merge_stats(members: &[Json]) -> String {
         "{{\"accepted\":{},\"rejected\":{},\"queued\":{},\
          \"running\":{},\"done\":{},\"bad_requests\":{},\"coalesced\":{},\
          \"checkpointed\":{},\"absorbed\":{},\"fastpath_hits\":{},\
-         \"queue_depth\":{},\
          \"cache\":{{\"hits\":{},\"misses\":{},\
          \"evictions\":{},\"entries\":{},\"cap\":{}}},\
          \"conns\":{{\"open\":{},\"accepted\":{},\"idle_closed\":{}}},\
@@ -101,7 +100,6 @@ pub fn merge_stats(members: &[Json]) -> String {
         sum_u64(members, "checkpointed"),
         sum_u64(members, "absorbed"),
         sum_u64(members, "fastpath_hits"),
-        sum_u64(members, "queue_depth"),
         cn("hits"),
         cn("misses"),
         cn("evictions"),
@@ -258,7 +256,7 @@ mod tests {
         Json::parse(&format!(
             "{{\"accepted\":{accepted},\"rejected\":0,\"queued\":{queued},\"running\":0,\
              \"done\":{done},\"bad_requests\":1,\"coalesced\":2,\"checkpointed\":0,\
-             \"absorbed\":0,\"fastpath_hits\":{hits},\"queue_depth\":{queued},\
+             \"absorbed\":0,\"fastpath_hits\":{hits},\
              \"cache\":{{\"hits\":{hits},\"misses\":3,\"evictions\":0,\"entries\":4,\"cap\":256}},\
              \"conns\":{{\"open\":1,\"accepted\":{accepted},\"idle_closed\":2}},\
              \"suite_seconds\":{{\"fig5\":1.5}},\"workers\":4,\
@@ -315,7 +313,7 @@ mod tests {
             Json::parse(&format!(
                 "{{\"stats\":{{\"accepted\":{done},\"rejected\":0,\"queued\":0,\"running\":0,\
                  \"done\":{done},\"bad_requests\":0,\"coalesced\":0,\"checkpointed\":0,\
-                 \"absorbed\":0,\"queue_depth\":0,\
+                 \"absorbed\":0,\
                  \"cache\":{{\"hits\":0,\"misses\":0,\"evictions\":0,\"entries\":0,\"cap\":8}},\
                  \"suite_seconds\":{{}},\"workers\":1,\"journal\":null,\
                  \"draining\":false,\"shutting_down\":false}},\

@@ -34,9 +34,11 @@
 //! `sxd.router.handles`, `sxd.router.counters`, `sxd.router.reactor`,
 //! and the per-member `sxd.router.mux` slots) are all leaves: none is
 //! ever held while acquiring another. Dials, joins and reply waits are
-//! declared via `lockreg::blocking_io` with no lock held; the one
-//! exemption is the mux frame write itself, which — like the journal's
-//! append — holds exactly the lock that *is* the wire-order guard.
+//! declared via `lockreg::blocking_io` with no lock held
+//! (`sxd.router.{dial,recv,drain,join,handoff}`); the one exemption is
+//! the mux frame write itself (`sxd.router.mux.send`), which — like the
+//! journal's append — holds exactly the lock that *is* the wire-order
+//! guard. The `cluster_lockcheck` test keeps this inventory edge-free.
 
 use std::io::{BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -201,9 +203,6 @@ impl Router {
             ReactorConfig {
                 max_frame: MAX_REQUEST_FRAME,
                 idle_timeout: inner.idle_timeout,
-                // The router does no compute of its own: dispatchers only
-                // hold blocking forward I/O.
-                dispatchers: 8,
                 pipeline_depth: inner.pipeline_depth,
                 ..ReactorConfig::default()
             },

@@ -85,6 +85,10 @@ use crate::error::SxdError;
 use crate::journal::{self, Journal, RestartSpec};
 use crate::proto::{cache_key, submit_reply, Request, MAX_REQUEST_FRAME};
 
+/// Worker threads executing simulations. The admission gate always
+/// models the benchmarked SX-4's node.
+const WORKERS: usize = 4;
+
 /// Simulated seconds charged for writing a drain checkpoint (the `chkpnt`
 /// overhead in the NQS model) and for resuming from it on the next boot.
 const CKPT_SECONDS: f64 = 0.5;
@@ -145,12 +149,8 @@ impl JobEntry {
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads actually executing simulations.
-    pub workers: usize,
     /// Result-cache capacity in entries.
     pub cache_cap: usize,
-    /// The machine whose node the admission gate models.
-    pub machine: MachineModel,
     /// How long a feasible job may wait for the node to free capacity
     /// before it is rejected with a typed error. Without this bound a job
     /// parked on the admission condvar waits forever if capacity never
@@ -176,9 +176,7 @@ impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".into(),
-            workers: 4,
             cache_cap: 256,
-            machine: presets::sx4_benchmarked(),
             admit_timeout: Duration::from_secs(30),
             state_dir: None,
             idle_timeout: Some(Duration::from_secs(300)),
@@ -341,7 +339,6 @@ struct PendingJob {
 struct Daemon {
     registry: Registry<JobEntry>,
     addr: SocketAddr,
-    workers: usize,
     /// Guarded by `admit_cv` waits, so uninstrumented (see [`InflightSlot`]).
     admission: Mutex<Admission>,
     admit_cv: Condvar,
@@ -413,15 +410,14 @@ impl Server {
         let daemon = Arc::new(Daemon {
             registry,
             addr,
-            workers: config.workers.max(1),
-            admission: Mutex::new(Admission::whole_node(config.machine)),
+            admission: Mutex::new(Admission::whole_node(presets::sx4_benchmarked())),
             admit_cv: Condvar::new(),
             admit_timeout: config.admit_timeout,
             cache: Mutex::new(cache),
             counters: Mutex::new(Counters::default()),
             inflight: Mutex::new(HashMap::new()),
             metrics: DaemonMetrics::new(),
-            pool: WorkerPool::new(config.workers.max(1)),
+            pool: WorkerPool::new(WORKERS),
             shutting_down: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             reactor: Mutex::new(None),
@@ -472,10 +468,6 @@ impl Server {
             ReactorConfig {
                 max_frame: MAX_REQUEST_FRAME,
                 idle_timeout: self.daemon.idle_timeout,
-                // Enough dispatchers that herd followers parking in the
-                // single-flight table never starve their leader, which
-                // always occupies a dispatcher of its own.
-                dispatchers: (self.daemon.workers * 2).max(8),
                 pipeline_depth: self.daemon.pipeline_depth,
                 flush_batch: Some(Arc::clone(&self.daemon.metrics.flush_batch)),
             },
@@ -1011,7 +1003,6 @@ impl Daemon {
             "{{\"accepted\":{},\"rejected\":{},\"queued\":{},\
              \"running\":{},\"done\":{},\"bad_requests\":{},\"coalesced\":{},\
              \"checkpointed\":{},\"absorbed\":{},\"fastpath_hits\":{},\
-             \"queue_depth\":{},\
              \"cache\":{{\"hits\":{hits},\"misses\":{misses},\
              \"evictions\":{evictions},\"entries\":{entries},\"cap\":{cap}}},\
              \"conns\":{{\"open\":{conns_open},\"accepted\":{conns_accepted},\
@@ -1028,9 +1019,8 @@ impl Daemon {
             snap.checkpointed,
             snap.absorbed,
             snap.fastpath_hits,
-            snap.queued,
             suite_seconds,
-            self.workers,
+            WORKERS,
             journal,
             self.draining.load(Ordering::SeqCst),
             self.shutting_down.load(Ordering::SeqCst),

@@ -53,9 +53,8 @@
 //!   [`OpTrace`] to `sxcheck::check_trace`, and it replays the op stream
 //!   through vectorization lints (short vector lengths, low v-op ratio,
 //!   gather/scatter domination, power-of-two bank-conflict strides, Amdahl
-//!   scalar fractions), a simulated-race detector, and a ledger auditor
-//!   that cross-checks trace, PROGINF and FTRACE totals against the
-//!   lifetime ledger.
+//!   scalar fractions) and a ledger auditor that cross-checks trace,
+//!   PROGINF and FTRACE totals against the lifetime ledger.
 //!
 //! Tracing is strictly opt-in: a [`Vm`] without a trace attached carries an
 //! `Option<Box<OpTrace>>` that stays `None`, and the recording hook is a

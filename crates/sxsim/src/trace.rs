@@ -22,8 +22,8 @@
 //!
 //! Consumers implement [`Recorder`] and feed it via [`OpTrace::replay`],
 //! which expands every run into one `record` call per charge; that is how
-//! the `sxcheck` crate's lints, race detector and ledger auditor see the op
-//! stream without the simulator depending on them.
+//! the `sxcheck` crate's lints and ledger auditor see the op stream
+//! without the simulator depending on them.
 
 use crate::cost::Cost;
 use crate::model::{Intrinsic, VopClass};
