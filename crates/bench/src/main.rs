@@ -128,8 +128,8 @@ fn main() {
         eprintln!("usage: ncar-bench [--json] [--jobs N] <experiment>... | all | list\n");
         eprintln!("       ncar-bench check [--json]");
         eprintln!(
-            "       ncar-bench serve [--addr A] [--cache-cap N] [--admit-timeout SECS] \
-             [--state-dir DIR] [--idle-timeout SECS] [--pipeline-depth K] [--cluster N]"
+            "       ncar-bench serve [--addr A] [--cache-cap N] [--state-dir DIR] \
+             [--idle-timeout SECS] [--pipeline-depth K] [--cluster N]"
         );
         eprintln!(
             "       ncar-bench submit <suite> [--addr A] [--machine M] [--param k=v]... \

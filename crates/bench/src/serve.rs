@@ -139,9 +139,8 @@ fn fail(detail: &str) -> i32 {
     1
 }
 
-/// `ncar-bench serve [--addr A] [--cache-cap N] [--admit-timeout SECS]
-/// [--state-dir DIR] [--idle-timeout SECS] [--pipeline-depth K]
-/// [--cluster N]`
+/// `ncar-bench serve [--addr A] [--cache-cap N] [--state-dir DIR]
+/// [--idle-timeout SECS] [--pipeline-depth K] [--cluster N]`
 ///
 /// `--idle-timeout SECS` bounds how long a silent connection may hold a
 /// socket before the reactor closes it (counted under `conns.idle_closed`
@@ -161,15 +160,7 @@ fn fail(detail: &str) -> i32 {
 pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
     let args = match Args::parse(
         args,
-        &[
-            "addr",
-            "cache-cap",
-            "admit-timeout",
-            "state-dir",
-            "idle-timeout",
-            "pipeline-depth",
-            "cluster",
-        ],
+        &["addr", "cache-cap", "state-dir", "idle-timeout", "pipeline-depth", "cluster"],
     ) {
         Ok(a) => a,
         Err(e) => return fail(&e),
@@ -179,12 +170,6 @@ pub fn cmd_serve(args: &[String], experiments: &[Experiment]) -> i32 {
         Ok(n) => n,
         Err(e) => return fail(&e),
     };
-    match args.get_f64("admit-timeout") {
-        Ok(Some(secs)) if secs > 0.0 => config.admit_timeout = Duration::from_secs_f64(secs),
-        Ok(Some(_)) => return fail("--admit-timeout wants a positive number of seconds"),
-        Ok(None) => {}
-        Err(e) => return fail(&e),
-    }
     // --state-dir turns on the durable journal: results survive restarts,
     // and a drain past its deadline checkpoints stragglers there.
     if let Some(dir) = args.get("state-dir") {

@@ -21,7 +21,7 @@ fn stats_rejects_an_unknown_flag_before_connecting() {
 
 #[test]
 fn serve_rejects_an_unknown_flag_instead_of_starting() {
-    for flag in ["--dispatchers", "--workers"] {
+    for flag in ["--dispatchers", "--workers", "--admit-timeout"] {
         let mut child = Command::new(env!("CARGO_BIN_EXE_ncar-bench"))
             .args(["serve", "--addr", "127.0.0.1:0", flag, "4"])
             .stdout(std::process::Stdio::piped())

@@ -12,17 +12,15 @@
 //! submits of the drained member's keys still hit — byte-identically.
 //!
 //! The router serves on the same [`ncar_suite::reactor`] event loop as
-//! the member daemons. Forwarding rides *multiplexed* member connections:
-//! one socket per member, shared by every client request, with a reader
-//! thread per member pairing replies to requests in wire order. A forward
-//! registers its reply waiter and writes its frame in one atomic step
-//! under the member's `sxd.router.mux` lock, then awaits the reply off
-//! every lock — so N concurrent forwards to one member pipeline into a
-//! single socket instead of paying one connection (and one serial round
-//! trip) each. Fan-out verbs (`stats`/`metrics`) and the drain hand-off's
-//! `put` replication use the same machinery in two phases: send
-//! everything, then collect everything, turning N round trips into one
-//! send burst plus one collect sweep.
+//! the member daemons. Each forward is one [`Client::raw`] round trip on a
+//! member connection no other forward is using: it pops an idle
+//! [`Client`] from that member's pool, or dials a fresh one, and pushes it
+//! back only after a clean reply. N concurrent forwards to one member ride
+//! N connections, each strictly one request, one reply, so a reply can
+//! only ever reach the forward that asked for it. A failed round clears
+//! the member's pool and retries once on a fresh dial. Fan-out verbs
+//! (`stats`/`metrics`) and the drain hand-off's `put` replication are
+//! plain forwards, one per member or entry.
 //!
 //! Each frame is parsed once, by [`classify`] on the reactor thread.
 //! `route` and parse errors are pure ring math — no member I/O — so they
@@ -32,19 +30,17 @@
 //!
 //! The router's long-lived locks (`sxd.router.members`,
 //! `sxd.router.handles`, `sxd.router.counters`, `sxd.router.reactor`,
-//! and the per-member `sxd.router.mux` slots) are all leaves: none is
-//! ever held while acquiring another. Dials, joins and reply waits are
-//! declared via `lockreg::blocking_io` with no lock held
-//! (`sxd.router.{dial,recv,drain,join,handoff}`); the one exemption is
-//! the mux frame write itself (`sxd.router.mux.send`), which — like the
-//! journal's append — holds exactly the lock that *is* the wire-order
-//! guard. The `cluster_lockcheck` test keeps this inventory edge-free.
+//! and the per-member `sxd.router.conns` pools) are all leaves: none is
+//! ever held while acquiring another, and none across I/O — a pool lock
+//! is held only to pop or push a client. Dials, round trips, joins and
+//! the hand-off are declared via `lockreg::blocking_io` with no lock held
+//! (`sxd.router.{dial,forward,drain,join,handoff}`). The
+//! `cluster_lockcheck` test keeps this inventory edge-free.
 
-use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -60,7 +56,7 @@ use super::ring::Ring;
 use crate::client::Client;
 use crate::error::SxdError;
 use crate::journal::{self, Journal};
-use crate::proto::{cache_key, read_frame, Request, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
+use crate::proto::{cache_key, Request, MAX_REQUEST_FRAME};
 use crate::server::DRAIN_DEADLINE;
 
 /// How the router dials a member: a few quick retries so member startup
@@ -110,25 +106,12 @@ struct RouterCounters {
     fastpath_hits: u64,
 }
 
-/// One multiplexed member connection: the shared writer half, plus the
-/// queue handing each request's reply waiter to the reader thread. Reply
-/// pairing is positional — waiters are registered in the same order their
-/// frames hit the wire (both under the `sxd.router.mux` lock), and the
-/// member answers each connection strictly in request order.
-struct MuxState {
-    writer: TcpStream,
-    waiters: mpsc::Sender<ReplyTx>,
-}
-
-type ReplyTx = mpsc::Sender<Result<String, SxdError>>;
-type ReplyRx = mpsc::Receiver<Result<String, SxdError>>;
-
 struct RouterInner {
     ring: Ring,
     members: Mutex<Vec<MemberSlot>>,
-    /// Multiplexed member connections, one slot per member, each guarded
-    /// by its own `sxd.router.mux` lock (a leaf; see module docs).
-    muxes: Vec<Mutex<Option<MuxState>>>,
+    /// Idle member connections, one pool per member, each guarded by its
+    /// own `sxd.router.conns` lock (a leaf; see module docs).
+    conns: Vec<Mutex<Vec<Client>>>,
     /// Join handles for in-process members, one slot per member.
     handles: Mutex<Vec<MemberHandle>>,
     counters: Mutex<RouterCounters>,
@@ -165,7 +148,7 @@ impl Router {
         let listener = TcpListener::bind(addr).map_err(SxdError::io)?;
         let local = listener.local_addr().map_err(SxdError::io)?;
         let ring = Ring::new(members.iter().map(|m| m.name.clone()).collect::<Vec<_>>());
-        let muxes = members.iter().map(|_| Mutex::new(None)).collect();
+        let conns = members.iter().map(|_| Mutex::new(Vec::new())).collect();
         let slots = members
             .into_iter()
             .map(|m| MemberSlot { addr: m.addr, state_dir: m.state_dir, alive: true })
@@ -175,7 +158,7 @@ impl Router {
             inner: Arc::new(RouterInner {
                 ring,
                 members: Mutex::new(slots),
-                muxes,
+                conns,
                 handles: Mutex::new(handles),
                 counters: Mutex::new(RouterCounters::default()),
                 reactor: Mutex::new(None),
@@ -217,11 +200,10 @@ impl Router {
         }
         let res = reactor.run().map_err(SxdError::io);
         *plock_named(&inner.reactor, "sxd.router.reactor") = None;
-        // Retire the member muxes (their reader threads exit on the
-        // socket shutdown), then join whatever member threads a shutdown
-        // fan-out left running.
+        // Close the pooled member connections, then join whatever member
+        // threads a shutdown fan-out left running.
         for idx in 0..inner.ring.len() {
-            kill_mux(&inner, idx);
+            clear_conns(&inner, idx);
         }
         for h in drain_handles(&inner) {
             let _ = h.join();
@@ -230,7 +212,7 @@ impl Router {
     }
 }
 
-/// The router as a [`Service`]. Member sockets are multiplexed
+/// The router as a [`Service`]. Member connections are pooled
 /// router-wide, so client connections carry no state of their own.
 struct RouterService {
     inner: Arc<RouterInner>,
@@ -258,165 +240,62 @@ fn drain_handles(inner: &RouterInner) -> Vec<JoinHandle<Result<(), SxdError>>> {
     plock_named(&inner.handles, "sxd.router.handles").iter_mut().filter_map(Option::take).collect()
 }
 
-/// The reader half of one member mux: pairs replies to waiters in wire
-/// order. Exits on member EOF or a read error; dropping the waiter queue
-/// Receiver then disconnects every parked or future waiter (their channel
-/// recv/send errors), so nothing can wait forever on a dead connection.
-fn mux_reader(sock: TcpStream, waiters: mpsc::Receiver<ReplyTx>) {
-    let mut reader = BufReader::new(sock);
-    while let Ok(waiter) = waiters.recv() {
-        match read_frame(&mut reader, MAX_REPLY_FRAME) {
-            Ok(Some(line)) => {
-                let _ = waiter.send(Ok(line));
-            }
-            Ok(None) => {
-                let _ = waiter.send(Err(SxdError::Io {
-                    detail: "member closed the multiplexed connection".into(),
-                }));
-                break;
-            }
-            Err(e) => {
-                let _ = waiter.send(Err(e));
-                break;
-            }
-        }
-    }
+/// Close member `idx`'s idle connections, so the next forward dials.
+fn clear_conns(inner: &RouterInner, idx: usize) {
+    plock_named(&inner.conns[idx], "sxd.router.conns").clear();
 }
 
-/// Dial a member with the standard retry schedule (no lock held).
-fn dial(addr: &str) -> Result<TcpStream, SxdError> {
-    let mut delay = CONNECT_BACKOFF;
-    let mut last = String::new();
-    for attempt in 0..CONNECT_ATTEMPTS {
-        match TcpStream::connect(addr) {
-            Ok(s) => {
-                // Forwards are small frames pipelined back-to-back; never
-                // let Nagle hold one hostage to the previous one's ACK.
-                let _ = s.set_nodelay(true);
-                return Ok(s);
-            }
-            Err(e) => last = e.to_string(),
-        }
-        if attempt + 1 < CONNECT_ATTEMPTS {
-            std::thread::sleep(delay);
-            delay = (delay * 2).min(Duration::from_secs(1));
-        }
-    }
-    Err(SxdError::Retries { attempts: CONNECT_ATTEMPTS, detail: format!("{addr}: {last}") })
-}
-
-/// Stand a freshly dialed socket up as member `idx`'s mux. If a
-/// concurrent dialer won the race, its state stays and ours retires (the
-/// dropped waiter Sender exits our reader thread).
-fn install_mux(inner: &RouterInner, idx: usize, sock: TcpStream) -> Result<(), SxdError> {
-    let reader_sock = sock.try_clone().map_err(SxdError::io)?;
-    let (wtx, wrx) = mpsc::channel();
-    std::thread::spawn(move || mux_reader(reader_sock, wrx));
-    let mut slot = plock_named(&inner.muxes[idx], "sxd.router.mux");
-    if slot.is_none() {
-        *slot = Some(MuxState { writer: sock, waiters: wtx });
-    }
-    Ok(())
-}
-
-/// Retire member `idx`'s mux. The explicit shutdown matters: the reader
-/// thread shares the socket via `try_clone`, so only a shutdown (not a
-/// drop of our half) wakes it out of a blocked read.
-fn kill_mux(inner: &RouterInner, idx: usize) {
-    let state = plock_named(&inner.muxes[idx], "sxd.router.mux").take();
-    if let Some(s) = state {
-        let _ = s.writer.shutdown(Shutdown::Both);
-    }
-}
-
-/// Try to enqueue one frame on member `idx`'s existing mux. `Ok(None)`
-/// means there is no usable mux (none installed, or its reader exited) —
-/// dial and retry. `Err` means the write itself failed; the slot is
-/// cleared so the next attempt redials.
-fn try_enqueue(inner: &RouterInner, idx: usize, line: &str) -> Result<Option<ReplyRx>, SxdError> {
-    let mut slot = plock_named(&inner.muxes[idx], "sxd.router.mux");
-    let Some(state) = slot.as_mut() else { return Ok(None) };
-    let (tx, rx) = mpsc::channel();
-    if state.waiters.send(tx).is_err() {
-        // The reader noticed the socket die first and exited.
-        *slot = None;
-        return Ok(None);
-    }
-    // Waiter registration and the frame write are one atomic step under
-    // the mux lock: that is what pairs replies with requests in wire
-    // order when forwards interleave. Holding the mux lock across this
-    // write is therefore by design — the lock *is* the wire-order guard —
-    // and exempted the same way as the journal's append lock.
-    lockreg::blocking_io("sxd.router.mux.send", &["sxd.router.mux"]);
-    let mut buf = Vec::with_capacity(line.len() + 1);
-    buf.extend_from_slice(line.as_bytes());
-    buf.push(b'\n');
-    if let Err(e) = state.writer.write_all(&buf) {
-        *slot = None;
-        return Err(SxdError::io(e));
-    }
-    Ok(Some(rx))
-}
-
-/// Put one frame on member `idx`'s wire and return the receiver its reply
-/// will arrive on. Dials (outside every lock) when no mux is up. This is
-/// the *send phase*; pair it with [`mux_recv`] — possibly after sending
-/// more frames first, which is exactly how forwards pipeline.
-fn mux_send(inner: &RouterInner, idx: usize, line: &str) -> Result<ReplyRx, SxdError> {
-    let (addr, alive) = {
-        let members = plock_named(&inner.members, "sxd.router.members");
-        (members[idx].addr.clone(), members[idx].alive)
-    };
-    if !alive {
+/// One round trip on a member connection no other forward is using: an
+/// idle pooled client, or a fresh dial. The client returns to the pool
+/// only after a clean reply; one that failed mid-round is dropped.
+fn round_trip(inner: &RouterInner, idx: usize, line: &str) -> Result<String, SxdError> {
+    if !plock_named(&inner.members, "sxd.router.members")[idx].alive {
         return Err(SxdError::ShardUnavailable {
             member: inner.ring.name(idx).to_string(),
             detail: "member has left the ring".into(),
         });
     }
-    if let Some(rx) = try_enqueue(inner, idx, line)? {
-        return Ok(rx);
-    }
-    lockreg::blocking_io("sxd.router.dial", &[]);
-    let sock = dial(&addr)?;
-    install_mux(inner, idx, sock)?;
-    match try_enqueue(inner, idx, line)? {
-        Some(rx) => Ok(rx),
-        None => Err(SxdError::ShardUnavailable {
-            member: inner.ring.name(idx).to_string(),
-            detail: "member closed the multiplexed connection while dialing".into(),
-        }),
-    }
-}
-
-/// The *collect phase*: await one reply off every lock.
-fn mux_recv(rx: ReplyRx) -> Result<String, SxdError> {
-    lockreg::blocking_io("sxd.router.recv", &[]);
-    rx.recv().unwrap_or_else(|_| {
-        Err(SxdError::Io { detail: "multiplexed member connection closed".into() })
-    })
+    let idle = plock_named(&inner.conns[idx], "sxd.router.conns").pop();
+    let mut client = match idle {
+        Some(client) => client,
+        None => {
+            let addr = plock_named(&inner.members, "sxd.router.members")[idx].addr.clone();
+            lockreg::blocking_io("sxd.router.dial", &[]);
+            Client::connect_with_retry(&addr, CONNECT_ATTEMPTS, CONNECT_BACKOFF)?
+        }
+    };
+    lockreg::blocking_io("sxd.router.forward", &[]);
+    let reply = client.raw(line)?;
+    plock_named(&inner.conns[idx], "sxd.router.conns").push(client);
+    Ok(reply)
 }
 
 /// Forward one raw frame to member `idx` and return the raw reply. The
 /// line goes through verbatim, so a member's reply — including a cache
 /// hit's exact payload bytes — passes back unmodified. One failed round
-/// retires the mux and retries on a fresh dial.
+/// clears the member's pool and retries on a fresh dial.
 fn forward(inner: &RouterInner, idx: usize, line: &str) -> Result<String, SxdError> {
     let mut last = String::new();
     for _attempt in 0..2 {
-        let outcome = mux_send(inner, idx, line).and_then(mux_recv);
-        match outcome {
+        match round_trip(inner, idx, line) {
             Ok(reply) => {
                 plock_named(&inner.counters, "sxd.router.counters").forwarded += 1;
                 return Ok(reply);
             }
             Err(e) => {
-                kill_mux(inner, idx);
+                clear_conns(inner, idx);
                 last = e.detail();
             }
         }
     }
     plock_named(&inner.counters, "sxd.router.counters").unavailable += 1;
     Err(SxdError::ShardUnavailable { member: inner.ring.name(idx).to_string(), detail: last })
+}
+
+/// Indices of the members still in the ring.
+fn live_members(inner: &RouterInner) -> Vec<usize> {
+    let members = plock_named(&inner.members, "sxd.router.members");
+    (0..members.len()).filter(|&m| members[m].alive).collect()
 }
 
 /// Resolve the key's owner among live members, or the typed reason there
@@ -521,13 +400,9 @@ fn handle(inner: &Arc<RouterInner>, req: Request, frame: &str) -> String {
             // Cluster-wide graceful drain: every member drains (each
             // checkpointing its own stragglers), then the router follows.
             let deadline = deadline_ms.map(Duration::from_millis).unwrap_or(DRAIN_DEADLINE);
-            let alive: Vec<usize> = {
-                let members = plock_named(&inner.members, "sxd.router.members");
-                (0..members.len()).filter(|&m| members[m].alive).collect()
-            };
             let ms = Some(deadline.as_millis() as u64);
             let line = Request::Drain { deadline_ms: ms, member: None }.to_line();
-            for idx in alive {
+            for idx in live_members(inner) {
                 let _ = forward(inner, idx, &line);
             }
             let inner2 = Arc::clone(inner);
@@ -573,49 +448,28 @@ fn router_json(inner: &RouterInner) -> String {
 }
 
 /// Send `line` to every live member and collect the named reply member
-/// from each — pipelined: every member gets the frame before any reply is
-/// awaited, so the fan-out costs one round trip, not one per member. A
-/// member whose mux round fails is retried once on a fresh connection via
-/// [`forward`]; a member that stays unreachable fails the whole fan-out —
-/// a partial stats view would silently break the reconciliation sums.
+/// from each. A member that stays unreachable through [`forward`]'s retry
+/// fails the whole fan-out — a partial stats view would silently break
+/// the reconciliation sums.
 fn fanout_docs(inner: &RouterInner, line: &str, member_key: &str) -> Result<Vec<Json>, SxdError> {
-    let alive: Vec<usize> = {
-        let members = plock_named(&inner.members, "sxd.router.members");
-        (0..members.len()).filter(|&m| members[m].alive).collect()
-    };
-    let sends: Vec<(usize, Result<ReplyRx, SxdError>)> =
-        alive.into_iter().map(|idx| (idx, mux_send(inner, idx, line))).collect();
-    let mut docs = Vec::with_capacity(sends.len());
-    for (idx, sent) in sends {
-        let reply = match sent.and_then(mux_recv) {
-            Ok(r) => {
-                plock_named(&inner.counters, "sxd.router.counters").forwarded += 1;
-                r
-            }
-            Err(_) => {
-                kill_mux(inner, idx);
-                forward(inner, idx, line)?
-            }
-        };
-        let doc = Json::parse(&reply)
-            .map_err(|e| SxdError::BadJson { detail: format!("{} reply: {e}", member_key) })?;
-        let member = doc.get(member_key).cloned().ok_or_else(|| SxdError::BadJson {
-            detail: format!("member reply lacks \"{member_key}\""),
-        })?;
-        docs.push(member);
-    }
-    Ok(docs)
+    live_members(inner)
+        .into_iter()
+        .map(|idx| {
+            let reply = forward(inner, idx, line)?;
+            let doc = Json::parse(&reply)
+                .map_err(|e| SxdError::BadJson { detail: format!("{member_key} reply: {e}") })?;
+            doc.get(member_key).cloned().ok_or_else(|| SxdError::BadJson {
+                detail: format!("member reply lacks \"{member_key}\""),
+            })
+        })
+        .collect()
 }
 
 /// Fan `shutdown` out to every live member, then retire the router once
 /// the member threads exit (asynchronously — the client gets its ack
 /// immediately, like a single daemon's shutdown).
 fn shutdown_cluster(inner: &Arc<RouterInner>) {
-    let alive: Vec<usize> = {
-        let members = plock_named(&inner.members, "sxd.router.members");
-        (0..members.len()).filter(|&m| members[m].alive).collect()
-    };
-    for idx in alive {
+    for idx in live_members(inner) {
         let _ = forward(inner, idx, &Request::Shutdown.to_line());
     }
     let inner2 = Arc::clone(inner);
@@ -646,12 +500,6 @@ fn initiate_shutdown(inner: &RouterInner) {
 /// checkpointed restart specs across the ring. Synchronous by design —
 /// when the reply arrives, repeat submits of the drained member's keys
 /// already hit their successors' caches byte-identically.
-///
-/// The journal replication is *batched*: every surviving entry's `put`
-/// goes on its successor's wire first (the send phase), then the acks are
-/// collected (the collect phase) — N entries cost one send burst plus one
-/// sweep instead of N serial round trips. An entry whose mux round fails
-/// is retried once on a fresh connection before failing the hand-off.
 fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<String, SxdError> {
     let (addr, state_dir) = {
         let mut members = plock_named(&inner.members, "sxd.router.members");
@@ -671,10 +519,11 @@ fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<S
         slot.alive = false;
         (slot.addr.clone(), slot.state_dir.clone())
     };
-    // The member is gone from the ring; its mux is dead weight now.
-    kill_mux(inner, idx);
+    // The member is gone from the ring; its idle connections are dead
+    // weight now.
+    clear_conns(inner, idx);
 
-    // Ask the member to drain. Dial directly (not through the mux) so a
+    // Ask the member to drain. Dial directly (not through the pool) so a
     // dead member is tolerated: it may have crashed, and hand-off of its
     // durable journal is exactly what recovers its keyspace.
     lockreg::blocking_io("sxd.router.drain", &[]);
@@ -720,29 +569,13 @@ fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<S
                     newest.push((key, payload));
                 }
             }
-            // Send phase: pipeline every put onto its owner's wire.
-            let mut batch: Vec<(usize, String, Result<ReplyRx, SxdError>)> = Vec::new();
             for (key, payload) in newest {
                 let line = Request::Put { key, payload }.to_line();
                 if line.len() > MAX_REQUEST_FRAME {
                     skipped += 1; // the successor recomputes this key on demand
                     continue;
                 }
-                let owner = owner_of(inner, key)?;
-                let sent = mux_send(inner, owner, &line);
-                batch.push((owner, line, sent));
-            }
-            // Collect phase: one ack per entry, retrying stragglers once.
-            for (owner, line, sent) in batch {
-                match sent.and_then(mux_recv) {
-                    Ok(_) => {
-                        plock_named(&inner.counters, "sxd.router.counters").forwarded += 1;
-                    }
-                    Err(_) => {
-                        kill_mux(inner, owner);
-                        forward(inner, owner, &line)?;
-                    }
-                }
+                forward(inner, owner_of(inner, key)?, &line)?;
                 handed_off += 1;
             }
         }
@@ -752,8 +585,8 @@ fn drain_member(inner: &RouterInner, idx: usize, deadline: Duration) -> Result<S
                 spec.params.iter().cloned().collect();
             let key = cache_key(&spec.suite, &model, &params);
             let owner = owner_of(inner, key)?;
-            // A restart spec is full recompute anyway (fraction 0), so it
-            // re-enters the cluster as a fresh submit at its new owner.
+            // A restart spec is the client's submission, so it re-enters
+            // the cluster as a fresh submit at its new owner.
             let req = Request::Submit {
                 suite: spec.suite.clone(),
                 machine: spec.machine.clone(),

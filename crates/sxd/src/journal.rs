@@ -12,9 +12,9 @@
 //!   completed before a crash answers from cache — byte-identically —
 //!   after restart.
 //! - `restart.sxj` — restart specs written by a drain that hit its
-//!   deadline: each still-pending job is split at its progress fraction by
-//!   [`superux::nqs::checkpoint_split`] and the *remaining* work persisted
-//!   here; the next boot re-admits it.
+//!   deadline: each still-pending job's submission (suite, machine as the
+//!   request spelled it, params) is persisted here, and the next boot
+//!   re-admits it as a plain submit.
 //!
 //! ## Crash model
 //!
@@ -259,19 +259,16 @@ fn encode_result(key: u64, payload: &str) -> Vec<u8> {
     w.into_vec()
 }
 
-/// The persisted remainder of a job a drain checkpointed at its deadline.
-/// On the next boot the server re-admits it with `solo_seconds` of work
-/// left (the output of [`superux::nqs::checkpoint_split`]'s restart half).
+/// The submission of a job a drain checkpointed at its deadline. On the
+/// next boot the server re-admits it as a plain submit, so the rerun
+/// caches exactly what a fresh run of the same configuration would.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RestartSpec {
     pub suite: String,
+    /// The machine as the request spelled it: a [`sxsim::presets::by_name`] key.
     pub machine: String,
     /// Sorted `(key, value)` parameter pairs, as the cache key uses them.
     pub params: Vec<(String, String)>,
-    /// Simulated seconds of work remaining at the checkpoint.
-    pub solo_seconds: f64,
-    /// Fraction of the original job already done when checkpointed.
-    pub fraction_done: f64,
 }
 
 impl RestartSpec {
@@ -285,8 +282,6 @@ impl RestartSpec {
             inner.put_str(k);
             inner.put_str(v);
         }
-        inner.put_f64(self.solo_seconds);
-        inner.put_f64(self.fraction_done);
         w.put_record(&inner.into_vec());
     }
 
@@ -302,9 +297,7 @@ impl RestartSpec {
         for _ in 0..n {
             params.push((p.try_get_str().ok()?, p.try_get_str().ok()?));
         }
-        let solo_seconds = p.try_get_f64().ok()?;
-        let fraction_done = p.try_get_f64().ok()?;
-        Some(RestartSpec { suite, machine, params, solo_seconds, fraction_done })
+        Some(RestartSpec { suite, machine, params })
     }
 }
 
@@ -495,16 +488,8 @@ mod tests {
                 suite: "shal".into(),
                 machine: "sx4-9.2".into(),
                 params: vec![("n".into(), "64".into())],
-                solo_seconds: 12.5,
-                fraction_done: 0.75,
             },
-            RestartSpec {
-                suite: "table2".into(),
-                machine: "sx4-9.2".into(),
-                params: vec![],
-                solo_seconds: 3.0,
-                fraction_done: 0.25,
-            },
+            RestartSpec { suite: "table2".into(), machine: "sx4-9.2".into(), params: vec![] },
         ];
         write_restart_specs(&dir, &specs).unwrap();
         assert_eq!(load_restart_specs(&dir), specs);

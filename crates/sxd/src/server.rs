@@ -37,12 +37,14 @@
 //! completed result is appended to the write-ahead [`crate::journal`] and
 //! replayed into the cache on the next boot, so repeat configurations hit
 //! the cache — byte-identically — across a crash. The `drain` verb stops
-//! admission and lets in-flight jobs finish; past its deadline the
-//! stragglers are checkpointed through [`superux::nqs::checkpoint_split`]
-//! into restart specs that the next boot re-admits (SUPER-UX's NQS
-//! checkpoint/restart, paper §2.6.2). A checkpointed job retires as
-//! `rejected` (kind `checkpointed`), so the counters invariant holds
-//! unchanged on both sides of the restart boundary.
+//! admission and lets in-flight jobs finish; past its deadline each
+//! straggler's submission — the machine as the request spelled it — is
+//! persisted as a restart spec, and the next boot re-admits it as a plain
+//! submit (SUPER-UX's NQS checkpoint/restart, paper §2.6.2, taken at
+//! fraction zero: a runner reports no progress, so the job reruns whole
+//! and its reply matches a fresh run's byte for byte). A checkpointed job
+//! retires as `rejected` (kind `checkpointed`), so the counters invariant
+//! holds unchanged on both sides of the restart boundary.
 //!
 //! Lock order, where nested: `inflight` before `cache`, and `journal`
 //! before `cache`. Nothing acquires `journal` or `inflight` while holding
@@ -88,11 +90,6 @@ use crate::proto::{cache_key, submit_reply, Request, MAX_REQUEST_FRAME};
 /// Worker threads executing simulations. The admission gate always
 /// models the benchmarked SX-4's node.
 const WORKERS: usize = 4;
-
-/// Simulated seconds charged for writing a drain checkpoint (the `chkpnt`
-/// overhead in the NQS model) and for resuming from it on the next boot.
-const CKPT_SECONDS: f64 = 0.5;
-const RESTART_SECONDS: f64 = 0.5;
 
 /// Grace period a `drain` request without its own `deadline_ms` gives
 /// in-flight jobs before checkpointing them.
@@ -325,17 +322,6 @@ impl InflightSlot {
     }
 }
 
-/// What a drain needs to know about a job that is queued or running: how
-/// to reconstruct its submission (for the restart spec) and its demand
-/// (for [`superux::nqs::checkpoint_split`]).
-#[derive(Debug, Clone)]
-struct PendingJob {
-    suite: String,
-    machine: String,
-    params: BTreeMap<String, String>,
-    demand: Demand,
-}
-
 struct Daemon {
     registry: Registry<JobEntry>,
     addr: SocketAddr,
@@ -364,9 +350,9 @@ struct Daemon {
     /// Set by the `drain` verb: admission refuses new submits while
     /// in-flight work winds down.
     draining: AtomicBool,
-    /// Every leader currently queued or running, by cache key — the set a
-    /// drain deadline checkpoints.
-    pending: Mutex<HashMap<u64, PendingJob>>,
+    /// Every leader currently queued or running, by cache key, as the
+    /// restart spec a drain deadline would checkpoint it to.
+    pending: Mutex<HashMap<u64, RestartSpec>>,
     /// Keys whose restart specs have been durably persisted; their leaders
     /// retire as `checkpointed` instead of completing.
     ckpt: Mutex<HashSet<u64>>,
@@ -454,7 +440,7 @@ impl Server {
             std::thread::spawn(move || {
                 for spec in &restarts {
                     let params: BTreeMap<String, String> = spec.params.iter().cloned().collect();
-                    let _ = d.submit(&spec.suite, &spec.machine, &params, Some(spec.solo_seconds));
+                    let _ = d.submit(&spec.suite, &spec.machine, &params);
                 }
                 if let Some(dir) = &d.state_dir {
                     let _ = journal::clear_restart_specs(dir);
@@ -521,6 +507,8 @@ impl Service for DaemonService {
 /// its cache key: everything a dispatcher needs to run it.
 struct Submit {
     suite: String,
+    /// The machine as the request spelled it (`model` is what it resolved to).
+    machine: String,
     demand: Demand,
     runner: RunFn,
     model: MachineModel,
@@ -647,7 +635,7 @@ impl Daemon {
         };
         let key = cache_key(&suite, &model, &params);
         let (demand, runner) = (entry.demand, Arc::clone(&entry.runner));
-        Ok(Submit { suite, demand, runner, model, params, key, t_job })
+        Ok(Submit { suite, machine: machine.into(), demand, runner, model, params, key, t_job })
     }
 
     /// The inline half of a submit: `Some` only for a clean cache hit,
@@ -686,18 +674,14 @@ impl Daemon {
     }
 
     /// One submission from outside the reactor (restart re-admission):
-    /// resolve, then run. `solo_override` replaces the suite's registered
-    /// solo seconds — re-admission uses it to run only the work a
-    /// checkpointed job had left.
+    /// resolve, then run, exactly as a client's submit would.
     fn submit(
         &self,
         suite: &str,
         machine: &str,
         params: &BTreeMap<String, String>,
-        solo_override: Option<f64>,
     ) -> Result<String, SxdError> {
-        let mut sub = self.resolve(suite.into(), machine, params.clone(), Instant::now())?;
-        sub.demand.solo_seconds = solo_override.unwrap_or(sub.demand.solo_seconds);
+        let sub = self.resolve(suite.into(), machine, params.clone(), Instant::now())?;
         self.run_submit(sub)
     }
 
@@ -780,16 +764,13 @@ impl Daemon {
     /// the persisted restart spec owns the work now, and completing both
     /// would double-count it on the next boot).
     fn run_as_leader(&self, sub: &Submit) -> Result<String, SxdError> {
-        let Submit { ref suite, demand, ref model, ref params, key, t_job, .. } = *sub;
-        plock_named(&self.pending, "sxd.pending").insert(
-            key,
-            PendingJob {
-                suite: suite.to_string(),
-                machine: model.name.clone(),
-                params: params.clone(),
-                demand,
-            },
-        );
+        let Submit { ref suite, ref machine, demand, ref model, ref params, key, t_job, .. } = *sub;
+        let spec = RestartSpec {
+            suite: suite.clone(),
+            machine: machine.clone(),
+            params: params.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+        };
+        plock_named(&self.pending, "sxd.pending").insert(key, spec);
         let job = JobSpec {
             name: format!("sxd-{}", self.seq.fetch_add(1, Ordering::SeqCst)),
             procs: demand.procs,
@@ -1115,11 +1096,11 @@ impl Daemon {
     }
 
     /// The drain state machine. Phase 1: poll until every pending leader
-    /// retires or the deadline passes. Phase 2: split each straggler with
-    /// `checkpoint_split` and persist the restart halves — only once they
-    /// are durably on disk are the keys marked checkpointed, so a crash or
-    /// IO fault during persistence leaves the jobs to finish normally
-    /// instead of vanishing. Phase 3: wait for the stragglers to retire
+    /// retires or the deadline passes. Phase 2: persist each straggler's
+    /// submission as a restart spec — only once the specs are durably on
+    /// disk are the keys marked checkpointed, so a crash or IO fault
+    /// during persistence leaves the jobs to finish normally instead of
+    /// vanishing. Phase 3: wait for the stragglers to retire
     /// (queued ones retire on the next condvar wake; running ones when the
     /// runner returns), then shut the daemon down.
     fn drain_worker(&self, deadline: Duration) {
@@ -1127,46 +1108,18 @@ impl Daemon {
         while t0.elapsed() < deadline && !plock_named(&self.pending, "sxd.pending").is_empty() {
             std::thread::sleep(Duration::from_millis(5));
         }
-        let stragglers: Vec<(u64, PendingJob)> = plock_named(&self.pending, "sxd.pending")
+        let (keys, specs): (Vec<u64>, Vec<RestartSpec>) = plock_named(&self.pending, "sxd.pending")
             .iter()
-            .map(|(k, p)| (*k, p.clone()))
-            .collect();
-        if !stragglers.is_empty() {
+            .map(|(k, spec)| (*k, spec.clone()))
+            .unzip();
+        if !keys.is_empty() {
             if let Some(dir) = &self.state_dir {
-                let mut specs = Vec::with_capacity(stragglers.len());
-                for (key, p) in &stragglers {
-                    let job = JobSpec {
-                        name: format!("ckpt-{key:016x}"),
-                        procs: p.demand.procs,
-                        memory_bytes: p.demand.memory_bytes,
-                        solo_seconds: p.demand.solo_seconds,
-                        bytes_per_cycle_per_proc: p.demand.bytes_per_cycle_per_proc,
-                        block: 0,
-                        after: Vec::new(),
-                    };
-                    // The runner is a black box — the daemon has no
-                    // progress signal for it — so the checkpoint is taken
-                    // conservatively at fraction 0: the restart half
-                    // carries all the work (plus the restart overhead) and
-                    // nothing is lost, merely recomputed.
-                    let Ok((_spent, rest)) =
-                        superux::nqs::checkpoint_split(&job, 0.0, CKPT_SECONDS, RESTART_SECONDS)
-                    else {
-                        continue; // unreachable: 0.0 is in range
-                    };
-                    specs.push(RestartSpec {
-                        suite: p.suite.clone(),
-                        machine: p.machine.clone(),
-                        params: p.params.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-                        solo_seconds: rest.solo_seconds,
-                        fraction_done: 0.0,
-                    });
-                }
+                // The runner is a black box — the daemon has no progress
+                // signal for it — so a checkpointed job restarts from the
+                // beginning: nothing is lost, merely recomputed.
                 if journal::write_restart_specs(dir, &specs).is_ok() {
                     let mut ck = plock_named(&self.ckpt, "sxd.ckpt");
-                    for (key, _) in &stragglers {
-                        ck.insert(*key);
-                    }
+                    ck.extend(&keys);
                     drop(ck);
                     // Wake queued leaders so they observe their checkpoint.
                     self.admit_cv.notify_all();
@@ -1270,8 +1223,8 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let params = BTreeMap::new();
-        let first = d.submit("toy", "sx4", &params, None).unwrap();
-        let second = d.submit("TOY", "sx4-9.2", &params, None).unwrap();
+        let first = d.submit("toy", "sx4", &params).unwrap();
+        let second = d.submit("TOY", "sx4-9.2", &params).unwrap();
         assert!(first.contains("\"cached\":false"));
         assert!(second.contains("\"cached\":true"));
         // Byte-identical modulo the cached flag.
@@ -1342,9 +1295,9 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let params = BTreeMap::new();
-        let e1 = d.submit("nope", "sx4", &params, None).unwrap_err();
+        let e1 = d.submit("nope", "sx4", &params).unwrap_err();
         assert_eq!(e1.kind(), "unknown_suite");
-        let e2 = d.submit("toy", "cray-2", &params, None).unwrap_err();
+        let e2 = d.submit("toy", "cray-2", &params).unwrap_err();
         assert_eq!(e2.kind(), "unknown_machine");
         let c = plock(&d.counters);
         assert_eq!(c.accepted, 0);
@@ -1369,7 +1322,7 @@ mod tests {
         );
         let server = Server::bind(r, ServerConfig::default()).unwrap();
         let d = &server.daemon;
-        let err = d.submit("wide", "sx4", &BTreeMap::new(), None).unwrap_err();
+        let err = d.submit("wide", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "rejected");
         let c = plock(&d.counters);
         assert_eq!((c.accepted, c.rejected, c.done, c.queued, c.running), (1, 1, 0, 0, 0));
@@ -1387,7 +1340,7 @@ mod tests {
             ),
         );
         let server = Server::bind(r, ServerConfig::default()).unwrap();
-        let err = server.daemon.submit("boom", "sx4", &BTreeMap::new(), None).unwrap_err();
+        let err = server.daemon.submit("boom", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "run_failed");
         let c = plock(&server.daemon.counters);
         assert_eq!((c.accepted, c.rejected, c.running), (1, 1, 0));
@@ -1416,7 +1369,7 @@ mod tests {
             let handles: Vec<_> = (0..HERD)
                 .map(|_| {
                     let d = Arc::clone(&d);
-                    s.spawn(move || d.submit("slow", "sx4", &BTreeMap::new(), None).unwrap())
+                    s.spawn(move || d.submit("slow", "sx4", &BTreeMap::new()).unwrap())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1456,7 +1409,7 @@ mod tests {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     let d = Arc::clone(&d);
-                    s.spawn(move || d.submit("failing", "sx4", &BTreeMap::new(), None).unwrap_err())
+                    s.spawn(move || d.submit("failing", "sx4", &BTreeMap::new()).unwrap_err())
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -1470,7 +1423,7 @@ mod tests {
         assert_eq!(c.coalesced, 3);
         // Failures are not cached: a later submit runs again.
         drop(c);
-        let _ = d.submit("failing", "sx4", &BTreeMap::new(), None).unwrap_err();
+        let _ = d.submit("failing", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(runs.load(Ordering::SeqCst), 2);
     }
 
@@ -1514,11 +1467,11 @@ mod tests {
 
         let hog = {
             let d = Arc::clone(&d);
-            std::thread::spawn(move || d.submit("hog", "sx4", &BTreeMap::new(), None))
+            std::thread::spawn(move || d.submit("hog", "sx4", &BTreeMap::new()))
         };
         // Let the hog take the node before the second job arrives.
         std::thread::sleep(Duration::from_millis(60));
-        let err = d.submit("wants-in", "sx4", &BTreeMap::new(), None).unwrap_err();
+        let err = d.submit("wants-in", "sx4", &BTreeMap::new()).unwrap_err();
         assert_eq!(err.kind(), "rejected");
         assert!(err.detail().contains("admission wait exceeded"), "{err}");
         {
@@ -1539,7 +1492,7 @@ mod tests {
     fn stats_stay_serviceable_after_a_panic_poisons_the_counters() {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = Arc::clone(&server.daemon);
-        d.submit("toy", "sx4", &BTreeMap::new(), None).unwrap();
+        d.submit("toy", "sx4", &BTreeMap::new()).unwrap();
         // Poison the counters mutex the way a bug would: panic mid-section.
         {
             let d = Arc::clone(&d);
@@ -1555,7 +1508,7 @@ mod tests {
         assert!(stats.contains("\"accepted\":1"), "{stats}");
         let m = metrics_doc(&d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));
-        let reply = d.submit("toy", "sx4", &BTreeMap::new(), None).unwrap();
+        let reply = d.submit("toy", "sx4", &BTreeMap::new()).unwrap();
         assert!(reply.contains("\"cached\":true"));
     }
 
@@ -1564,11 +1517,11 @@ mod tests {
         let server = Server::bind(toy_registry(), ServerConfig::default()).unwrap();
         let d = &server.daemon;
         let mut p = BTreeMap::new();
-        d.submit("toy", "sx4", &p, None).unwrap(); // miss -> run
-        d.submit("toy", "sx4", &p, None).unwrap(); // hit
+        d.submit("toy", "sx4", &p).unwrap(); // miss -> run
+        d.submit("toy", "sx4", &p).unwrap(); // hit
         p.insert("n".into(), "2".into());
-        d.submit("toy", "sx4", &p, None).unwrap(); // second distinct run
-        let _ = d.submit("missing", "sx4", &p, None).unwrap_err(); // not accepted
+        d.submit("toy", "sx4", &p).unwrap(); // second distinct run
+        let _ = d.submit("missing", "sx4", &p).unwrap_err(); // not accepted
 
         let m = metrics_doc(d);
         assert_eq!(m.get("reconciled").unwrap().as_bool(), Some(true));

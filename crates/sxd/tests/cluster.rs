@@ -239,3 +239,51 @@ fn full_cluster_drain_then_respawn_recovers_every_shard() {
     cluster.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A member that goes down without draining: the router answers its keys
+/// with a typed `shard_unavailable` and counts it, keeps serving the other
+/// members' keys, and still shuts down cleanly.
+#[test]
+fn a_dead_member_is_typed_unavailable_while_the_others_still_serve() {
+    let cluster =
+        spawn(toy_registry(), ClusterConfig { shards: 3, ..ClusterConfig::default() }).unwrap();
+    let addr = cluster.addr().to_string();
+    let mut client = Client::connect(&addr).unwrap();
+    let mut owner = |i: usize| {
+        let route = client.route("shallow", "sx4-9.2", &params_n(i)).unwrap();
+        route.get("member").and_then(Json::as_u64).unwrap() as usize
+    };
+    let victim = owner(0);
+    let other = (1..64).find(|&i| owner(i) != victim).expect("some key lives elsewhere");
+
+    // Warm the router's connection to the victim, then take the victim
+    // down behind the router's back and wait until it refuses connects.
+    client.submit("shallow", "sx4-9.2", &params_n(0)).unwrap();
+    let victim_addr = cluster.member_addrs()[victim].to_string();
+    Client::connect(&victim_addr).unwrap().shutdown().unwrap();
+    let t0 = std::time::Instant::now();
+    while std::net::TcpStream::connect(&victim_addr).is_ok() {
+        assert!(t0.elapsed() < std::time::Duration::from_secs(10), "victim never went down");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+
+    let err = client.submit("shallow", "sx4-9.2", &params_n(0)).unwrap_err();
+    assert_eq!(err.kind(), "shard_unavailable", "{err}");
+    let sub = client.submit("shallow", "sx4-9.2", &params_n(other)).unwrap();
+    assert!(!sub.cached);
+    // Fan-out verbs refuse a partial view rather than under-count.
+    let err = client.stats().unwrap_err();
+    assert_eq!(err.kind(), "shard_unavailable", "{err}");
+
+    // Draining the dead member tolerates it being gone; its keys then
+    // route to a survivor, and the router's tallies show both refusals.
+    client.drain_member(victim, Some(100)).unwrap();
+    assert!(!client.submit("shallow", "sx4-9.2", &params_n(0)).unwrap().cached);
+    let doc = Json::parse(&client.raw("{\"op\":\"stats\"}").unwrap()).unwrap();
+    let router = doc.get("stats").and_then(|s| s.get("router")).expect("router tallies");
+    assert_eq!(router.get("unavailable").and_then(Json::as_u64), Some(2), "{router}");
+    assert_eq!(router.get("members_alive").and_then(Json::as_u64), Some(2));
+
+    client.shutdown().unwrap();
+    cluster.join().expect("the router shuts down cleanly with a member gone");
+}

@@ -1,11 +1,12 @@
 //! Lock-order audit of a live *cluster* (the router half of the
 //! SXC301/SXC302 acceptance criteria).
 //!
-//! The router's discipline is stricter than the daemon's: its four named
-//! locks (`sxd.router.members`, `.handles`, `.counters`, `.conns`) are all
-//! leaves — never nested inside each other or inside a member daemon's
-//! locks, and never held across the shard-forwarding I/O crossings
-//! (`sxd.router.forward` / `.drain` / `.join` / `.handoff`). This test
+//! The router's discipline is stricter than the daemon's: its five named
+//! locks (`sxd.router.members`, `.handles`, `.counters`, `.reactor` and
+//! the per-member `.conns` pools) are all leaves — never nested inside
+//! each other or inside a member daemon's locks, and never held across
+//! the shard-forwarding I/O crossings (`sxd.router.dial` / `.forward` /
+//! `.drain` / `.join` / `.handoff`). This test
 //! drives a durable 3-shard cluster through the full verb surface — routed
 //! floods, fan-out stats/metrics, a member drain with keyspace hand-off,
 //! cluster shutdown — then runs `sxcheck::lockgraph` over the process-wide

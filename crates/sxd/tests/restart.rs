@@ -12,6 +12,7 @@ use std::time::{Duration, Instant};
 use ncar_suite::{Artifact, Json, Registry};
 use sxd::journal::load_restart_specs;
 use sxd::{Client, Demand, JobEntry, Request, Server, ServerConfig, SxdError, MAX_REQUEST_FRAME};
+use sxsim::presets;
 
 fn scratch(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sxd-restart-{}-{name}", std::process::id()));
@@ -107,42 +108,42 @@ fn drain_checkpoints_stragglers_and_the_next_boot_completes_them() {
     assert!(matches!(&err, SxdError::Remote { kind, .. } if kind == "checkpointed"), "{err}");
     handle.join().unwrap();
 
-    // The restart spec survived the shutdown: full work plus the restart
-    // overhead (the conservative fraction-zero checkpoint).
+    // The restart spec survived the shutdown, naming the machine as the
+    // request spelled it, so the next boot can resolve it.
     let specs = load_restart_specs(&dir);
     assert_eq!(specs.len(), 1, "exactly the one straggler was checkpointed");
     assert_eq!(specs[0].suite, "slow");
-    assert!(
-        specs[0].solo_seconds > 3.0,
-        "restart half carries the work: {}",
-        specs[0].solo_seconds
-    );
+    assert!(presets::by_name(&specs[0].machine).is_some(), "{:?}", specs[0].machine);
 
-    // Boot 2: the spec is re-admitted automatically; once it completes,
-    // the same configuration answers from cache and the spec file is gone.
+    // Boot 2: the spec is re-admitted on its own. Nobody submits until the
+    // spec file is cleared, so only the re-admission can have run the job.
     let (addr, handle) = spawn_durable(toy_registry(50), &dir);
-    let mut client = Client::connect(&addr).unwrap();
     let t0 = Instant::now();
-    let sub = loop {
-        match client.submit("slow", "sx4-9.2", &BTreeMap::new()) {
-            Ok(sub) if sub.cached => break sub,
-            Ok(_) | Err(_) => {
-                assert!(t0.elapsed() < Duration::from_secs(10), "readmitted job never completed");
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-    };
-    assert!(sub.cached);
-    assert!(
-        load_restart_specs(&dir).is_empty(),
-        "spec file must be cleared after readmission completes"
-    );
-    // Counters reconcile on this side of the restart boundary too.
+    while !load_restart_specs(&dir).is_empty() {
+        assert!(t0.elapsed() < Duration::from_secs(10), "readmission never cleared the spec");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let mut client = Client::connect(&addr).unwrap();
     let stats = client.stats().unwrap();
     let n = |k: &str| stats.get(k).and_then(Json::as_u64).unwrap();
+    assert_eq!(n("done"), 1, "the readmitted job ran to completion: {stats}");
+    assert_eq!(n("bad_requests"), 0, "the readmitted spec resolved: {stats}");
     assert_eq!(n("accepted"), n("done") + n("rejected") + n("queued") + n("running"));
-    assert_eq!(n("queued"), 0);
-    assert_eq!(n("running"), 0);
+
+    // The first client submit hits the readmitted run's result, and it is
+    // byte for byte what a fresh run of the same configuration replies.
+    let sub = client.submit("slow", "sx4-9.2", &BTreeMap::new()).unwrap();
+    assert!(sub.cached, "the readmitted run must have cached its result");
+    let fresh = Server::bind(toy_registry(1), ServerConfig::default()).unwrap();
+    let fresh_addr = fresh.local_addr().to_string();
+    let fresh_handle = std::thread::spawn(move || fresh.run().expect("fresh daemon run"));
+    let mut fresh_client = Client::connect(&fresh_addr).unwrap();
+    let want = fresh_client.submit("slow", "sx4-9.2", &BTreeMap::new()).unwrap();
+    assert!(!want.cached);
+    assert_eq!(sub.raw, want.raw.replace("\"cached\":false", "\"cached\":true"));
+    fresh_client.shutdown().unwrap();
+    fresh_handle.join().unwrap();
+
     client.shutdown().unwrap();
     handle.join().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
