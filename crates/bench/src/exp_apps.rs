@@ -147,13 +147,12 @@ pub fn table7() -> Vec<Artifact> {
     vec![Artifact::Table(t)]
 }
 
-/// §4.7.3: POP 2-degree single-processor Mflops, the tracer phase priced
-/// without computing it.
+/// §4.7.3: POP 2-degree single-processor Mflops for both compilers, from
+/// one barotropic solve per step and the tracer phase priced without
+/// computing it.
 pub fn pop() -> Vec<Artifact> {
-    let machine = presets::sx4_benchmarked();
-    let got = Pop::priced_mflops(PopConfig::two_degree(), machine.clone(), 3);
-    let vec_cfg = PopConfig { cshift_vectorized: true, ..PopConfig::two_degree() };
-    let vectorized = Pop::priced_mflops(vec_cfg, machine, 3);
+    let [got, vectorized] =
+        Pop::priced_mflops(PopConfig::two_degree(), presets::sx4_benchmarked(), 3);
     vec![
         Artifact::Scalar {
             title: "POP 2-degree, 1 processor, scalar CSHIFT (as benchmarked)".into(),

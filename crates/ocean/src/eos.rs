@@ -4,7 +4,7 @@
 //! multiply/add-heavy with a few intrinsics, so it is priced through the
 //! vector facade.
 
-use sxsim::Vm;
+use sxsim::{Access, Intrinsic, VecOp, Vm, VopClass};
 
 /// Reference density (kg/m^3).
 pub const RHO0: f64 = 1027.0;
@@ -32,18 +32,22 @@ pub fn density(vm: &mut Vm, out: &mut [f64], temp: &[f64], salt: &[f64], depth_m
             *o = density_point(t, s, depth_m);
         }
     }
-    use sxsim::{Access, VecOp, VopClass};
+    charge_density(vm, out.len());
+}
+
+/// Charge [`density`] over `n` points without computing it.
+pub fn charge_density(vm: &mut Vm, n: usize) {
     // ~8 fused ops + one sqrt-class op per point.
     vm.charge_vector_op_repeated(
         &VecOp::new(
-            out.len(),
+            n,
             VopClass::Fma,
             &[Access::Stride(1), Access::Stride(1)],
             &[Access::Stride(1)],
         ),
         8,
     );
-    vm.charge_intrinsic(sxsim::Intrinsic::Sqrt, out.len());
+    vm.charge_intrinsic(Intrinsic::Sqrt, n);
 }
 
 #[cfg(test)]

@@ -5,7 +5,9 @@
 //! budget, the vectorizable classic); POP's implicit free surface solves
 //! an SPD Helmholtz system by conjugate gradients. Both operate on a
 //! periodic-in-longitude, wall-bounded-in-latitude grid and charge the
-//! machine for their stencil sweeps and reductions.
+//! machine for their stencil sweeps and reductions. The CG solve computes
+//! first and is charged afterwards from its exit record, so one solve can
+//! be priced for several compilers.
 
 use sxsim::{Access, VecOp, Vm, VopClass};
 
@@ -14,6 +16,25 @@ use sxsim::{Access, VecOp, Vm, VopClass};
 #[inline]
 pub(crate) fn lon_neighbours(j: usize, nlon: usize) -> (usize, usize) {
     (if j == 0 { nlon - 1 } else { j - 1 }, if j + 1 == nlon { 0 } else { j + 1 })
+}
+
+/// Visit every point of a periodic row of `nlon` points as
+/// `point(j, jm, jp)`, `jm`/`jp` its west and east neighbours. The two edge
+/// columns are peeled through [`lon_neighbours`] (at `nlon` 1 and 2 they
+/// wrap onto the point itself or onto each other); the interior runs with
+/// `jm = j - 1` and `jp = j + 1`, so a caller indexing `nlon`-long row
+/// slices leaves the compiler no bounds to check there.
+#[inline(always)]
+pub(crate) fn row_points(nlon: usize, mut point: impl FnMut(usize, usize, usize)) {
+    let (jm, jp) = lon_neighbours(0, nlon);
+    point(0, jm, jp);
+    for j in 1..nlon - 1 {
+        point(j, j - 1, j + 1);
+    }
+    if nlon > 1 {
+        let (jm, jp) = lon_neighbours(nlon - 1, nlon);
+        point(nlon - 1, jm, jp);
+    }
 }
 
 /// A 2-D field on an nlat x nlon grid, periodic in longitude.
@@ -35,6 +56,11 @@ impl Grid2 {
 
     pub fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.nlon + j] = v;
+    }
+
+    /// Latitude row `i`.
+    pub(crate) fn row(&self, i: usize) -> &[f64] {
+        &self.data[i * self.nlon..(i + 1) * self.nlon]
     }
 
     /// 5-point Laplacian with periodic longitude and Dirichlet (zero)
@@ -113,39 +139,46 @@ pub fn residual_norm(vm: &mut Vm, x: &Grid2, rhs: &Grid2) -> f64 {
     s.sqrt()
 }
 
-/// Conjugate gradients for the free-surface Helmholtz operator
-/// `(alpha - lap) x = rhs`, alpha > 0 (SPD). Returns (iterations, final
-/// residual norm). Stencil applications optionally go through the
-/// "unvectorized CSHIFT" path the POP benchmark hit (paper §4.7.3).
+/// Options of a [`conjugate_gradient`] solve.
 pub struct CgOptions {
     pub alpha: f64,
     pub tol: f64,
     pub max_iter: usize,
-    /// Price stencil shifts through the scalar unit, as the pre-release
-    /// NEC F90 compiler did with CSHIFT.
-    pub scalar_cshift: bool,
     /// Use no-flux (Neumann) latitude walls instead of Dirichlet — the
     /// free-surface boundary condition (conserves the domain integral).
     pub neumann: bool,
 }
 
-/// Apply the Helmholtz operator, charging either the vector or the
-/// scalar-CSHIFT path.
-fn apply_helmholtz(vm: &mut Vm, out: &mut Grid2, x: &Grid2, opt: &CgOptions) {
-    let (alpha, scalar_cshift) = (opt.alpha, opt.scalar_cshift);
-    for i in 0..x.nlat {
-        for j in 0..x.nlon {
-            let lap = if opt.neumann { x.laplacian_neumann(i, j) } else { x.laplacian(i, j) };
-            out.set(i, j, alpha * x.at(i, j) - lap);
-        }
+/// `out = (alpha - lap) x`, row by row: each row reads its `up`/`row`/`dn`
+/// slices, and a wall row's missing neighbour is the row itself (Neumann)
+/// or zero (Dirichlet). Every point is the expression of
+/// [`Grid2::laplacian_neumann`] / [`Grid2::laplacian`], bit for bit.
+pub(crate) fn apply_helmholtz(out: &mut Grid2, x: &Grid2, opt: &CgOptions) {
+    let (nlat, nlon, alpha) = (x.nlat, x.nlon, opt.alpha);
+    let zeros = if opt.neumann { Vec::new() } else { vec![0.0; nlon] };
+    for i in 0..nlat {
+        let out = &mut out.data[i * nlon..(i + 1) * nlon];
+        let row = x.row(i);
+        let wall = if opt.neumann { row } else { &zeros[..] };
+        let up = if i == 0 { wall } else { x.row(i - 1) };
+        let dn = if i + 1 == nlat { wall } else { x.row(i + 1) };
+        row_points(nlon, |j, jm, jp| {
+            let c = row[j];
+            out[j] = alpha * c - (up[j] + dn[j] + row[jm] + row[jp] - 4.0 * c);
+        });
     }
+}
+
+/// Charge one Helmholtz application: the vector stencil sweep, or four
+/// CSHIFTs through the scalar unit plus a vector combine.
+fn charge_helmholtz(vm: &mut Vm, nlat: usize, nlon: usize, scalar_cshift: bool) {
     if scalar_cshift {
-        // Four CSHIFTs through the scalar unit + vector combine; the first
-        // streams the field, the rest re-read it from cache.
-        vm.charge_scalar_loop(x.nlat * x.nlon, 0.0, 1.0, 1.0, sxsim::LocalityPattern::Streaming);
+        // The first CSHIFT streams the field, the rest re-read it from
+        // cache.
+        vm.charge_scalar_loop(nlat * nlon, 0.0, 1.0, 1.0, sxsim::LocalityPattern::Streaming);
         for _ in 1..4 {
             vm.charge_scalar_loop(
-                x.nlat * x.nlon,
+                nlat * nlon,
                 0.0,
                 1.0,
                 1.0,
@@ -154,78 +187,167 @@ fn apply_helmholtz(vm: &mut Vm, out: &mut Grid2, x: &Grid2, opt: &CgOptions) {
         }
         vm.charge_vector_op_repeated(
             &VecOp::new(
-                x.nlon,
+                nlon,
                 VopClass::Fma,
                 &[Access::Stride(1), Access::Stride(1)],
                 &[Access::Stride(1)],
             ),
-            x.nlat * 2,
+            nlat * 2,
         );
     } else {
-        charge_sweep(vm, x.nlat, x.nlon);
+        charge_sweep(vm, nlat, nlon);
     }
 }
 
-/// Dot product of two grids, charged as a vector reduction.
-fn grid_dot(vm: &mut Vm, a: &Grid2, b: &Grid2) -> f64 {
+/// Charge a dot product of two `n`-point grids (a vector reduction).
+fn charge_dot(vm: &mut Vm, n: usize) {
     vm.charge_vector_op(&VecOp::new(
-        a.data.len(),
+        n,
         VopClass::Fma,
         &[Access::Stride(1), Access::Stride(1)],
         &[],
     ));
+}
+
+/// Charge one `n`-point update `y = a + s * b` (an AXPY or the search
+/// direction update).
+fn charge_update(vm: &mut Vm, n: usize) {
+    vm.charge_vector_op(&VecOp::new(
+        n,
+        VopClass::Fma,
+        &[Access::Stride(1), Access::Stride(1)],
+        &[Access::Stride(1)],
+    ));
+}
+
+fn dot(a: &Grid2, b: &Grid2) -> f64 {
     a.data.iter().zip(&b.data).map(|(&x, &y)| x * y).sum()
 }
 
-/// y += s * x over grids.
-fn grid_axpy(vm: &mut Vm, y: &mut Grid2, s: f64, x: &Grid2) {
-    vm.axpy(&mut y.data, s, &x.data);
+/// Why a [`conjugate_gradient`] solve stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CgStop {
+    /// The relative residual fell below `tol` (at iteration 0 when the
+    /// first guess already solves the system).
+    Converged,
+    /// `p . Ap <= 0`: the operator is not SPD along `p`, so the solve
+    /// stopped safely after applying it.
+    NotPositive,
+    /// `max_iter` iterations ran without converging.
+    MaxIter,
 }
 
-/// Solve `(alpha - lap) x = rhs` by CG.
+/// The exit record of a [`conjugate_gradient`] solve: everything its
+/// charges depend on beyond the grid shape and the options.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CgExit {
+    /// Completed iterations.
+    pub iters: usize,
+    pub stop: CgStop,
+    /// Final residual norm.
+    pub residual: f64,
+}
+
+/// The work grids of a [`conjugate_gradient`] solve — `A p`, the residual
+/// and the search direction — kept from one solve to the next, so that a
+/// model stepping one grid allocates them once.
+pub struct CgScratch {
+    ax: Grid2,
+    r: Grid2,
+    p: Grid2,
+}
+
+impl CgScratch {
+    pub fn new(nlat: usize, nlon: usize) -> CgScratch {
+        CgScratch {
+            ax: Grid2::zeros(nlat, nlon),
+            r: Grid2::zeros(nlat, nlon),
+            p: Grid2::zeros(nlat, nlon),
+        }
+    }
+}
+
+/// Conjugate gradients for the free-surface Helmholtz operator
+/// `(alpha - lap) x = rhs`, alpha > 0 (SPD), starting from `x`, with work
+/// grids from `scratch`. Computes values only and returns the solve's exit
+/// record; the machine is charged for the solve by
+/// [`charge_conjugate_gradient`], once per compiler or machine the same
+/// solve is priced for.
 pub fn conjugate_gradient(
-    vm: &mut Vm,
     x: &mut Grid2,
     rhs: &Grid2,
     opt: &CgOptions,
-) -> (usize, f64) {
-    let (nlat, nlon) = (x.nlat, x.nlon);
-    let mut ax = Grid2::zeros(nlat, nlon);
-    apply_helmholtz(vm, &mut ax, x, opt);
-    let mut r = Grid2::zeros(nlat, nlon);
-    for i in 0..r.data.len() {
-        r.data[i] = rhs.data[i] - ax.data[i];
+    scratch: &mut CgScratch,
+) -> CgExit {
+    let CgScratch { ax, r, p } = scratch;
+    assert_eq!((x.nlat, x.nlon), (rhs.nlat, rhs.nlon));
+    assert_eq!((x.nlat, x.nlon), (r.nlat, r.nlon));
+    let exit = |iters, stop, rr: f64| CgExit { iters, stop, residual: rr.sqrt() };
+    apply_helmholtz(ax, x, opt);
+    for ((r, &b), &ax) in r.data.iter_mut().zip(&rhs.data).zip(&ax.data) {
+        *r = b - ax;
     }
-    let mut p = r.clone();
-    let mut rr = grid_dot(vm, &r, &r);
-    let rhs_norm = grid_dot(vm, rhs, rhs).sqrt().max(1e-300);
+    p.data.copy_from_slice(&r.data);
+    let mut rr = dot(r, r);
+    let rhs_norm = dot(rhs, rhs).sqrt().max(1e-300);
 
     for it in 0..opt.max_iter {
         if rr.sqrt() / rhs_norm < opt.tol {
-            return (it, rr.sqrt());
+            return exit(it, CgStop::Converged, rr);
         }
-        apply_helmholtz(vm, &mut ax, &p, opt);
-        let pap = grid_dot(vm, &p, &ax);
+        apply_helmholtz(ax, p, opt);
+        let pap = dot(p, ax);
         if pap <= 0.0 {
-            return (it, rr.sqrt()); // operator should be SPD; stop safely
+            return exit(it, CgStop::NotPositive, rr);
         }
         let alpha = rr / pap;
-        grid_axpy(vm, x, alpha, &p);
-        grid_axpy(vm, &mut r, -alpha, &ax);
-        let rr_new = grid_dot(vm, &r, &r);
-        let beta = rr_new / rr;
-        for i in 0..p.data.len() {
-            p.data[i] = r.data[i] + beta * p.data[i];
+        for (y, &v) in x.data.iter_mut().zip(&p.data) {
+            *y += alpha * v;
         }
-        vm.charge_vector_op(&VecOp::new(
-            p.data.len(),
-            VopClass::Fma,
-            &[Access::Stride(1), Access::Stride(1)],
-            &[Access::Stride(1)],
-        ));
+        for (y, &v) in r.data.iter_mut().zip(&ax.data) {
+            *y += -alpha * v;
+        }
+        let rr_new = dot(r, r);
+        let beta = rr_new / rr;
+        for (p, &r) in p.data.iter_mut().zip(&r.data) {
+            *p = r + beta * *p;
+        }
         rr = rr_new;
     }
-    (opt.max_iter, rr.sqrt())
+    exit(opt.max_iter, CgStop::MaxIter, rr)
+}
+
+/// Charge `vm` for the solve `exit` records on an `nlat` x `nlon` grid:
+/// the exact charge sequence of a CG that charges as it computes. The
+/// setup applies the operator and takes two dot products; each completed
+/// iteration applies the operator, takes a dot product, updates `x` and
+/// `r`, takes a dot product and updates `p`; a [`CgStop::NotPositive`]
+/// exit adds the application and dot product it stopped after.
+/// `scalar_cshift` prices the stencil shifts through the scalar unit, as
+/// the pre-release NEC F90 compiler did with CSHIFT (paper §4.7.3).
+pub fn charge_conjugate_gradient(
+    vm: &mut Vm,
+    nlat: usize,
+    nlon: usize,
+    scalar_cshift: bool,
+    exit: &CgExit,
+) {
+    let n = nlat * nlon;
+    charge_helmholtz(vm, nlat, nlon, scalar_cshift);
+    charge_dot(vm, n);
+    charge_dot(vm, n);
+    for _ in 0..exit.iters {
+        charge_helmholtz(vm, nlat, nlon, scalar_cshift);
+        charge_dot(vm, n);
+        charge_update(vm, n);
+        charge_update(vm, n);
+        charge_dot(vm, n);
+        charge_update(vm, n);
+    }
+    if exit.stop == CgStop::NotPositive {
+        charge_helmholtz(vm, nlat, nlon, scalar_cshift);
+        charge_dot(vm, n);
+    }
 }
 
 #[cfg(test)]
@@ -252,7 +374,6 @@ mod tests {
 
     #[test]
     fn cg_solves_manufactured_problem() {
-        let mut vm = vm();
         let star = manufactured(24, 48);
         let alpha = 0.8;
         let mut rhs = Grid2::zeros(24, 48);
@@ -262,14 +383,14 @@ mod tests {
             }
         }
         let mut x = Grid2::zeros(24, 48);
-        let (iters, res) = conjugate_gradient(
-            &mut vm,
+        let exit = conjugate_gradient(
             &mut x,
             &rhs,
-            &CgOptions { alpha, tol: 1e-10, max_iter: 2000, scalar_cshift: false, neumann: false },
+            &CgOptions { alpha, tol: 1e-10, max_iter: 2000, neumann: false },
+            &mut CgScratch::new(24, 48),
         );
-        assert!(iters < 2000, "CG did not converge");
-        assert!(res < 1e-6);
+        assert_eq!(exit.stop, CgStop::Converged, "CG did not converge");
+        assert!(exit.residual < 1e-6);
         let err = x.data.iter().zip(&star.data).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
         assert!(err < 1e-6, "max error {err}");
     }
@@ -299,19 +420,14 @@ mod tests {
         }
         let run = |scalar: bool| {
             let mut vm = vm();
-            let mut x = Grid2::zeros(32, 64);
-            conjugate_gradient(
-                &mut vm,
-                &mut x,
+            let opt = CgOptions { alpha: 1.0, tol: 1e-8, max_iter: 500, neumann: false };
+            let exit = conjugate_gradient(
+                &mut Grid2::zeros(32, 64),
                 &rhs,
-                &CgOptions {
-                    alpha: 1.0,
-                    tol: 1e-8,
-                    max_iter: 500,
-                    scalar_cshift: scalar,
-                    neumann: false,
-                },
+                &opt,
+                &mut CgScratch::new(32, 64),
             );
+            charge_conjugate_gradient(&mut vm, 32, 64, scalar, &exit);
             vm.cost().cycles
         };
         let vec_cycles = run(false);
@@ -331,5 +447,188 @@ mod tests {
         // Interior rows see 0; wall rows feel the zero boundary.
         assert_eq!(g.laplacian(4, 5), 0.0);
         assert!(g.laplacian(0, 5) < 0.0);
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod pricing_tests {
+    use super::*;
+    use ncar_suite::SmallRng;
+    use sxsim::presets;
+
+    /// The solver as it was before its values and charges were split:
+    /// point-wise stencils, each charge made where its arithmetic runs, and
+    /// the AXPYs through the computing `vm`.
+    pub(crate) fn interleaved_conjugate_gradient(
+        vm: &mut Vm,
+        x: &mut Grid2,
+        rhs: &Grid2,
+        opt: &CgOptions,
+        scalar_cshift: bool,
+    ) -> CgExit {
+        let apply = |vm: &mut Vm, out: &mut Grid2, x: &Grid2| {
+            for i in 0..x.nlat {
+                for j in 0..x.nlon {
+                    let lap =
+                        if opt.neumann { x.laplacian_neumann(i, j) } else { x.laplacian(i, j) };
+                    out.set(i, j, opt.alpha * x.at(i, j) - lap);
+                }
+            }
+            charge_helmholtz(vm, x.nlat, x.nlon, scalar_cshift);
+        };
+        let grid_dot = |vm: &mut Vm, a: &Grid2, b: &Grid2| {
+            vm.charge_vector_op(&VecOp::new(
+                a.data.len(),
+                VopClass::Fma,
+                &[Access::Stride(1), Access::Stride(1)],
+                &[],
+            ));
+            a.data.iter().zip(&b.data).map(|(&x, &y)| x * y).sum::<f64>()
+        };
+        let exit = |iters, stop, rr: f64| CgExit { iters, stop, residual: rr.sqrt() };
+        let (nlat, nlon) = (x.nlat, x.nlon);
+        let mut ax = Grid2::zeros(nlat, nlon);
+        apply(vm, &mut ax, x);
+        let mut r = Grid2::zeros(nlat, nlon);
+        for i in 0..r.data.len() {
+            r.data[i] = rhs.data[i] - ax.data[i];
+        }
+        let mut p = r.clone();
+        let mut rr = grid_dot(vm, &r, &r);
+        let rhs_norm = grid_dot(vm, rhs, rhs).sqrt().max(1e-300);
+        for it in 0..opt.max_iter {
+            if rr.sqrt() / rhs_norm < opt.tol {
+                return exit(it, CgStop::Converged, rr);
+            }
+            apply(vm, &mut ax, &p);
+            let pap = grid_dot(vm, &p, &ax);
+            if pap <= 0.0 {
+                return exit(it, CgStop::NotPositive, rr);
+            }
+            let alpha = rr / pap;
+            vm.axpy(&mut x.data, alpha, &p.data);
+            vm.axpy(&mut r.data, -alpha, &ax.data);
+            let rr_new = grid_dot(vm, &r, &r);
+            let beta = rr_new / rr;
+            for i in 0..p.data.len() {
+                p.data[i] = r.data[i] + beta * p.data[i];
+            }
+            vm.charge_vector_op(&VecOp::new(
+                p.data.len(),
+                VopClass::Fma,
+                &[Access::Stride(1), Access::Stride(1)],
+                &[Access::Stride(1)],
+            ));
+            rr = rr_new;
+        }
+        exit(opt.max_iter, CgStop::MaxIter, rr)
+    }
+
+    /// A grid of values in [-1, 1), with exact zeros of both signs mixed in
+    /// so that a wall's `0.0 + v` cannot hide behind a plain `v`.
+    pub(crate) fn random_grid(rng: &mut SmallRng, nlat: usize, nlon: usize) -> Grid2 {
+        let mut g = Grid2::zeros(nlat, nlon);
+        for v in &mut g.data {
+            *v = match rng.next_below(16) {
+                0 => 0.0,
+                1 => -0.0,
+                _ => 2.0 * rng.next_f64() - 1.0,
+            };
+        }
+        g
+    }
+
+    pub(crate) fn bits(g: &Grid2) -> Vec<u64> {
+        g.data.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The grid shapes the row-sliced stencils are held to: at `nlon` 1
+    /// and 2 the periodic neighbours wrap onto the point itself or onto
+    /// each other, at `nlat` 1 and 2 every row is a wall row.
+    pub(crate) const SHAPES: [usize; 4] = [1, 2, 3, 90];
+    pub(crate) const LONS: [usize; 4] = [1, 2, 3, 180];
+
+    #[test]
+    fn row_sliced_helmholtz_matches_pointwise_bit_for_bit() {
+        let mut rng = SmallRng::seed_from_u64(26);
+        for nlat in SHAPES {
+            for nlon in LONS {
+                for neumann in [false, true] {
+                    let x = random_grid(&mut rng, nlat, nlon);
+                    let alpha = 0.5 + 4.0 * rng.next_f64();
+                    let opt = CgOptions { alpha, tol: 0.0, max_iter: 0, neumann };
+                    let mut out = Grid2::zeros(nlat, nlon);
+                    apply_helmholtz(&mut out, &x, &opt);
+                    for i in 0..nlat {
+                        for j in 0..nlon {
+                            let lap =
+                                if neumann { x.laplacian_neumann(i, j) } else { x.laplacian(i, j) };
+                            let want = alpha * x.at(i, j) - lap;
+                            assert_eq!(
+                                out.at(i, j).to_bits(),
+                                want.to_bits(),
+                                "{nlat}x{nlon} neumann={neumann} at ({i}, {j})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replaying a solve's exit record charges exactly what the interleaved
+    /// solver charged — trace, ledger and PROGINF statistics — and the
+    /// split solver computes the same values, for every way a solve ends.
+    #[test]
+    fn replayed_charges_match_interleaved_for_every_exit() {
+        let mut rng = SmallRng::seed_from_u64(7);
+        let (nlat, nlon) = (12, 20);
+        let bump = random_grid(&mut rng, nlat, nlon);
+        let zeros = Grid2::zeros(nlat, nlon);
+        let opt = |alpha, tol, max_iter| CgOptions { alpha, tol, max_iter, neumann: true };
+        let cases = [
+            ("converges", &bump, opt(2.0, 1e-9, 500), CgStop::Converged),
+            ("zero rhs converges at 0", &zeros, opt(2.0, 1e-9, 500), CgStop::Converged),
+            ("max_iter 1", &bump, opt(2.0, 1e-9, 1), CgStop::MaxIter),
+            ("max_iter 0", &bump, opt(2.0, 1e-9, 0), CgStop::MaxIter),
+            ("p.Ap = 0", &zeros, opt(2.0, 0.0, 500), CgStop::NotPositive),
+            ("p.Ap < 0", &bump, opt(-8.0, 1e-9, 500), CgStop::NotPositive),
+        ];
+        // One scratch for every solve, as a stepping model keeps it.
+        let mut scratch = CgScratch::new(nlat, nlon);
+        for (name, rhs, opt, stop) in cases {
+            for neumann in [false, true] {
+                let opt = CgOptions { neumann, ..opt };
+                for scalar_cshift in [false, true] {
+                    let ctx = format!("{name} neumann={neumann} scalar_cshift={scalar_cshift}");
+                    let machine = presets::sx4_benchmarked();
+                    let (mut interleaved, mut replayed) =
+                        (Vm::new(machine.clone()), Vm::pricing(machine));
+                    interleaved.start_trace();
+                    replayed.start_trace();
+                    let (mut xi, mut xr) = (Grid2::zeros(nlat, nlon), Grid2::zeros(nlat, nlon));
+                    let want = interleaved_conjugate_gradient(
+                        &mut interleaved,
+                        &mut xi,
+                        rhs,
+                        &opt,
+                        scalar_cshift,
+                    );
+                    let exit = conjugate_gradient(&mut xr, rhs, &opt, &mut scratch);
+                    charge_conjugate_gradient(&mut replayed, nlat, nlon, scalar_cshift, &exit);
+                    assert_eq!(exit.stop, stop, "{ctx}");
+                    assert_eq!((exit.iters, exit.stop), (want.iters, want.stop), "{ctx}");
+                    assert_eq!(exit.residual.to_bits(), want.residual.to_bits(), "{ctx}");
+                    assert_eq!(bits(&xr), bits(&xi), "{ctx}");
+                    let (ci, cr) = (interleaved.cost(), replayed.cost());
+                    assert_eq!(ci.cycles.to_bits(), cr.cycles.to_bits(), "{ctx}");
+                    assert_eq!(ci.flops, cr.flops, "{ctx}");
+                    assert_eq!(ci.cray_flops.to_bits(), cr.cray_flops.to_bits(), "{ctx}");
+                    assert_eq!(ci.bytes, cr.bytes, "{ctx}");
+                    assert_eq!(interleaved.stats(), replayed.stats(), "{ctx}");
+                    assert_eq!(interleaved.take_trace(), replayed.take_trace(), "{ctx}");
+                }
+            }
+        }
     }
 }
