@@ -14,6 +14,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo clippy --offline --workspace --all-targets \
   --features sxd/faults,ncar-bench/faults,ncar-suite/lockcheck,sxd/lockcheck -- -D warnings
 
+echo "==> rustdoc -D warnings"
+# Narrowing an item to pub(crate) or deleting a module leaves public docs
+# linking to what readers can no longer see; rustdoc reports those links.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> cargo test"
 # Serving is tested in-process and against the real `ncar-bench serve`
 # binary by the sxd and ncar-bench integration tests this stage runs.

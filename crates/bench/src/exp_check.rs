@@ -146,7 +146,7 @@ fn to_json(
                         Json::Arr(f.expect.iter().map(|c| Json::Str(c.to_string())).collect()),
                     ),
                     ("satisfied".to_string(), Json::Bool(*satisfied)),
-                    ("findings".to_string(), Json::Num(f.report.len() as f64)),
+                    ("findings".to_string(), Json::Num(f.report.finding_count() as f64)),
                 ])
             })
             .collect(),

@@ -43,7 +43,6 @@ pub fn prodload_experiment(measured: bool) -> Vec<Artifact> {
         memory_bytes: 512 << 20,
         solo_seconds: secs,
         bytes_per_cycle_per_proc: rates.bpc,
-        block: 0,
         after: vec![],
     };
     qm.submit("express", job("interactive-check", 2, 30.0)).expect("fits");

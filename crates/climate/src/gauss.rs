@@ -6,7 +6,7 @@
 
 /// Legendre polynomial P_n(x) and its derivative, by the three-term
 /// recurrence.
-pub fn legendre_pn(n: usize, x: f64) -> (f64, f64) {
+pub(crate) fn legendre_pn(n: usize, x: f64) -> (f64, f64) {
     let mut p0 = 1.0f64;
     if n == 0 {
         return (1.0, 0.0);

@@ -20,7 +20,7 @@ impl Resolution {
         [Resolution::T42, Resolution::T63, Resolution::T85, Resolution::T106, Resolution::T170];
 
     /// Triangular truncation wavenumber.
-    pub fn truncation(self) -> usize {
+    pub(crate) fn truncation(self) -> usize {
         match self {
             Resolution::T42 => 42,
             Resolution::T63 => 63,
@@ -83,13 +83,6 @@ impl Resolution {
         (24.0 * 60.0 / self.timestep_minutes()).round() as usize
     }
 
-    /// Number of (m, n) spectral coefficients under triangular truncation:
-    /// 0 <= m <= n <= T.
-    pub fn nspec(self) -> usize {
-        let t = self.truncation() + 1;
-        t * (t + 1) / 2
-    }
-
     /// Total grid columns.
     pub fn ncols(self) -> usize {
         self.nlat() * self.nlon()
@@ -138,17 +131,17 @@ mod tests {
     }
 
     #[test]
+    fn history_volume_near_15gb_per_year_at_t63() {
+        let gb = (Resolution::T63.history_bytes_per_day() * 365) as f64 / 1e9;
+        assert!((8.0..25.0).contains(&gb), "T63 yearly history {gb} GB vs paper's ~15 GB");
+    }
+
+    #[test]
     fn grid_supports_unaliased_truncation() {
         // The transform grid must satisfy nlat >= (3T+1)/2 to avoid
         // quadratic aliasing (the canonical spectral-model constraint).
         for r in Resolution::ALL {
             assert!(2 * r.nlat() > 3 * r.truncation(), "{}", r.name());
         }
-    }
-
-    #[test]
-    fn spectral_sizes() {
-        assert_eq!(Resolution::T42.nspec(), 43 * 44 / 2);
-        assert_eq!(Resolution::T170.nspec(), 171 * 172 / 2);
     }
 }

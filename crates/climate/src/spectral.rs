@@ -17,19 +17,19 @@ use sxsim::{Access, VecOp, Vm, VopClass};
 
 /// A transform fixed to one (truncation, grid) geometry.
 #[derive(Debug, Clone)]
-pub struct SphericalTransform {
-    pub trunc: usize,
-    pub nlat: usize,
-    pub nlon: usize,
+pub(crate) struct SphericalTransform {
+    pub(crate) trunc: usize,
+    pub(crate) nlat: usize,
+    pub(crate) nlon: usize,
     /// Gaussian latitudes mu = sin(lat), ascending.
-    pub mu: Vec<f64>,
+    pub(crate) mu: Vec<f64>,
     /// Gaussian weights.
-    pub weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     /// How many independent transforms (levels x fields) the caller fuses
     /// into each vector operation — multilevel models set this to their
     /// level count, lengthening the charged vectors without changing the
     /// arithmetic (the CCM2 "vertical slab" vectorization). Default 1.
-    pub fused_transforms: usize,
+    pub(crate) fused_transforms: usize,
     /// plm[lat * nspec + pack_index(m, n)]
     plm: Vec<f64>,
     /// phase[lon * (trunc + 1) + m] = e^{i m lambda_lon}: the Fourier
@@ -41,7 +41,7 @@ impl SphericalTransform {
     /// Build the transform for a triangular truncation on an
     /// nlat x nlon Gaussian grid. Requires an alias-free grid
     /// (2*nlat >= 3*trunc + 1 and nlon >= 3*trunc + 1).
-    pub fn new(trunc: usize, nlat: usize, nlon: usize) -> SphericalTransform {
+    pub(crate) fn new(trunc: usize, nlat: usize, nlon: usize) -> SphericalTransform {
         let shape = SphericalTransform::shape(trunc, nlat, nlon);
         let (mu, weights) = gauss_legendre(nlat);
         let nspec = pack_len(trunc);
@@ -64,7 +64,7 @@ impl SphericalTransform {
     /// tables. It charges exactly what the full transform charges, and
     /// only a pricing [`Vm`] may drive it: the partial transforms compute
     /// nothing there, so they never read the missing tables.
-    pub fn shape(trunc: usize, nlat: usize, nlon: usize) -> SphericalTransform {
+    pub(crate) fn shape(trunc: usize, nlat: usize, nlon: usize) -> SphericalTransform {
         assert!(2 * nlat > 3 * trunc, "latitude grid aliases T{trunc}");
         assert!(nlon > 2 * trunc, "longitude grid cannot hold T{trunc}");
         assert!(nlon.is_multiple_of(2), "even longitude count required by the real FFT");
@@ -81,18 +81,13 @@ impl SphericalTransform {
     }
 
     /// Packed spectral length.
-    pub fn nspec(&self) -> usize {
+    pub(crate) fn nspec(&self) -> usize {
         pack_len(self.trunc)
     }
 
     /// Packed index of (m, n).
-    pub fn index(&self, m: usize, n: usize) -> usize {
+    pub(crate) fn index(&self, m: usize, n: usize) -> usize {
         pack_index(self.trunc, m, n)
-    }
-
-    /// P̄ₙᵐ at latitude index `lat`.
-    pub fn plm(&self, lat: usize, m: usize, n: usize) -> f64 {
-        self.plm[lat * self.nspec() + self.index(m, n)]
     }
 
     /// Fourier-analyze the latitude rows in `lats`: returns, per local row,
@@ -125,7 +120,12 @@ impl SphericalTransform {
     /// those rows only. Summing the partials of a full partition equals
     /// [`SphericalTransform::analyze`] over 0..nlat. A pricing `vm` only
     /// charges, and the result is empty.
-    pub fn analyze_partial(&self, vm: &mut Vm, grid: &[f64], lats: Range<usize>) -> Vec<C64> {
+    pub(crate) fn analyze_partial(
+        &self,
+        vm: &mut Vm,
+        grid: &[f64],
+        lats: Range<usize>,
+    ) -> Vec<C64> {
         assert_eq!(grid.len(), self.nlat * self.nlon);
         let nspec = self.nspec();
         let four = self.fourier_rows(vm, grid, &lats);
@@ -171,13 +171,14 @@ impl SphericalTransform {
     }
 
     /// Full analysis: grid → packed spectral coefficients.
-    pub fn analyze(&self, vm: &mut Vm, grid: &[f64]) -> Vec<C64> {
+    #[cfg(test)]
+    pub(crate) fn analyze(&self, vm: &mut Vm, grid: &[f64]) -> Vec<C64> {
         self.analyze_partial(vm, grid, 0..self.nlat)
     }
 
     /// Synthesize the latitude rows in `lats` from spectral coefficients
     /// into `grid` (only those rows are written; none when pricing).
-    pub fn synthesize_partial(
+    pub(crate) fn synthesize_partial(
         &self,
         vm: &mut Vm,
         spec: &[C64],
@@ -221,7 +222,8 @@ impl SphericalTransform {
     }
 
     /// Full synthesis into a fresh grid.
-    pub fn synthesize(&self, vm: &mut Vm, spec: &[C64]) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn synthesize(&self, vm: &mut Vm, spec: &[C64]) -> Vec<f64> {
         let mut grid = vec![0.0f64; self.nlat * self.nlon];
         self.synthesize_partial(vm, spec, &mut grid, 0..self.nlat);
         grid
@@ -355,6 +357,39 @@ mod tests {
     #[should_panic(expected = "aliases")]
     fn aliasing_grid_rejected() {
         SphericalTransform::new(42, 32, 128);
+    }
+
+    #[test]
+    fn parseval_ties_spectrum_to_grid_variance() {
+        // Pins synthesis's absolute normalisation, which a round trip
+        // cannot see: the area-weighted grid variance must equal the total
+        // spectral power. Conventions: the grid weights sum to 2, P̄ is
+        // orthonormal with ∫ P̄² dmu = 1, and m > 0 counts twice
+        // (conjugate pairs).
+        let t = small();
+        let mut vm = vm();
+        let mut spec = vec![C64::ZERO; t.nspec()];
+        let mut power = 0.0;
+        for m in 0..=t.trunc {
+            for n in m..=t.trunc {
+                let re = ((m * 3 + n) % 7) as f64 / 7.0 - 0.4;
+                let im = if m == 0 { 0.0 } else { ((m + n * 2) % 5) as f64 / 5.0 - 0.3 };
+                let a = C64::new(re, im);
+                spec[t.index(m, n)] = a;
+                power += if m == 0 { 1.0 } else { 2.0 } * a.norm_sqr();
+            }
+        }
+        let grid = t.synthesize(&mut vm, &spec);
+        let variance: f64 = (0..t.nlat)
+            .map(|l| {
+                let row = &grid[l * t.nlon..(l + 1) * t.nlon];
+                t.weights[l] * row.iter().map(|v| v * v).sum::<f64>() / t.nlon as f64
+            })
+            .sum();
+        assert!(
+            (variance - power).abs() < 1e-9 * power.max(1.0),
+            "Parseval violated: variance {variance} vs power {power}"
+        );
     }
 }
 

@@ -26,7 +26,7 @@ pub fn steady_step(config: &Ccm2Config, machine: &MachineModel, procs: usize) ->
 }
 
 /// [`steady_step`] plus the step's FTRACE phase breakdown, as
-/// [`Ccm2Proxy::step_traced`] collects it.
+/// `Ccm2Proxy::step_traced` collects it.
 pub fn steady_step_traced(
     config: &Ccm2Config,
     machine: &MachineModel,
@@ -36,7 +36,7 @@ pub fn steady_step_traced(
 }
 
 /// The timing of a step on `nodes` IXS-coupled nodes of `procs_per_node`
-/// processors each, as [`Ccm2Proxy::step_multinode`] returns it.
+/// processors each, as `Ccm2Proxy::step_multinode` returns it.
 pub fn steady_step_multinode(
     config: &Ccm2Config,
     machine: &MachineModel,

@@ -14,7 +14,7 @@
 /// off-diagonal `e`, `e.len() == d.len() - 1`), ascending.
 ///
 /// QL with implicit (Wilkinson) shifts — the standard EISPACK `tql1`.
-pub fn sym_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Vec<f64> {
+pub(crate) fn sym_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Vec<f64> {
     let n = d.len();
     assert!(n >= 1);
     assert_eq!(e.len(), n.saturating_sub(1));
@@ -78,7 +78,7 @@ pub fn sym_tridiag_eigenvalues(d: &[f64], e: &[f64]) -> Vec<f64> {
 }
 
 /// Gravity x mean depth of the external mode (m²/s²): g * 8 km.
-pub const EXTERNAL_PHIBAR: f64 = 9.81 * 8000.0;
+pub(crate) const EXTERNAL_PHIBAR: f64 = 9.81 * 8000.0;
 
 /// Equivalent depths (as geopotential Φ̄ = g·h_k, m²/s²) for an `nlev`
 /// model, descending from the external mode.
@@ -88,7 +88,7 @@ pub const EXTERNAL_PHIBAR: f64 = 9.81 * 8000.0;
 /// and a static-stability profile `S` that strengthens aloft, as real
 /// atmospheres do. Its null mode is the external mode; the positive
 /// eigenvalues map to internal-mode depths `Φ̄_k = C / λ_k`.
-pub fn equivalent_depths(nlev: usize) -> Vec<f64> {
+pub(crate) fn equivalent_depths(nlev: usize) -> Vec<f64> {
     assert!(nlev >= 1);
     if nlev == 1 {
         return vec![EXTERNAL_PHIBAR];

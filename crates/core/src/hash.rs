@@ -12,23 +12,23 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Incremental FNV-1a hasher over byte streams.
 #[derive(Debug, Clone)]
-pub struct Fnv64 {
+pub(crate) struct Fnv64 {
     state: u64,
 }
 
 impl Fnv64 {
-    pub fn new() -> Fnv64 {
+    pub(crate) fn new() -> Fnv64 {
         Fnv64 { state: FNV_OFFSET }
     }
 
-    pub fn write(&mut self, bytes: &[u8]) {
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= b as u64;
             self.state = self.state.wrapping_mul(FNV_PRIME);
         }
     }
 
-    pub fn finish(&self) -> u64 {
+    pub(crate) fn finish(&self) -> u64 {
         self.state
     }
 }

@@ -15,7 +15,7 @@ use crate::report::{json_escape, json_f64};
 
 /// Nesting depth beyond which the parser refuses to recurse (a hostile
 /// `[[[[…` document must not overflow the stack).
-pub const MAX_DEPTH: usize = 64;
+pub(crate) const MAX_DEPTH: usize = 64;
 
 /// A parsed JSON value. Objects preserve member order (no hashing — the
 /// serializer stays deterministic and the workspace stays hermetic).
@@ -32,8 +32,8 @@ pub enum Json {
 /// Parse failure: byte offset plus a short description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    pub pos: usize,
-    pub detail: &'static str,
+    pub(crate) pos: usize,
+    pub(crate) detail: &'static str,
 }
 
 impl std::fmt::Display for JsonError {

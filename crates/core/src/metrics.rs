@@ -41,18 +41,6 @@ impl Gauge {
     pub fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
-
-    /// Add `delta` (may be negative) with a compare-and-swap loop.
-    pub fn addf(&self, delta: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self.bits.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
 }
 
 /// Default latency bucket upper bounds in seconds: a 1–2.5–5 ladder per
@@ -137,10 +125,6 @@ impl Histogram {
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
     }
 
     pub fn sum(&self) -> f64 {
@@ -237,11 +221,11 @@ impl HistogramSnapshot {
         self.quantile(0.50)
     }
 
-    pub fn p90(&self) -> f64 {
+    pub(crate) fn p90(&self) -> f64 {
         self.quantile(0.90)
     }
 
-    pub fn p99(&self) -> f64 {
+    pub(crate) fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
 
@@ -332,11 +316,9 @@ mod tests {
         let m = MetricsRegistry::new();
         let g = m.gauge("depth");
         g.set(3.0);
-        g.addf(2.0);
-        g.addf(-4.0);
-        assert_eq!(g.get(), 1.0);
+        assert_eq!(g.get(), 3.0);
         // Same name, same gauge.
-        assert_eq!(m.gauge("depth").get(), 1.0);
+        assert_eq!(m.gauge("depth").get(), 3.0);
     }
 
     #[test]

@@ -27,7 +27,7 @@ pub struct LockEdge {
     pub from: String,
     pub to: String,
     /// How many times the ordering was observed.
-    pub count: u64,
+    pub(crate) count: u64,
     /// An example held-site stack at the moment `to` was first acquired
     /// (innermost last, `to` included).
     pub stack: Vec<String>,
@@ -55,10 +55,6 @@ pub struct LockObservations {
 impl LockObservations {
     pub fn new() -> LockObservations {
         LockObservations::default()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.edges.is_empty() && self.io_crossings.is_empty()
     }
 
     /// Record that a thread acquired the sites in `stack` in order —
@@ -99,11 +95,6 @@ impl LockObservations {
     }
 }
 
-/// True when this build actually records (the `lockcheck` feature is on).
-pub fn enabled() -> bool {
-    cfg!(feature = "lockcheck")
-}
-
 #[cfg(feature = "lockcheck")]
 mod rec {
     use std::cell::RefCell;
@@ -130,8 +121,8 @@ mod rec {
 /// Record that the current thread acquired `site` (called by
 /// [`plock_named`](super::plock_named) after the lock is taken). Reentrant
 /// holds of the same site add no self-edge.
-pub fn acquire(site: &'static str) {
-    #[cfg(feature = "lockcheck")]
+#[cfg(feature = "lockcheck")]
+pub(crate) fn acquire(site: &'static str) {
     rec::HELD.with(|h| {
         let mut held = h.borrow_mut();
         if !held.is_empty() {
@@ -149,22 +140,18 @@ pub fn acquire(site: &'static str) {
         }
         held.push(site);
     });
-    #[cfg(not(feature = "lockcheck"))]
-    let _ = site;
 }
 
 /// Record that the current thread released `site` (the most recent hold,
 /// if nested).
-pub fn release(site: &'static str) {
-    #[cfg(feature = "lockcheck")]
+#[cfg(feature = "lockcheck")]
+pub(crate) fn release(site: &'static str) {
     rec::HELD.with(|h| {
         let mut held = h.borrow_mut();
         if let Some(pos) = held.iter().rposition(|&s| s == site) {
             held.remove(pos);
         }
     });
-    #[cfg(not(feature = "lockcheck"))]
-    let _ = site;
 }
 
 /// Mark a blocking operation (file write, fsync, network round-trip).
@@ -218,17 +205,6 @@ pub fn snapshot() -> LockObservations {
     LockObservations::new()
 }
 
-/// Clear the global edge and crossing tables (held-site stacks are
-/// per-thread and unaffected — only call between phases, with no named
-/// guards live). Test hygiene, not a production operation.
-pub fn reset() {
-    #[cfg(feature = "lockcheck")]
-    {
-        super::plock(&rec::EDGES).clear();
-        super::plock(&rec::CROSSINGS).clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,7 +230,6 @@ mod tests {
         obs.record_crossing("io", "lock-b");
         assert_eq!(obs.io_crossings.len(), 2);
         assert_eq!(obs.io_crossings[0].count, 2);
-        assert!(!obs.is_empty());
     }
 
     #[cfg(feature = "lockcheck")]

@@ -33,7 +33,7 @@ pub enum DecodeError {
 /// complete frames with [`next_frame`](Self::next_frame), flush the final
 /// unterminated frame at EOF with [`finish`](Self::finish).
 #[derive(Debug)]
-pub struct LineDecoder {
+pub(crate) struct LineDecoder {
     buf: Vec<u8>,
     /// Bytes of `buf` already scanned for a newline, so repeated
     /// `next_frame` calls over a growing partial frame stay linear.
@@ -42,23 +42,23 @@ pub struct LineDecoder {
 }
 
 impl LineDecoder {
-    pub fn new(max: usize) -> LineDecoder {
+    pub(crate) fn new(max: usize) -> LineDecoder {
         LineDecoder { buf: Vec::new(), scanned: 0, max }
     }
 
     /// Append raw bytes from the socket.
-    pub fn push(&mut self, bytes: &[u8]) {
+    pub(crate) fn push(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet returned as a frame.
-    pub fn buffered(&self) -> usize {
+    pub(crate) fn buffered(&self) -> usize {
         self.buf.len()
     }
 
     /// Extract the next complete frame, `Ok(None)` when more bytes are
     /// needed. An error is terminal for the connection.
-    pub fn next_frame(&mut self) -> Result<Option<String>, DecodeError> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<String>, DecodeError> {
         match self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
             Some(off) => {
                 let end = self.scanned + off;
@@ -82,7 +82,7 @@ impl LineDecoder {
 
     /// EOF: accept a final unterminated frame within the cap, or report a
     /// clean end of stream as `Ok(None)`.
-    pub fn finish(&mut self) -> Result<Option<String>, DecodeError> {
+    pub(crate) fn finish(&mut self) -> Result<Option<String>, DecodeError> {
         if self.buf.is_empty() {
             return Ok(None);
         }

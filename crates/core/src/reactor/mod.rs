@@ -19,7 +19,7 @@
 //!
 //! Per connection the reactor runs a pipelined sequence-window protocol:
 //!
-//! - **Decode**: read-readiness drains the socket into a [`LineDecoder`]
+//! - **Decode**: read-readiness drains the socket into a `LineDecoder`
 //!   (same accept/reject semantics as the blocking frame reader). Each
 //!   complete frame is assigned the connection's next sequence number.
 //! - **Classify**: every frame goes once through [`Service::classify`]
@@ -53,7 +53,7 @@
 //! immediately (new connects are refused rather than silently queued),
 //! drops idle connections, and gives in-flight work a short grace window
 //! to flush its replies. Idle connections are bounded by a
-//! [`TimerWheel`]: a client that connects and sends nothing (or
+//! `TimerWheel`: a client that connects and sends nothing (or
 //! drip-feeds a frame forever) is closed after the configured idle
 //! timeout and counted in the `idle_closed` stat.
 
@@ -61,9 +61,10 @@ mod decode;
 mod poller;
 mod wheel;
 
-pub use decode::{DecodeError, LineDecoder};
-pub use poller::{Event, Interest, Poller};
-pub use wheel::TimerWheel;
+pub use decode::DecodeError;
+pub(crate) use decode::LineDecoder;
+pub(crate) use poller::{Event, Interest, Poller};
+pub(crate) use wheel::TimerWheel;
 
 use crate::metrics::Histogram;
 use crate::par::WorkerPool;
@@ -108,7 +109,7 @@ pub struct Reply {
     /// e.g. after a handler panic).
     pub line: String,
     /// Close the connection once the reply is flushed.
-    pub close: bool,
+    pub(crate) close: bool,
 }
 
 impl Reply {
@@ -116,7 +117,7 @@ impl Reply {
         Reply { line, close: false }
     }
 
-    pub fn send_and_close(line: String) -> Reply {
+    pub(crate) fn send_and_close(line: String) -> Reply {
         Reply { line, close: true }
     }
 }
@@ -215,7 +216,7 @@ pub struct ReactorHandle {
 
 impl ReactorHandle {
     /// Nudge the event loop (used by dispatchers delivering completions).
-    pub fn wake(&self) {
+    pub(crate) fn wake(&self) {
         // A full pipe already guarantees a pending wake: WouldBlock is
         // success here, and both ends are non-blocking so this never
         // stalls the caller.
@@ -235,7 +236,8 @@ impl ReactorHandle {
     }
 
     /// Connections fully closed (all causes, idle included).
-    pub fn closed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn closed(&self) -> u64 {
         self.shared.stats.closed.load(Ordering::Relaxed)
     }
 
@@ -245,7 +247,8 @@ impl ReactorHandle {
     }
 
     /// Frames decoded, whether answered inline or dispatched.
-    pub fn frames(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn frames(&self) -> u64 {
         self.shared.stats.frames.load(Ordering::Relaxed)
     }
 

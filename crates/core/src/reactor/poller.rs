@@ -10,42 +10,36 @@
 //!
 //! The interface is intentionally minimal: register/modify/deregister an
 //! fd with read/write interest and a `u64` token, then `wait` for
-//! [`Event`]s. Error and hangup conditions are folded into
-//! `readable | writable` so the connection state machine discovers them
-//! through an ordinary zero-byte read or failed write — one error path,
-//! not three.
+//! [`Event`]s. Error and hangup conditions are folded into `readable` so
+//! the connection state machine discovers them through an ordinary
+//! zero-byte read — one error path, not three. Write readiness needs no
+//! flag of its own: any event for a token makes the reactor flush it.
 
 use std::io;
 use std::os::fd::RawFd;
 
 /// One readiness notification.
 #[derive(Debug, Clone, Copy)]
-pub struct Event {
-    pub token: u64,
-    pub readable: bool,
-    pub writable: bool,
+pub(crate) struct Event {
+    pub(crate) token: u64,
+    pub(crate) readable: bool,
 }
 
 /// What a registered fd should be watched for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interest {
-    pub read: bool,
-    pub write: bool,
+pub(crate) struct Interest {
+    pub(crate) read: bool,
+    pub(crate) write: bool,
 }
 
 impl Interest {
-    pub const READ: Interest = Interest { read: true, write: false };
-    pub const WRITE: Interest = Interest { read: false, write: true };
-    pub const BOTH: Interest = Interest { read: true, write: true };
-    /// Registered but dormant (e.g. while a frame is being dispatched):
-    /// hangups still close the fd later via the state machine.
-    pub const NONE: Interest = Interest { read: false, write: false };
+    pub(crate) const READ: Interest = Interest { read: true, write: false };
 }
 
 #[cfg(all(unix, not(target_os = "linux")))]
-pub use fallback::Poller;
+pub(crate) use fallback::Poller;
 #[cfg(target_os = "linux")]
-pub use linux::Poller;
+pub(crate) use linux::Poller;
 
 #[cfg(target_os = "linux")]
 mod linux {
@@ -81,7 +75,7 @@ mod linux {
         fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     }
 
-    pub struct Poller {
+    pub(crate) struct Poller {
         /// Owned so the epoll fd closes on drop without a direct
         /// `close(2)` declaration.
         epfd: OwnedFd,
@@ -89,7 +83,7 @@ mod linux {
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if fd < 0 {
                 return Err(io::Error::last_os_error());
@@ -110,19 +104,33 @@ mod linux {
             Ok(())
         }
 
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, Some(Self::event(token, interest)))
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, Some(Self::event(token, interest)))
         }
 
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             self.ctl(EPOLL_CTL_DEL, fd, None)
         }
 
-        pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &mut self,
+            timeout: Option<Duration>,
+            out: &mut Vec<Event>,
+        ) -> io::Result<()> {
             use std::os::fd::AsRawFd;
             let ms: i32 = match timeout {
                 // Round up so a 200µs hint does not busy-spin at 0ms.
@@ -160,7 +168,6 @@ mod linux {
                     // Fold errors/hangups into readability so the state
                     // machine discovers them via read() == 0 / Err.
                     readable: bits & EPOLLIN != 0 || gone,
-                    writable: bits & EPOLLOUT != 0 || gone,
                 });
             }
             Ok(())
@@ -203,31 +210,45 @@ mod fallback {
         fn poll(fds: *mut PollFd, nfds: usize, timeout: i32) -> i32;
     }
 
-    pub struct Poller {
+    pub(crate) struct Poller {
         registry: BTreeMap<RawFd, (u64, Interest)>,
     }
 
     impl Poller {
-        pub fn new() -> io::Result<Poller> {
+        pub(crate) fn new() -> io::Result<Poller> {
             Ok(Poller { registry: BTreeMap::new() })
         }
 
-        pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn register(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.registry.insert(fd, (token, interest));
             Ok(())
         }
 
-        pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        pub(crate) fn modify(
+            &mut self,
+            fd: RawFd,
+            token: u64,
+            interest: Interest,
+        ) -> io::Result<()> {
             self.registry.insert(fd, (token, interest));
             Ok(())
         }
 
-        pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
             self.registry.remove(&fd);
             Ok(())
         }
 
-        pub fn wait(&mut self, timeout: Option<Duration>, out: &mut Vec<Event>) -> io::Result<()> {
+        pub(crate) fn wait(
+            &mut self,
+            timeout: Option<Duration>,
+            out: &mut Vec<Event>,
+        ) -> io::Result<()> {
             let mut fds: Vec<PollFd> = self
                 .registry
                 .iter()
@@ -264,11 +285,7 @@ mod fallback {
                 }
                 let (token, _) = self.registry[&pfd.fd];
                 let gone = pfd.revents & (POLLERR | POLLHUP) != 0;
-                out.push(Event {
-                    token,
-                    readable: pfd.revents & POLLIN != 0 || gone,
-                    writable: pfd.revents & POLLOUT != 0 || gone,
-                });
+                out.push(Event { token, readable: pfd.revents & POLLIN != 0 || gone });
             }
             Ok(())
         }
@@ -278,8 +295,8 @@ mod fallback {
 /// Shared helper: the self-pipe waker pair. A `UnixStream` pair stands in
 /// for `pipe(2)` (no extra FFI needed); both ends are non-blocking so a
 /// full pipe never blocks a waker and the reactor's drain never spins.
-pub fn waker_pair() -> io::Result<(std::os::unix::net::UnixStream, std::os::unix::net::UnixStream)>
-{
+pub(crate) fn waker_pair(
+) -> io::Result<(std::os::unix::net::UnixStream, std::os::unix::net::UnixStream)> {
     let (a, b) = std::os::unix::net::UnixStream::pair()?;
     a.set_nonblocking(true)?;
     b.set_nonblocking(true)?;
@@ -287,7 +304,7 @@ pub fn waker_pair() -> io::Result<(std::os::unix::net::UnixStream, std::os::unix
 }
 
 /// Raw-fd view used by the reactor when registering sockets.
-pub fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> RawFd {
+pub(crate) fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> RawFd {
     t.as_raw_fd()
 }
 
@@ -296,7 +313,7 @@ pub fn raw_fd<T: std::os::fd::AsRawFd>(t: &T) -> RawFd {
 /// burst of connects beyond it is refused or reset before the reactor
 /// ever sees it. Linux accepts `listen` on a listening socket and only
 /// updates the queue length (capped by `net.core.somaxconn`).
-pub fn set_listen_backlog(listener: &std::net::TcpListener, backlog: i32) -> io::Result<()> {
+pub(crate) fn set_listen_backlog(listener: &std::net::TcpListener, backlog: i32) -> io::Result<()> {
     extern "C" {
         fn listen(fd: i32, backlog: i32) -> i32;
     }
@@ -332,7 +349,7 @@ mod tests {
         // Drain, then dormant interest must silence further wakes.
         let mut sink = [0u8; 8];
         let _ = (&rx).read(&mut sink).unwrap();
-        p.modify(raw_fd(&rx), 42, Interest::NONE).unwrap();
+        p.modify(raw_fd(&rx), 42, Interest { read: false, write: false }).unwrap();
         (&tx).write_all(&[1]).unwrap();
         events.clear();
         p.wait(Some(Duration::from_millis(20)), &mut events).unwrap();

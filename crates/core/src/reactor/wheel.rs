@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 /// caller's revalidation reschedules them, so correctness never depends on
 /// wheel capacity.
 #[derive(Debug)]
-pub struct TimerWheel {
+pub(crate) struct TimerWheel {
     slots: Vec<Vec<u64>>,
     tick: Duration,
     /// Start of the slot `cursor` points at.
@@ -32,7 +32,7 @@ impl TimerWheel {
     /// timeout) at a granularity of roughly `horizon / 8`, clamped to
     /// [25ms, 1s]. Coarse on purpose: firing precision is bounded by one
     /// tick, and the reactor only needs "roughly then".
-    pub fn for_horizon(horizon: Duration, now: Instant) -> TimerWheel {
+    pub(crate) fn for_horizon(horizon: Duration, now: Instant) -> TimerWheel {
         let tick = (horizon / 8).clamp(Duration::from_millis(25), Duration::from_secs(1));
         let revolution = (horizon.as_nanos() / tick.as_nanos()).max(1) as usize + 2;
         TimerWheel { slots: vec![Vec::new(); revolution], tick, epoch: now, cursor: 0, armed: 0 }
@@ -40,7 +40,7 @@ impl TimerWheel {
 
     /// Place `token` in the slot covering `fire_at`. Deadlines in the past
     /// land in the current slot and pop on the next [`expire`](Self::expire).
-    pub fn schedule(&mut self, token: u64, fire_at: Instant, now: Instant) {
+    pub(crate) fn schedule(&mut self, token: u64, fire_at: Instant, now: Instant) {
         let ahead = fire_at.saturating_duration_since(now);
         let ticks = (ahead.as_nanos() / self.tick.as_nanos()) as usize;
         let slot = (self.cursor + ticks) % self.slots.len();
@@ -52,7 +52,7 @@ impl TimerWheel {
     /// slot has elapsed to `out`. Callers must revalidate: a popped token
     /// may belong to a connection that is active again, already closed, or
     /// rescheduled into a later slot.
-    pub fn expire(&mut self, now: Instant, out: &mut Vec<u64>) {
+    pub(crate) fn expire(&mut self, now: Instant, out: &mut Vec<u64>) {
         while now.saturating_duration_since(self.epoch) >= self.tick {
             let due = std::mem::take(&mut self.slots[self.cursor]);
             self.armed -= due.len();
@@ -64,7 +64,7 @@ impl TimerWheel {
 
     /// Time until the next slot boundary, if any entry is armed — feeds
     /// the poller timeout so an idle reactor sleeps instead of spinning.
-    pub fn next_tick(&self, now: Instant) -> Option<Duration> {
+    pub(crate) fn next_tick(&self, now: Instant) -> Option<Duration> {
         if self.armed == 0 {
             return None;
         }

@@ -32,23 +32,6 @@ impl<T> Registry<T> {
     pub fn get(&self, name: &str) -> Option<&T> {
         self.entries.iter().find(|(n, _)| n.eq_ignore_ascii_case(name)).map(|(_, v)| v)
     }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.entries.iter().map(|(n, _)| n.as_str()).collect()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &T)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v))
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl<T> Default for Registry<T> {
@@ -61,18 +44,21 @@ impl<T> Default for Registry<T> {
 mod tests {
     use super::*;
 
+    fn names<T>(r: &Registry<T>) -> Vec<&str> {
+        r.entries.iter().map(|(n, _)| n.as_str()).collect()
+    }
+
     #[test]
     fn register_lookup_and_order() {
         let mut r = Registry::new();
-        assert!(r.is_empty());
+        assert!(r.entries.is_empty());
         assert_eq!(r.register("fig5", 1), None);
         assert_eq!(r.register("RADABS", 2), None);
         assert_eq!(r.get("fig5"), Some(&1));
         assert_eq!(r.get("radabs"), Some(&2));
         assert_eq!(r.get("Fig5"), Some(&1));
         assert_eq!(r.get("pop"), None);
-        assert_eq!(r.names(), vec!["fig5", "RADABS"]);
-        assert_eq!(r.len(), 2);
+        assert_eq!(names(&r), vec!["fig5", "RADABS"]);
     }
 
     #[test]
@@ -81,7 +67,7 @@ mod tests {
         r.register("a", 1);
         r.register("b", 2);
         assert_eq!(r.register("A", 10), Some(1));
-        assert_eq!(r.names(), vec!["a", "b"]);
+        assert_eq!(names(&r), vec!["a", "b"]);
         assert_eq!(r.get("a"), Some(&10));
     }
 }

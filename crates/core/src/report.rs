@@ -42,8 +42,8 @@ fn json_str_array(items: &[String]) -> String {
 /// A table of results, one per paper table.
 #[derive(Debug, Clone)]
 pub struct Table {
-    pub title: String,
-    pub headers: Vec<String>,
+    pub(crate) title: String,
+    pub(crate) headers: Vec<String>,
     pub rows: Vec<Vec<String>>,
 }
 
@@ -103,10 +103,10 @@ impl Table {
 /// A labelled (x, y) series, one per curve of a paper figure.
 #[derive(Debug, Clone)]
 pub struct Series {
-    pub label: String,
+    pub(crate) label: String,
     /// Axis names, e.g. ("N", "MB/sec").
-    pub x_name: String,
-    pub y_name: String,
+    pub(crate) x_name: String,
+    pub(crate) y_name: String,
     pub points: Vec<(f64, f64)>,
 }
 
@@ -146,7 +146,7 @@ impl Series {
 /// A figure: several series plotted together.
 #[derive(Debug, Clone)]
 pub struct Figure {
-    pub title: String,
+    pub(crate) title: String,
     pub series: Vec<Series>,
 }
 

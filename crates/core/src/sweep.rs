@@ -16,12 +16,7 @@ pub struct Instance {
     pub m: usize,
 }
 
-impl Instance {
-    /// Elements touched by this instance for a linear benchmark.
-    pub fn volume(&self) -> usize {
-        self.n * self.m
-    }
-}
+impl Instance {}
 
 /// COPY/IA ladder: N sweeps 1..=10^6 in octave steps, M chosen so that
 /// N*M ~ `volume` (paper: 10^6 elements).
@@ -81,7 +76,7 @@ impl FftFamily {
 
     /// RFFT axis lengths for this family (paper: n = 1..10 for 2^n,
     /// n = 0..8 for the mixed families).
-    pub fn rfft_lengths(self) -> Vec<usize> {
+    pub(crate) fn rfft_lengths(self) -> Vec<usize> {
         match self {
             FftFamily::PowerOfTwo => (1..=10).map(|n| 1usize << n).collect(),
             FftFamily::FactorThree => (0..=8).map(|n| 3 * (1usize << n)).collect(),
@@ -128,7 +123,7 @@ mod tests {
     #[test]
     fn ladder_volume_roughly_constant() {
         for i in constant_volume_ladder(1_000_000) {
-            let v = i.volume();
+            let v = i.n * i.m;
             assert!((500_000..=2_000_000).contains(&v), "volume {v} drifted at n={}", i.n);
         }
     }

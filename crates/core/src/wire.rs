@@ -20,20 +20,20 @@ use crate::hash::fnv64;
 /// [`WireReader::try_get_str`]). Decoders reject longer claims before
 /// allocating, so a hostile 4 GB length prefix on a 10-byte frame costs
 /// nothing.
-pub const MAX_FIELD_BYTES: usize = 1 << 20;
+pub(crate) const MAX_FIELD_BYTES: usize = 1 << 20;
 
 /// Hard cap on one checksummed record ([`WireWriter::put_record`] /
 /// [`WireReader::try_get_record`]). Records carry whole serialized result
 /// payloads (up to a reply frame), so the cap matches the 16 MiB reply
 /// frame rather than the 1 MiB identifier-field cap.
-pub const MAX_RECORD_BYTES: usize = 16 << 20;
+pub(crate) const MAX_RECORD_BYTES: usize = 16 << 20;
 
 /// Typed decode failure for the fallible reader API.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WireError {
     /// A fixed- or prefixed-size read needed more bytes than remain.
     Underflow { needed: usize, remaining: usize },
-    /// A length prefix claims more than [`MAX_FIELD_BYTES`].
+    /// A length prefix claims more than `MAX_FIELD_BYTES`.
     FieldTooLong { len: usize, max: usize },
     /// A string field decoded to invalid UTF-8.
     BadUtf8,
@@ -84,17 +84,13 @@ impl WireWriter {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.buf.extend_from_slice(v);
     }
 
     /// Length-prefixed UTF-8 string (u32 byte count + bytes), the framing
     /// [`WireReader::try_get_str`] undoes. Strings longer than
-    /// [`MAX_FIELD_BYTES`] are truncated at a char boundary — the codec is
+    /// `MAX_FIELD_BYTES` are truncated at a char boundary — the codec is
     /// for short identifiers (suite names, parameter keys), not payloads.
     pub fn put_str(&mut self, s: &str) {
         let mut end = s.len().min(MAX_FIELD_BYTES);
@@ -109,7 +105,7 @@ impl WireWriter {
     /// then the payload's FNV-1a/64 digest. This is the unit of the `sxd`
     /// result journal: a reader that hits a short or digest-mismatched
     /// record knows the stream ends in a torn write and can truncate there.
-    /// Payloads longer than [`MAX_RECORD_BYTES`] are truncated (journal
+    /// Payloads longer than `MAX_RECORD_BYTES` are truncated (journal
     /// records are bounded by the reply-frame cap, so this never fires in
     /// practice).
     pub fn put_record(&mut self, payload: &[u8]) {
@@ -117,14 +113,6 @@ impl WireWriter {
         self.put_u32(end as u32);
         self.buf.extend_from_slice(&payload[..end]);
         self.put_u64(fnv64(&payload[..end]));
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Finish writing and take the encoded record.
@@ -163,20 +151,8 @@ impl<'a> WireReader<'a> {
         Ok(self.take::<N>())
     }
 
-    pub fn get_u16(&mut self) -> u16 {
-        u16::from_be_bytes(self.take::<2>())
-    }
-
-    pub fn get_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.take::<4>())
-    }
-
-    pub fn get_u64(&mut self) -> u64 {
+    pub(crate) fn get_u64(&mut self) -> u64 {
         u64::from_be_bytes(self.take::<8>())
-    }
-
-    pub fn get_f64(&mut self) -> f64 {
-        f64::from_be_bytes(self.take::<8>())
     }
 
     pub fn try_get_u16(&mut self) -> Result<u16, WireError> {
@@ -189,10 +165,6 @@ impl<'a> WireReader<'a> {
 
     pub fn try_get_u64(&mut self) -> Result<u64, WireError> {
         Ok(u64::from_be_bytes(self.try_take::<8>()?))
-    }
-
-    pub fn try_get_f64(&mut self) -> Result<f64, WireError> {
-        Ok(f64::from_be_bytes(self.try_take::<8>()?))
     }
 
     /// Take every remaining byte, advancing the cursor to the end. Used by
@@ -267,14 +239,12 @@ mod tests {
         w.put_u16(0xBEEF);
         w.put_u32(0x4e43_4152);
         w.put_u64(u64::MAX - 1);
-        w.put_f64(-1234.5678);
         let v = w.into_vec();
-        assert_eq!(v.len(), 2 + 4 + 8 + 8);
+        assert_eq!(v.len(), 2 + 4 + 8);
         let mut r = WireReader::new(&v);
-        assert_eq!(r.get_u16(), 0xBEEF);
-        assert_eq!(r.get_u32(), 0x4e43_4152);
+        assert_eq!(r.try_get_u16(), Ok(0xBEEF));
+        assert_eq!(r.try_get_u32(), Ok(0x4e43_4152));
         assert_eq!(r.get_u64(), u64::MAX - 1);
-        assert_eq!(r.get_f64(), -1234.5678);
         assert_eq!(r.remaining(), 0);
     }
 
@@ -285,7 +255,7 @@ mod tests {
         w.put_bytes(b"tail bytes");
         let v = w.into_vec();
         let mut r = WireReader::new(&v);
-        assert_eq!(r.get_u16(), 3);
+        assert_eq!(r.try_get_u16(), Ok(3));
         assert_eq!(r.rest(), b"tail bytes");
         assert_eq!(r.rest(), b"");
         assert_eq!(r.remaining(), 0);
@@ -296,7 +266,7 @@ mod tests {
     fn underflow_panics() {
         let v = vec![1u8, 2];
         let mut r = WireReader::new(&v);
-        r.get_u32();
+        r.get_u64();
     }
 
     #[test]
@@ -417,7 +387,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0x5358_4434); // "SXD4"
         for _ in 0..200 {
             let nfields = rng.range(1, 12);
-            let kinds: Vec<usize> = (0..nfields).map(|_| rng.next_below(5)).collect();
+            let kinds: Vec<usize> = (0..nfields).map(|_| rng.next_below(4)).collect();
             let mut w = WireWriter::default();
             let mut expect: Vec<String> = Vec::new();
             for &k in &kinds {
@@ -437,11 +407,6 @@ mod tests {
                         w.put_u64(v);
                         expect.push(format!("u64:{v}"));
                     }
-                    3 => {
-                        let v = rng.next_f64() * 1e6 - 5e5;
-                        w.put_f64(v);
-                        expect.push(format!("f64:{v:?}"));
-                    }
                     _ => {
                         let len = rng.next_below(24);
                         let s: String =
@@ -460,7 +425,6 @@ mod tests {
                     0 => format!("u16:{}", r.try_get_u16().unwrap()),
                     1 => format!("u32:{}", r.try_get_u32().unwrap()),
                     2 => format!("u64:{}", r.try_get_u64().unwrap()),
-                    3 => format!("f64:{:?}", r.try_get_f64().unwrap()),
                     _ => format!("str:{}", r.try_get_str().unwrap()),
                 };
                 assert_eq!(got, expect[i]);
@@ -478,7 +442,6 @@ mod tests {
                         0 => r.try_get_u16().map(|_| ()),
                         1 => r.try_get_u32().map(|_| ()),
                         2 => r.try_get_u64().map(|_| ()),
-                        3 => r.try_get_f64().map(|_| ()),
                         _ => r.try_get_str().map(|_| ()),
                     };
                     if res.is_err() {

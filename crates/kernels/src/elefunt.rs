@@ -46,7 +46,7 @@ fn samples(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 }
 
 /// Check one intrinsic against its identity; returns the worst ULP error.
-pub fn check_accuracy(f: Intrinsic) -> AccuracyReport {
+pub(crate) fn check_accuracy(f: Intrinsic) -> AccuracyReport {
     let n = 4096;
     let (max_ulp, identity) = match f {
         Intrinsic::Exp => {

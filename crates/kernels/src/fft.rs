@@ -36,7 +36,7 @@ impl C64 {
         C64 { re: theta.cos(), im: theta.sin() }
     }
 
-    pub fn conj(self) -> C64 {
+    pub(crate) fn conj(self) -> C64 {
         C64 { re: self.re, im: -self.im }
     }
 
@@ -214,24 +214,6 @@ pub fn irfft(spectrum: &[C64], n: usize) -> Vec<f64> {
     x.into_iter().map(|c| c.re / n as f64).collect()
 }
 
-/// Naive O(n^2) DFT used as the correctness oracle in tests.
-pub fn naive_dft(input: &[C64], dir: Direction) -> Vec<C64> {
-    let n = input.len();
-    let sign = dir.sign();
-    (0..n)
-        .map(|k| {
-            let mut acc = C64::ZERO;
-            for (j, &v) in input.iter().enumerate() {
-                acc = acc
-                    + v * C64::cis(
-                        sign * 2.0 * std::f64::consts::PI * (j * k % n) as f64 / n as f64,
-                    );
-            }
-            acc
-        })
-        .collect()
-}
-
 // ---------------------------------------------------------------------------
 // Timing: the two loop orders of §4.3.
 // ---------------------------------------------------------------------------
@@ -254,21 +236,6 @@ pub enum LoopOrder {
 fn stage_flops(n: usize, r: usize) -> usize {
     let l = n / r;
     6 * l * (r - 1) + 2 * l * r * (r - 1)
-}
-
-/// Total real flops our mixed-radix transform performs for length `n`.
-pub fn transform_flops(n: usize) -> usize {
-    let mut total = 0;
-    let mut rem = n;
-    // Walk the recursion top-down: level k has n/rem sub-transforms of the
-    // current size, each combined with the radix the recursion applies at
-    // that level (the *last* remaining factor — see `fft_rec`).
-    let factors = factorize(n).expect("length must factor into 2/3/5");
-    for &r in factors.iter().rev() {
-        total += (n / rem) * stage_flops(rem, r);
-        rem /= r;
-    }
-    total
 }
 
 /// Charge `vm` for `m` instances of a length-`n` transform executed in the
@@ -361,8 +328,6 @@ fn scale(c: Cost, m: usize) -> Cost {
 /// Result of one benchmark point.
 #[derive(Debug, Clone, Copy)]
 pub struct FftPoint {
-    pub n: usize,
-    pub m: usize,
     pub mflops: f64,
     pub cost: Cost,
 }
@@ -400,7 +365,7 @@ pub fn price_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder) -
         }
     };
     let mflops = cost.mflops(model.clock_ns);
-    FftPoint { n, m, mflops, cost }
+    FftPoint { mflops, cost }
 }
 
 /// Run one (N, M) point of RFFT or VFFT on `model`: verify that length N
@@ -415,6 +380,39 @@ pub fn run_fft_point(model: &MachineModel, n: usize, m: usize, order: LoopOrder)
 mod tests {
     use super::*;
     use sxsim::presets;
+
+    /// Naive O(n^2) DFT used as the correctness oracle in tests.
+    fn naive_dft(input: &[C64], dir: Direction) -> Vec<C64> {
+        let n = input.len();
+        let sign = dir.sign();
+        (0..n)
+            .map(|k| {
+                let mut acc = C64::ZERO;
+                for (j, &v) in input.iter().enumerate() {
+                    acc = acc
+                        + v * C64::cis(
+                            sign * 2.0 * std::f64::consts::PI * (j * k % n) as f64 / n as f64,
+                        );
+                }
+                acc
+            })
+            .collect()
+    }
+
+    /// Total real flops our mixed-radix transform performs for length `n`.
+    fn transform_flops(n: usize) -> usize {
+        let mut total = 0;
+        let mut rem = n;
+        // Walk the recursion top-down: level k has n/rem sub-transforms of the
+        // current size, each combined with the radix the recursion applies at
+        // that level (the *last* remaining factor — see `fft_rec`).
+        let factors = factorize(n).expect("length must factor into 2/3/5");
+        for &r in factors.iter().rev() {
+            total += (n / rem) * stage_flops(rem, r);
+            rem /= r;
+        }
+        total
+    }
 
     fn approx(a: C64, b: C64, tol: f64) -> bool {
         (a - b).abs() <= tol

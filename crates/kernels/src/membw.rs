@@ -13,9 +13,9 @@ use sxsim::{Cost, MachineModel, Vm};
 /// Result of one (N, M) instance of a memory kernel.
 #[derive(Debug, Clone, Copy)]
 pub struct MembwPoint {
-    pub instance: Instance,
     /// Best-of-KTRIES cost.
-    pub cost: Cost,
+    #[cfg(test)]
+    pub(crate) cost: Cost,
     /// Reported bandwidth in MB/s, counting 16 bytes per element moved
     /// (the element is read from `a` and written to `b`).
     pub mb_per_s: f64,
@@ -130,7 +130,11 @@ pub fn run_point(
         MembwKind::Copy | MembwKind::Ia => inst.n * inst.m,
         MembwKind::Xpose => inst.n * inst.n * inst.m,
     };
-    MembwPoint { instance: inst, cost, mb_per_s: bandwidth(cost, elements, clock) }
+    MembwPoint {
+        #[cfg(test)]
+        cost,
+        mb_per_s: bandwidth(cost, elements, clock),
+    }
 }
 
 /// Sweep a kernel over its constant-volume ladder, producing one curve of

@@ -13,14 +13,14 @@
 //! directions" and, as in the benchmark, every column holds identical
 //! initial data. Performance is reported in Cray Y-MP equivalent Mflops.
 
-use sxsim::{Cost, MachineModel, Vm};
+use sxsim::{MachineModel, Vm};
 
 /// Number of vertical levels in CCM2's production configuration.
 pub const NLEV: usize = 18;
 
 /// Deterministic standard-atmosphere-like column used to initialize every
 /// column of the batch (level 0 = top of model).
-pub fn standard_column(nlev: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+pub(crate) fn standard_column(nlev: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let mut pressure = Vec::with_capacity(nlev); // hPa
     let mut temperature = Vec::with_capacity(nlev); // K
     let mut h2o_path = Vec::with_capacity(nlev); // kg/m^2 cumulative from top
@@ -43,9 +43,10 @@ pub fn standard_column(nlev: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
 #[derive(Debug, Clone)]
 pub struct RadabsResult {
     /// Simulation cost ledger.
-    pub cost: Cost,
+    #[cfg(test)]
+    pub(crate) cost: sxsim::Cost,
     /// Cray-equivalent Mflops achieved on the run's machine.
-    pub cray_mflops: f64,
+    pub(crate) cray_mflops: f64,
     /// Absorptivity matrix of the first column, `nlev * nlev`, for
     /// correctness checks (abs[k1*nlev + k2]). A pricing processor
     /// ([`Vm::pricing`]) computes no values: after a priced run the
@@ -135,7 +136,12 @@ pub fn radabs(vm: &mut Vm, ncol: usize, nlev: usize) -> RadabsResult {
 
     let cost = vm.cost();
     let cray_mflops = cost.cray_mflops(vm.model().clock_ns);
-    RadabsResult { cost, cray_mflops, absorptivity }
+    RadabsResult {
+        #[cfg(test)]
+        cost,
+        cray_mflops,
+        absorptivity,
+    }
 }
 
 /// Column count of the benchmark configuration: the full T42 horizontal
@@ -267,7 +273,7 @@ mod pricing_tests {
     /// the benchmark's full grid.
     #[test]
     fn pricing_matches_functional_runs() {
-        let bits = |c: Cost| [c.cycles.to_bits(), c.flops, c.cray_flops.to_bits(), c.bytes];
+        let bits = |c: sxsim::Cost| [c.cycles.to_bits(), c.flops, c.cray_flops.to_bits(), c.bytes];
         let machines =
             std::iter::once(presets::sx4_benchmarked()).chain(presets::table1_machines());
         for model in machines {

@@ -6,13 +6,10 @@
 
 use sxsim::{Access, Intrinsic, VecOp, Vm, VopClass};
 
-/// Reference density (kg/m^3).
-pub const RHO0: f64 = 1027.0;
-
-/// Density anomaly (kg/m^3 minus RHO0) of one point: a simplified
+/// Density anomaly (kg/m^3 minus the 1027 kg/m^3 reference) of one point: a simplified
 /// UNESCO-style fit — linear terms, thermal-expansion curvature, a
 /// pressure (depth) correction with a square root in the compressibility.
-pub fn density_point(temp: f64, salt: f64, depth_m: f64) -> f64 {
+pub(crate) fn density_point(temp: f64, salt: f64, depth_m: f64) -> f64 {
     let t = temp;
     let s = salt - 35.0;
     let p = depth_m * 0.1; // ~bar
@@ -24,7 +21,7 @@ pub fn density_point(temp: f64, salt: f64, depth_m: f64) -> f64 {
 
 /// Vectorized density over a batch of points; real values, machine-priced
 /// (a pricing `vm` leaves `out` untouched).
-pub fn density(vm: &mut Vm, out: &mut [f64], temp: &[f64], salt: &[f64], depth_m: f64) {
+pub(crate) fn density(vm: &mut Vm, out: &mut [f64], temp: &[f64], salt: &[f64], depth_m: f64) {
     assert_eq!(out.len(), temp.len());
     assert_eq!(out.len(), salt.len());
     if vm.computes() {
@@ -36,7 +33,7 @@ pub fn density(vm: &mut Vm, out: &mut [f64], temp: &[f64], salt: &[f64], depth_m
 }
 
 /// Charge [`density`] over `n` points without computing it.
-pub fn charge_density(vm: &mut Vm, n: usize) {
+pub(crate) fn charge_density(vm: &mut Vm, n: usize) {
     // ~8 fused ops + one sqrt-class op per point.
     vm.charge_vector_op_repeated(
         &VecOp::new(

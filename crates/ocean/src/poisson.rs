@@ -39,22 +39,22 @@ pub(crate) fn row_points(nlon: usize, mut point: impl FnMut(usize, usize, usize)
 
 /// A 2-D field on an nlat x nlon grid, periodic in longitude.
 #[derive(Debug, Clone)]
-pub struct Grid2 {
-    pub nlat: usize,
-    pub nlon: usize,
-    pub data: Vec<f64>,
+pub(crate) struct Grid2 {
+    pub(crate) nlat: usize,
+    pub(crate) nlon: usize,
+    pub(crate) data: Vec<f64>,
 }
 
 impl Grid2 {
-    pub fn zeros(nlat: usize, nlon: usize) -> Grid2 {
+    pub(crate) fn zeros(nlat: usize, nlon: usize) -> Grid2 {
         Grid2 { nlat, nlon, data: vec![0.0; nlat * nlon] }
     }
 
-    pub fn at(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn at(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.nlon + j]
     }
 
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         self.data[i * self.nlon + j] = v;
     }
 
@@ -65,7 +65,7 @@ impl Grid2 {
 
     /// 5-point Laplacian with periodic longitude and Dirichlet (zero)
     /// walls in latitude — the rigid-lid streamfunction boundary.
-    pub fn laplacian(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn laplacian(&self, i: usize, j: usize) -> f64 {
         let (jm, jp) = lon_neighbours(j, self.nlon);
         let up = if i == 0 { 0.0 } else { self.at(i - 1, j) };
         let dn = if i + 1 == self.nlat { 0.0 } else { self.at(i + 1, j) };
@@ -75,8 +75,10 @@ impl Grid2 {
     /// 5-point Laplacian with periodic longitude and Neumann (no-flux)
     /// walls in latitude — the free-surface boundary: the wall ghost
     /// mirrors the interior value, so the operator conserves the domain
-    /// integral exactly.
-    pub fn laplacian_neumann(&self, i: usize, j: usize) -> f64 {
+    /// integral exactly. The row-wise [`apply_helmholtz`] is what steps
+    /// use; this point-wise form is the tests' reference.
+    #[cfg(test)]
+    pub(crate) fn laplacian_neumann(&self, i: usize, j: usize) -> f64 {
         let (jm, jp) = lon_neighbours(j, self.nlon);
         let c = self.at(i, j);
         let up = if i == 0 { c } else { self.at(i - 1, j) };
@@ -103,7 +105,7 @@ fn charge_sweep(vm: &mut Vm, nlat: usize, nlon: usize) {
 /// fixed-budget style of the rigid-lid solvers) and returns the final
 /// residual norm. A pricing `vm` charges the sweeps, leaves `x` untouched
 /// and returns zero.
-pub fn jacobi(vm: &mut Vm, x: &mut Grid2, rhs: &Grid2, sweeps: usize) -> f64 {
+pub(crate) fn jacobi(vm: &mut Vm, x: &mut Grid2, rhs: &Grid2, sweeps: usize) -> f64 {
     assert_eq!(x.nlat, rhs.nlat);
     assert_eq!(x.nlon, rhs.nlon);
     let (nlat, nlon) = (x.nlat, x.nlon);
@@ -126,7 +128,7 @@ pub fn jacobi(vm: &mut Vm, x: &mut Grid2, rhs: &Grid2, sweeps: usize) -> f64 {
 }
 
 /// ||lap(x) - rhs||_2, charged as a reduction (zero when pricing).
-pub fn residual_norm(vm: &mut Vm, x: &Grid2, rhs: &Grid2) -> f64 {
+pub(crate) fn residual_norm(vm: &mut Vm, x: &Grid2, rhs: &Grid2) -> f64 {
     let mut s = 0.0;
     let rows = if vm.computes() { 0..x.nlat } else { 0..0 };
     for i in rows {
@@ -140,19 +142,19 @@ pub fn residual_norm(vm: &mut Vm, x: &Grid2, rhs: &Grid2) -> f64 {
 }
 
 /// Options of a [`conjugate_gradient`] solve.
-pub struct CgOptions {
-    pub alpha: f64,
-    pub tol: f64,
-    pub max_iter: usize,
+pub(crate) struct CgOptions {
+    pub(crate) alpha: f64,
+    pub(crate) tol: f64,
+    pub(crate) max_iter: usize,
     /// Use no-flux (Neumann) latitude walls instead of Dirichlet — the
     /// free-surface boundary condition (conserves the domain integral).
-    pub neumann: bool,
+    pub(crate) neumann: bool,
 }
 
 /// `out = (alpha - lap) x`, row by row: each row reads its `up`/`row`/`dn`
 /// slices, and a wall row's missing neighbour is the row itself (Neumann)
-/// or zero (Dirichlet). Every point is the expression of
-/// [`Grid2::laplacian_neumann`] / [`Grid2::laplacian`], bit for bit.
+/// or zero (Dirichlet). Every point is the expression of the point-wise
+/// operators `Grid2::laplacian_neumann` / `Grid2::laplacian`, bit for bit.
 pub(crate) fn apply_helmholtz(out: &mut Grid2, x: &Grid2, opt: &CgOptions) {
     let (nlat, nlon, alpha) = (x.nlat, x.nlon, opt.alpha);
     let zeros = if opt.neumann { Vec::new() } else { vec![0.0; nlon] };
@@ -226,7 +228,7 @@ fn dot(a: &Grid2, b: &Grid2) -> f64 {
 
 /// Why a [`conjugate_gradient`] solve stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CgStop {
+pub(crate) enum CgStop {
     /// The relative residual fell below `tol` (at iteration 0 when the
     /// first guess already solves the system).
     Converged,
@@ -240,25 +242,25 @@ pub enum CgStop {
 /// The exit record of a [`conjugate_gradient`] solve: everything its
 /// charges depend on beyond the grid shape and the options.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CgExit {
+pub(crate) struct CgExit {
     /// Completed iterations.
-    pub iters: usize,
-    pub stop: CgStop,
+    pub(crate) iters: usize,
+    pub(crate) stop: CgStop,
     /// Final residual norm.
-    pub residual: f64,
+    pub(crate) residual: f64,
 }
 
 /// The work grids of a [`conjugate_gradient`] solve — `A p`, the residual
 /// and the search direction — kept from one solve to the next, so that a
 /// model stepping one grid allocates them once.
-pub struct CgScratch {
+pub(crate) struct CgScratch {
     ax: Grid2,
     r: Grid2,
     p: Grid2,
 }
 
 impl CgScratch {
-    pub fn new(nlat: usize, nlon: usize) -> CgScratch {
+    pub(crate) fn new(nlat: usize, nlon: usize) -> CgScratch {
         CgScratch {
             ax: Grid2::zeros(nlat, nlon),
             r: Grid2::zeros(nlat, nlon),
@@ -273,7 +275,7 @@ impl CgScratch {
 /// record; the machine is charged for the solve by
 /// [`charge_conjugate_gradient`], once per compiler or machine the same
 /// solve is priced for.
-pub fn conjugate_gradient(
+pub(crate) fn conjugate_gradient(
     x: &mut Grid2,
     rhs: &Grid2,
     opt: &CgOptions,
@@ -325,7 +327,7 @@ pub fn conjugate_gradient(
 /// exit adds the application and dot product it stopped after.
 /// `scalar_cshift` prices the stencil shifts through the scalar unit, as
 /// the pre-release NEC F90 compiler did with CSHIFT (paper §4.7.3).
-pub fn charge_conjugate_gradient(
+pub(crate) fn charge_conjugate_gradient(
     vm: &mut Vm,
     nlat: usize,
     nlon: usize,

@@ -37,16 +37,16 @@ use sxsim::{
 /// POP configuration.
 #[derive(Debug, Clone)]
 pub struct PopConfig {
-    pub nlat: usize,
-    pub nlon: usize,
-    pub nlev: usize,
+    pub(crate) nlat: usize,
+    pub(crate) nlon: usize,
+    pub(crate) nlev: usize,
     /// Timestep (s).
-    pub dt: f64,
+    pub(crate) dt: f64,
     /// Whether the compiler vectorizes CSHIFT (false = the paper's
     /// pre-release F90 situation).
     pub cshift_vectorized: bool,
     /// CG tolerance for the implicit free surface.
-    pub cg_tol: f64,
+    pub(crate) cg_tol: f64,
 }
 
 impl PopConfig {
@@ -78,24 +78,24 @@ impl PopConfig {
 /// The model: barotropic free surface + barotropic transport + a stack of
 /// tracer levels.
 pub struct Pop {
-    pub config: PopConfig,
+    pub(crate) config: PopConfig,
     machine: MachineModel,
     /// Free-surface height.
-    pub eta: Grid2,
+    pub(crate) eta: Grid2,
     /// Barotropic transports.
-    pub ubar: Grid2,
-    pub vbar: Grid2,
+    pub(crate) ubar: Grid2,
+    pub(crate) vbar: Grid2,
     /// Tracer (temperature) levels: `[lev][lat*nlon+lon]`. Empty for a
     /// pricing model, whose tracer phase is charged but not computed (see
     /// [`Pop::priced_mflops`]).
-    pub temp: Vec<Vec<f64>>,
+    pub(crate) temp: Vec<Vec<f64>>,
     /// The levels a step writes before swapping them into `temp`.
     temp_next: Vec<Vec<f64>>,
     /// The free-surface right-hand side and the CG's work grids, rewritten
     /// every step.
     rhs: Grid2,
     cg: CgScratch,
-    pub steps: usize,
+    pub(crate) steps: usize,
 }
 
 /// Gravity x mean depth (wave speed squared, grid units).
@@ -104,10 +104,11 @@ const GH: f64 = 0.5;
 /// Timing of one step.
 #[derive(Debug, Clone, Copy)]
 pub struct PopStepTiming {
-    pub timing: NodeTiming,
+    pub(crate) timing: NodeTiming,
     pub seconds: f64,
     /// CG iterations the free-surface solve needed.
-    pub cg_iters: usize,
+    #[cfg(test)]
+    pub(crate) cg_iters: usize,
 }
 
 /// Work and simulated wall time summed over single-processor steps.
@@ -193,7 +194,8 @@ impl Pop {
 
     /// Total mass (mean surface height) — conserved by the flux-form
     /// free-surface update.
-    pub fn mass(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn mass(&self) -> f64 {
         self.eta.data.iter().sum::<f64>() / self.eta.data.len() as f64
     }
 
@@ -253,6 +255,7 @@ impl Pop {
         PopStepTiming {
             timing,
             seconds: timing.seconds(self.machine.clock_ns),
+            #[cfg(test)]
             cg_iters: exit.iters,
         }
     }

@@ -12,17 +12,17 @@ use ncar_suite::Table;
 /// One job's accounting record.
 #[derive(Debug, Clone)]
 pub struct JobAccount {
-    pub name: String,
-    pub procs: usize,
+    pub(crate) name: String,
+    pub(crate) procs: usize,
     /// Seconds spent queued before dispatch.
-    pub wait_s: f64,
+    pub(crate) wait_s: f64,
     /// Wall seconds while running.
-    pub wall_s: f64,
+    pub(crate) wall_s: f64,
     /// Processor-seconds consumed (procs x wall).
-    pub cpu_s: f64,
+    pub(crate) cpu_s: f64,
     /// Wall time relative to the job's solo runtime (>= 1; co-scheduling
     /// contention and OS multiplexing).
-    pub stretch: f64,
+    pub(crate) stretch: f64,
 }
 
 /// Build accounting records from a schedule.
@@ -87,7 +87,6 @@ mod tests {
             memory_bytes: 256 << 20,
             solo_seconds: secs,
             bytes_per_cycle_per_proc: 30.0,
-            block: 0,
             after,
         }
     }

@@ -5,7 +5,7 @@
 //! reproducing Table 6, useless for a daemon whose jobs arrive one at a
 //! time over sockets. [`Admission`] factors the admission decision out of
 //! the DES: it tracks the currently co-scheduled set against the same
-//! [`ResourceBlock`] processor/memory limits (real-memory machine, no
+//! Resource-Block processor/memory limits (real-memory machine, no
 //! demand paging — a job must fit whole, §2.6.4), and prices the
 //! memory-contention stretch the running mix imposes, so concurrent
 //! clients of the `sxd` daemon experience the paper's co-scheduling
@@ -27,7 +27,6 @@ struct Running {
     name: String,
     procs: usize,
     memory_bytes: u64,
-    block: usize,
     bytes_per_cycle_per_proc: f64,
 }
 
@@ -35,7 +34,7 @@ struct Running {
 #[derive(Debug)]
 pub struct Admission {
     node: Node,
-    blocks: Vec<ResourceBlock>,
+    block: ResourceBlock,
     running: Vec<Running>,
     /// Callers currently parked waiting for a release (the NQS queue
     /// depth an operator would watch). Maintained by the daemon around
@@ -47,47 +46,26 @@ impl Admission {
     /// One block spanning the whole node: all processors, the benchmarked
     /// 8 GB of main memory (Table 2).
     pub fn whole_node(model: MachineModel) -> Admission {
-        let procs = model.procs;
         Admission {
+            block: ResourceBlock::whole_node(model.procs),
             node: Node::new(model),
-            blocks: vec![ResourceBlock { name: "batch".into(), procs, memory_bytes: 8 << 30 }],
             running: Vec::new(),
             waiting: 0,
         }
     }
 
-    /// Partitioned configuration; errors if the blocks oversubscribe the
-    /// node's processors, like [`crate::nqs::Nqs::with_blocks`].
-    pub fn with_blocks(
-        model: MachineModel,
-        blocks: Vec<ResourceBlock>,
-    ) -> Result<Admission, NqsError> {
-        let total: usize = blocks.iter().map(|b| b.procs).sum();
-        if total > model.procs {
-            return Err(NqsError::BlocksOversubscribed {
-                requested: total,
-                available: model.procs,
-            });
-        }
-        Ok(Admission { node: Node::new(model), blocks, running: Vec::new(), waiting: 0 })
-    }
-
-    pub fn blocks(&self) -> &[ResourceBlock] {
-        &self.blocks
-    }
-
     /// Could this job *ever* be admitted? Typed rejection if not.
-    pub fn feasible(&self, job: &JobSpec) -> Result<(), NqsError> {
-        validate_job(&self.blocks, job)
+    pub(crate) fn feasible(&self, job: &JobSpec) -> Result<(), NqsError> {
+        validate_job(&self.block, job)
     }
 
-    /// Admit `job` if its block currently has the processors and memory;
+    /// Admit `job` if the block currently has the processors and memory;
     /// `Ok(false)` means feasible but must wait for a release. The
     /// dependency field (`after`) is ignored — arrival order is the
     /// caller's queue discipline.
     pub fn try_admit(&mut self, job: &JobSpec) -> Result<bool, NqsError> {
         self.feasible(job)?;
-        let (free_procs, free_mem) = self.free(job.block);
+        let (free_procs, free_mem) = self.free();
         if job.procs > free_procs || job.memory_bytes > free_mem {
             return Ok(false);
         }
@@ -95,7 +73,6 @@ impl Admission {
             name: job.name.clone(),
             procs: job.procs,
             memory_bytes: job.memory_bytes,
-            block: job.block,
             bytes_per_cycle_per_proc: job.bytes_per_cycle_per_proc,
         });
         Ok(true)
@@ -113,15 +90,11 @@ impl Admission {
         }
     }
 
-    /// Free (processors, memory) in block `block`; (0, 0) for an unknown
-    /// block index.
-    pub fn free(&self, block: usize) -> (usize, u64) {
-        let Some(b) = self.blocks.get(block) else { return (0, 0) };
-        let used_procs: usize =
-            self.running.iter().filter(|r| r.block == block).map(|r| r.procs).sum();
-        let used_mem: u64 =
-            self.running.iter().filter(|r| r.block == block).map(|r| r.memory_bytes).sum();
-        (b.procs - used_procs, b.memory_bytes - used_mem)
+    /// Free (processors, memory) in the block.
+    pub(crate) fn free(&self) -> (usize, u64) {
+        let used_procs: usize = self.running.iter().map(|r| r.procs).sum();
+        let used_mem: u64 = self.running.iter().map(|r| r.memory_bytes).sum();
+        (self.block.procs - used_procs, self.block.memory_bytes - used_mem)
     }
 
     /// Number of currently co-scheduled jobs.
@@ -179,7 +152,6 @@ mod tests {
             memory_bytes: mem,
             solo_seconds: 100.0,
             bytes_per_cycle_per_proc: 30.0,
-            block: 0,
             after: vec![],
         }
     }
@@ -188,7 +160,7 @@ mod tests {
     fn admit_until_full_then_wait_then_release() {
         let mut a = Admission::whole_node(presets::sx4_benchmarked());
         assert!(a.try_admit(&job("a", 24, 1 << 30)).unwrap());
-        assert_eq!(a.free(0), (8, (8u64 << 30) - (1 << 30)));
+        assert_eq!(a.free(), (8, (8u64 << 30) - (1 << 30)));
         // 16 procs don't fit beside 24 on a 32-proc node.
         assert!(!a.try_admit(&job("b", 16, 1 << 30)).unwrap());
         assert!(a.try_admit(&job("c", 8, 1 << 30)).unwrap());
@@ -216,45 +188,6 @@ mod tests {
         assert!(matches!(err, NqsError::JobTooWide { .. }), "{err}");
         let err = a.feasible(&job("huge", 4, 16 << 30)).unwrap_err();
         assert!(matches!(err, NqsError::JobTooBig { .. }), "{err}");
-        let mut stray = job("stray", 4, 1 << 30);
-        stray.block = 3;
-        let err = a.feasible(&stray).unwrap_err();
-        assert!(matches!(err, NqsError::UnknownBlock { .. }), "{err}");
-    }
-
-    #[test]
-    fn blocks_confine_admission() {
-        let mut a = Admission::with_blocks(
-            presets::sx4_benchmarked(),
-            vec![
-                ResourceBlock { name: "interactive".into(), procs: 8, memory_bytes: 4 << 30 },
-                ResourceBlock { name: "batch".into(), procs: 24, memory_bytes: 4 << 30 },
-            ],
-        )
-        .unwrap();
-        let mut x = job("x", 8, 1 << 30);
-        x.block = 0;
-        assert!(a.try_admit(&x).unwrap());
-        // Block 0 is now full: a second 8-proc job waits even though block
-        // 1 has 24 free processors.
-        let mut y = job("y", 8, 1 << 30);
-        y.block = 0;
-        assert!(!a.try_admit(&y).unwrap());
-        y.block = 1;
-        assert!(a.try_admit(&y).unwrap());
-    }
-
-    #[test]
-    fn oversubscribed_blocks_rejected_like_nqs() {
-        let err = Admission::with_blocks(
-            presets::sx4_benchmarked(),
-            vec![
-                ResourceBlock { name: "x".into(), procs: 20, memory_bytes: 4 << 30 },
-                ResourceBlock { name: "y".into(), procs: 20, memory_bytes: 4 << 30 },
-            ],
-        )
-        .unwrap_err();
-        assert_eq!(err, NqsError::BlocksOversubscribed { requested: 40, available: 32 });
     }
 
     #[test]

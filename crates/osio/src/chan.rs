@@ -3,90 +3,71 @@
 //!
 //! Each SX-4 IOP sustains 1.6 GB/s and fans out to HIPPI (the Mass Storage
 //! System path) and fast-wide SCSI-2 disk strings. Channels are modelled
-//! with a fixed per-operation latency plus byte-rate service; concurrent
-//! transfers on one channel share its bandwidth fairly.
+//! with a fixed per-operation latency plus byte-rate service.
 
 /// A byte channel with setup latency and finite bandwidth.
 #[derive(Debug, Clone)]
-pub struct Channel {
-    pub name: &'static str,
+pub(crate) struct Channel {
     /// Sustained bandwidth, bytes/second.
-    pub bytes_per_s: f64,
+    pub(crate) bytes_per_s: f64,
     /// Per-transfer setup latency, seconds.
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
 }
 
 impl Channel {
     /// SX-4 IOP aggregate: 1.6 GB/s.
-    pub fn iop() -> Channel {
-        Channel { name: "IOP", bytes_per_s: 1.6e9, latency_s: 20e-6 }
+    pub(crate) fn iop() -> Channel {
+        Channel { bytes_per_s: 1.6e9, latency_s: 20e-6 }
     }
 
     /// One HIPPI channel: 800 Mbit/s line rate, ~92 MB/s usable after
     /// framing overhead.
-    pub fn hippi() -> Channel {
-        Channel { name: "HIPPI", bytes_per_s: 92e6, latency_s: 250e-6 }
+    pub(crate) fn hippi() -> Channel {
+        Channel { bytes_per_s: 92e6, latency_s: 250e-6 }
     }
 
     /// A fast-wide SCSI-2 disk string: ~14 MB/s sustained, seek-dominated
     /// latency.
-    pub fn scsi_disk() -> Channel {
-        Channel { name: "SCSI-2 disk", bytes_per_s: 14e6, latency_s: 9e-3 }
+    pub(crate) fn scsi_disk() -> Channel {
+        Channel { bytes_per_s: 14e6, latency_s: 9e-3 }
     }
 
     /// The FDDI external network interface: 100 Mbit/s line rate, ~9 MB/s
     /// of IP throughput after protocol overhead.
-    pub fn fddi() -> Channel {
-        Channel { name: "FDDI/IP", bytes_per_s: 9e6, latency_s: 1.2e-3 }
-    }
-
-    /// Seconds to move `bytes` as one transfer.
-    pub fn transfer_seconds(&self, bytes: u64) -> f64 {
-        self.latency_s + bytes as f64 / self.bytes_per_s
+    pub(crate) fn fddi() -> Channel {
+        Channel { bytes_per_s: 9e6, latency_s: 1.2e-3 }
     }
 
     /// Seconds to move `bytes` split into `ops` operations (e.g. one
     /// direct-access record per latitude): each operation pays latency.
-    pub fn transfer_seconds_ops(&self, bytes: u64, ops: usize) -> f64 {
+    pub(crate) fn transfer_seconds_ops(&self, bytes: u64, ops: usize) -> f64 {
         let ops = ops.max(1);
         ops as f64 * self.latency_s + bytes as f64 / self.bytes_per_s
-    }
-
-    /// Effective MB/s for a transfer of `bytes` in `ops` operations.
-    pub fn effective_mb_per_s(&self, bytes: u64, ops: usize) -> f64 {
-        bytes as f64 / self.transfer_seconds_ops(bytes, ops) / 1e6
-    }
-
-    /// Seconds for `streams` concurrent transfers of `bytes` each, sharing
-    /// the channel fairly.
-    pub fn concurrent_seconds(&self, bytes: u64, streams: usize) -> f64 {
-        let streams = streams.max(1);
-        self.latency_s + (bytes as f64 * streams as f64) / self.bytes_per_s
     }
 }
 
 /// A striped disk array behind one IOP: `n` independent strings.
 #[derive(Debug, Clone)]
-pub struct DiskArray {
-    pub string: Channel,
-    pub strings: usize,
+pub(crate) struct DiskArray {
+    pub(crate) string: Channel,
+    pub(crate) strings: usize,
     /// The IOP in front of the array caps the aggregate.
-    pub iop: Channel,
+    pub(crate) iop: Channel,
 }
 
 impl DiskArray {
     /// The benchmarked system's 282 GB of disk (Table 2) as 24 strings.
-    pub fn benchmarked() -> DiskArray {
+    pub(crate) fn benchmarked() -> DiskArray {
         DiskArray { string: Channel::scsi_disk(), strings: 24, iop: Channel::iop() }
     }
 
     /// Aggregate streaming bandwidth (bytes/s).
-    pub fn aggregate_bytes_per_s(&self) -> f64 {
+    pub(crate) fn aggregate_bytes_per_s(&self) -> f64 {
         (self.string.bytes_per_s * self.strings as f64).min(self.iop.bytes_per_s)
     }
 
     /// Seconds to write `bytes` striped across the array in `ops` records.
-    pub fn write_seconds(&self, bytes: u64, ops: usize) -> f64 {
+    pub(crate) fn write_seconds(&self, bytes: u64, ops: usize) -> f64 {
         let per_string_ops = ops.div_ceil(self.strings);
         per_string_ops as f64 * self.string.latency_s + bytes as f64 / self.aggregate_bytes_per_s()
     }
@@ -96,19 +77,23 @@ impl DiskArray {
 mod tests {
     use super::*;
 
+    fn mb_per_s(c: &Channel, bytes: u64) -> f64 {
+        bytes as f64 / c.transfer_seconds_ops(bytes, 1) / 1e6
+    }
+
     #[test]
     fn hippi_rate_near_92_mb_s() {
         let h = Channel::hippi();
         // Large single transfer approaches line rate.
-        let eff = h.effective_mb_per_s(1 << 30, 1);
+        let eff = mb_per_s(&h, 1 << 30);
         assert!(eff > 90.0 && eff <= 92.0, "{eff}");
     }
 
     #[test]
     fn small_packets_are_latency_bound() {
         let h = Channel::hippi();
-        let small = h.effective_mb_per_s(4096, 1);
-        let large = h.effective_mb_per_s(16 << 20, 1);
+        let small = mb_per_s(&h, 4096);
+        let large = mb_per_s(&h, 16 << 20);
         assert!(large > 5.0 * small, "{small} vs {large}");
     }
 
@@ -118,14 +103,6 @@ mod tests {
         let one = d.transfer_seconds_ops(100 << 20, 1);
         let many = d.transfer_seconds_ops(100 << 20, 1000);
         assert!(many > one + 8.0, "{one} vs {many}");
-    }
-
-    #[test]
-    fn concurrency_shares_bandwidth() {
-        let h = Channel::hippi();
-        let one = h.concurrent_seconds(64 << 20, 1);
-        let four = h.concurrent_seconds(64 << 20, 4);
-        assert!(four > 3.5 * one && four < 4.5 * one);
     }
 
     #[test]

@@ -19,18 +19,18 @@ use ncar_suite::{Series, Table};
 /// One I/O-benchmark row: a resolution's history-tape write.
 #[derive(Debug, Clone, Copy)]
 pub struct IoPoint {
-    pub resolution: Resolution,
-    pub bytes: u64,
-    pub records: usize,
-    pub write_blocked_s: f64,
-    pub durable_s: f64,
-    pub read_s: f64,
+    pub(crate) resolution: Resolution,
+    pub(crate) bytes: u64,
+    pub(crate) records: usize,
+    pub(crate) write_blocked_s: f64,
+    pub(crate) durable_s: f64,
+    pub(crate) read_s: f64,
 }
 
 /// History-tape geometry for one resolution: one direct-access record per
 /// latitude ("different processors could write different records
 /// representing data associated with a specific latitude").
-pub fn history_tape(res: Resolution) -> (u64, usize) {
+pub(crate) fn history_tape(res: Resolution) -> (u64, usize) {
     let fields = 8 * res.nlev() + 16;
     let bytes = (fields * res.ncols() * 8) as u64;
     (bytes, res.nlat())

@@ -1,7 +1,6 @@
-//! The NQS batch subsystem and SUPER-UX Resource Blocks (paper §2.6.3,
-//! §2.6.4): queued batch jobs, FIFO dispatch within processor/memory
-//! limits, logical scheduling groups ("Resource Blocks") mapped onto the
-//! node's processors, and checkpoint/restart (§2.6.2).
+//! The NQS batch subsystem (paper §2.6.3): queued batch jobs and FIFO
+//! dispatch within the processor/memory limits of the node's one
+//! Resource Block (§2.6.4), which spans the whole node.
 //!
 //! Scheduling is a discrete-event simulation in simulated seconds: running
 //! jobs progress concurrently, slowed by the node's memory-contention
@@ -10,16 +9,26 @@
 
 use sxsim::{JobDemand, Node};
 
-/// A Resource Block: a named group of processors and memory jobs can be
-/// confined to ("each Resource Block has a maximum and minimum processor
-/// count, memory limits, and scheduling characteristics", §2.6.4).
+/// A Resource Block: the processors and memory jobs are confined to
+/// ("each Resource Block has a maximum and minimum processor count, memory
+/// limits, and scheduling characteristics", §2.6.4). Every experiment and
+/// the serving daemon schedule on one block spanning the whole node.
 #[derive(Debug, Clone)]
-pub struct ResourceBlock {
-    pub name: String,
-    pub procs: usize,
-    /// Memory available to the block's jobs, bytes. The benchmarked node
-    /// had 8 GB of main memory (Table 2).
-    pub memory_bytes: u64,
+pub(crate) struct ResourceBlock {
+    pub(crate) procs: usize,
+    /// Memory available to the block's jobs, bytes.
+    pub(crate) memory_bytes: u64,
+}
+
+impl ResourceBlock {
+    /// The block's name in error messages.
+    const NAME: &'static str = "batch";
+
+    /// One block spanning the whole node: all `procs` processors and the
+    /// benchmarked 8 GB of main memory (Table 2).
+    pub(crate) fn whole_node(procs: usize) -> ResourceBlock {
+        ResourceBlock { procs, memory_bytes: 8 << 30 }
+    }
 }
 
 /// A batch job description.
@@ -35,24 +44,22 @@ pub struct JobSpec {
     pub solo_seconds: f64,
     /// Average memory demand per processor (bytes/cycle), for contention.
     pub bytes_per_cycle_per_proc: f64,
-    /// Resource Block the job must run in (index into the block list).
-    pub block: usize,
     /// Indices of jobs that must finish before this one starts.
     pub after: Vec<usize>,
 }
 
 /// Completed-schedule record for one job.
 #[derive(Debug, Clone, Copy)]
-pub struct JobRecord {
-    pub start_s: f64,
-    pub end_s: f64,
+pub(crate) struct JobRecord {
+    pub(crate) start_s: f64,
+    pub(crate) end_s: f64,
 }
 
 /// Result of a batch run.
 #[derive(Debug, Clone)]
 pub struct Schedule {
-    pub records: Vec<JobRecord>,
-    pub makespan_s: f64,
+    pub(crate) records: Vec<JobRecord>,
+    pub(crate) makespan_s: f64,
 }
 
 /// Why a job mix could not be scheduled. These used to be panics; they are
@@ -60,10 +67,6 @@ pub struct Schedule {
 /// abort.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NqsError {
-    /// The Resource Blocks together exceed the node's processors.
-    BlocksOversubscribed { requested: usize, available: usize },
-    /// A job names a block index that does not exist.
-    UnknownBlock { job: String, block: usize, blocks: usize },
     /// A job wants more processors than its Resource Block has.
     JobTooWide { job: String, needs: usize, block: String, has: usize },
     /// A job's load module does not fit its block's memory (real-memory
@@ -71,20 +74,11 @@ pub enum NqsError {
     JobTooBig { job: String, needs: u64, block: String, has: u64 },
     /// Jobs remain but none can ever start (dependency cycle).
     Deadlock { waiting: Vec<String> },
-    /// A checkpoint split was asked for a completed fraction outside
-    /// `[0, 1]` (or NaN), which would manufacture negative restart work.
-    BadFraction { job: String, fraction: f64 },
 }
 
 impl std::fmt::Display for NqsError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            NqsError::BlocksOversubscribed { requested, available } => {
-                write!(f, "Resource Blocks claim {requested} processors; the node has {available}")
-            }
-            NqsError::UnknownBlock { job, block, blocks } => {
-                write!(f, "job {job} names Resource Block {block}, but only {blocks} exist")
-            }
             NqsError::JobTooWide { job, needs, block, has } => {
                 write!(f, "job {job} needs {needs} procs but block {block} has {has}")
             }
@@ -95,32 +89,22 @@ impl std::fmt::Display for NqsError {
             NqsError::Deadlock { waiting } => {
                 write!(f, "NQS deadlock: jobs remain but none can run: {}", waiting.join(", "))
             }
-            NqsError::BadFraction { job, fraction } => {
-                write!(f, "checkpoint of job {job} at fraction {fraction} is outside [0, 1]")
-            }
         }
     }
 }
 
 impl std::error::Error for NqsError {}
 
-/// Validate that `job` could ever run under `blocks`: the block exists and
-/// the job fits its processor and (resident, unpaged) memory limits.
-/// Shared by the batch scheduler below and the live [`crate::admission`]
-/// gate the `sxd` daemon admits through.
-pub(crate) fn validate_job(blocks: &[ResourceBlock], job: &JobSpec) -> Result<(), NqsError> {
-    let Some(block) = blocks.get(job.block) else {
-        return Err(NqsError::UnknownBlock {
-            job: job.name.clone(),
-            block: job.block,
-            blocks: blocks.len(),
-        });
-    };
+/// Validate that `job` could ever run in `block`: it fits the block's
+/// processor and (resident, unpaged) memory limits. Shared by the batch
+/// scheduler below and the live [`crate::admission`] gate the `sxd` daemon
+/// admits through.
+pub(crate) fn validate_job(block: &ResourceBlock, job: &JobSpec) -> Result<(), NqsError> {
     if job.procs > block.procs {
         return Err(NqsError::JobTooWide {
             job: job.name.clone(),
             needs: job.procs,
-            block: block.name.clone(),
+            block: ResourceBlock::NAME.into(),
             has: block.procs,
         });
     }
@@ -128,7 +112,7 @@ pub(crate) fn validate_job(blocks: &[ResourceBlock], job: &JobSpec) -> Result<()
         return Err(NqsError::JobTooBig {
             job: job.name.clone(),
             needs: job.memory_bytes,
-            block: block.name.clone(),
+            block: ResourceBlock::NAME.into(),
             has: block.memory_bytes,
         });
     }
@@ -138,40 +122,23 @@ pub(crate) fn validate_job(blocks: &[ResourceBlock], job: &JobSpec) -> Result<()
 /// The scheduler.
 #[derive(Debug)]
 pub struct Nqs<'a> {
-    pub node: &'a Node,
-    pub blocks: Vec<ResourceBlock>,
+    node: &'a Node,
+    block: ResourceBlock,
 }
 
 impl<'a> Nqs<'a> {
-    /// One block spanning the whole node (the default configuration):
-    /// all processors, the benchmarked 8 GB of memory.
+    /// One block spanning the whole node: all processors, the benchmarked
+    /// 8 GB of memory.
     pub fn whole_node(node: &'a Node) -> Nqs<'a> {
-        let procs = node.model().procs;
-        Nqs {
-            node,
-            blocks: vec![ResourceBlock { name: "batch".into(), procs, memory_bytes: 8 << 30 }],
-        }
+        Nqs { node, block: ResourceBlock::whole_node(node.model().procs) }
     }
 
-    /// Partitioned configuration. Errors if the blocks together claim more
-    /// processors than the node has.
-    pub fn with_blocks(node: &'a Node, blocks: Vec<ResourceBlock>) -> Result<Nqs<'a>, NqsError> {
-        let total: usize = blocks.iter().map(|b| b.procs).sum();
-        if total > node.model().procs {
-            return Err(NqsError::BlocksOversubscribed {
-                requested: total,
-                available: node.model().procs,
-            });
-        }
-        Ok(Nqs { node, blocks })
-    }
-
-    /// Run the job set to completion (FIFO within each block, dependency-
-    /// aware) and return the schedule.
+    /// Run the job set to completion (FIFO, dependency-aware) and return
+    /// the schedule.
     pub fn run(&self, jobs: &[JobSpec]) -> Result<Schedule, NqsError> {
         let n = jobs.len();
         for j in jobs {
-            validate_job(&self.blocks, j)?;
+            validate_job(&self.block, j)?;
         }
         let mut remaining: Vec<f64> = jobs.iter().map(|j| j.solo_seconds).collect();
         let mut records = vec![JobRecord { start_s: f64::NAN, end_s: f64::NAN }; n];
@@ -180,13 +147,13 @@ impl<'a> Nqs<'a> {
         let mut now = 0.0f64;
 
         loop {
-            // Dispatch: FIFO over submission order, per-block processor
-            // AND memory capacity (no demand paging: a job must fit whole).
-            let mut free: Vec<usize> = self.blocks.iter().map(|b| b.procs).collect();
-            let mut free_mem: Vec<u64> = self.blocks.iter().map(|b| b.memory_bytes).collect();
+            // Dispatch: FIFO over submission order, processor AND memory
+            // capacity (no demand paging: a job must fit whole).
+            let mut free = self.block.procs;
+            let mut free_mem = self.block.memory_bytes;
             for &r in &running {
-                free[jobs[r].block] -= jobs[r].procs;
-                free_mem[jobs[r].block] -= jobs[r].memory_bytes;
+                free -= jobs[r].procs;
+                free_mem -= jobs[r].memory_bytes;
             }
             for (i, job) in jobs.iter().enumerate() {
                 if done[i] || running.contains(&i) {
@@ -195,9 +162,9 @@ impl<'a> Nqs<'a> {
                 if !job.after.iter().all(|&d| done[d]) {
                     continue;
                 }
-                if job.procs <= free[job.block] && job.memory_bytes <= free_mem[job.block] {
-                    free[job.block] -= job.procs;
-                    free_mem[job.block] -= job.memory_bytes;
+                if job.procs <= free && job.memory_bytes <= free_mem {
+                    free -= job.procs;
+                    free_mem -= job.memory_bytes;
                     running.push(i);
                     if records[i].start_s.is_nan() {
                         records[i].start_s = now;
@@ -255,35 +222,6 @@ impl<'a> Nqs<'a> {
     }
 }
 
-/// Split a job at a checkpoint: returns (completed-part spec with the
-/// checkpoint write appended, restart spec for the remainder). Checkpoint
-/// and restart both move `state_bytes` through the file system; the caller
-/// adds those seconds (from [`crate::sfs::Sfs`]) to the halves.
-///
-/// `fraction_done` must lie in `[0, 1]` (both edges are legitimate: a job
-/// checkpointed before its first cycle, or exactly at completion). Any
-/// other value — including NaN — used to be an `assert!` abort and now
-/// returns a typed [`NqsError::BadFraction`]: a fraction outside the range
-/// would fabricate negative solo seconds for one of the halves, which the
-/// scheduler would then happily "run" backwards in time.
-pub fn checkpoint_split(
-    job: &JobSpec,
-    fraction_done: f64,
-    ckpt_seconds: f64,
-    restart_seconds: f64,
-) -> Result<(JobSpec, JobSpec), NqsError> {
-    if !(0.0..=1.0).contains(&fraction_done) {
-        return Err(NqsError::BadFraction { job: job.name.clone(), fraction: fraction_done });
-    }
-    let mut first = job.clone();
-    first.name = format!("{}-ckpt", job.name);
-    first.solo_seconds = job.solo_seconds * fraction_done + ckpt_seconds;
-    let mut rest = job.clone();
-    rest.name = format!("{}-restart", job.name);
-    rest.solo_seconds = job.solo_seconds * (1.0 - fraction_done) + restart_seconds;
-    Ok((first, rest))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -300,7 +238,6 @@ mod tests {
             memory_bytes: 256 << 20,
             solo_seconds: secs,
             bytes_per_cycle_per_proc: 30.0,
-            block: 0,
             after: vec![],
         }
     }
@@ -340,28 +277,6 @@ mod tests {
     }
 
     #[test]
-    fn resource_blocks_confine_jobs() {
-        let n = node();
-        let nqs = Nqs::with_blocks(
-            &n,
-            vec![
-                ResourceBlock { name: "interactive".into(), procs: 8, memory_bytes: 4 << 30 },
-                ResourceBlock { name: "batch".into(), procs: 24, memory_bytes: 4 << 30 },
-            ],
-        )
-        .unwrap();
-        let mut a = job("a", 8, 100.0);
-        a.block = 0;
-        let mut b = job("b", 8, 100.0);
-        b.block = 0; // must wait for a despite free procs in the other block
-        let mut c = job("c", 24, 100.0);
-        c.block = 1;
-        let s = nqs.run(&[a, b, c]).unwrap();
-        assert!(s.records[1].start_s >= s.records[0].end_s - 1e-9);
-        assert_eq!(s.records[2].start_s, 0.0);
-    }
-
-    #[test]
     fn contention_stretches_coscheduled_jobs() {
         let n = node();
         let nqs = Nqs::whole_node(&n);
@@ -370,58 +285,6 @@ mod tests {
         let packed = nqs.run(&eight).unwrap().makespan_s;
         assert!(packed > solo, "co-scheduled jobs must feel contention");
         assert!(packed < 1.1 * solo, "but only a few percent: {packed} vs {solo}");
-    }
-
-    #[test]
-    fn checkpoint_split_preserves_total_work() {
-        let j = job("long", 8, 1000.0);
-        let (a, b) = checkpoint_split(&j, 0.4, 5.0, 3.0).unwrap();
-        assert!((a.solo_seconds + b.solo_seconds - (1000.0 + 8.0)).abs() < 1e-9);
-        assert!(a.name.contains("ckpt") && b.name.contains("restart"));
-    }
-
-    #[test]
-    fn checkpoint_split_accepts_both_edges_exactly() {
-        let j = job("edge", 8, 1000.0);
-        // fraction 0: nothing done, the restart half carries all the work.
-        let (a, b) = checkpoint_split(&j, 0.0, 5.0, 3.0).unwrap();
-        assert_eq!(a.solo_seconds, 5.0);
-        assert_eq!(b.solo_seconds, 1003.0);
-        // fraction 1: everything done, the restart half is overhead only.
-        let (a, b) = checkpoint_split(&j, 1.0, 5.0, 3.0).unwrap();
-        assert_eq!(a.solo_seconds, 1005.0);
-        assert_eq!(b.solo_seconds, 3.0);
-        // No half may ever owe negative work.
-        for f in [0.0, 0.5, 1.0] {
-            let (a, b) = checkpoint_split(&j, f, 0.0, 0.0).unwrap();
-            assert!(a.solo_seconds >= 0.0 && b.solo_seconds >= 0.0);
-        }
-    }
-
-    #[test]
-    fn checkpoint_split_rejects_out_of_range_fractions_typed() {
-        let j = job("bad", 8, 1000.0);
-        for f in [-0.1, 1.1, -f64::EPSILON, 1.0 + 1e-9, f64::NAN, f64::INFINITY, -1e9] {
-            let err = checkpoint_split(&j, f, 5.0, 3.0).unwrap_err();
-            assert!(
-                matches!(err, NqsError::BadFraction { ref job, .. } if job == "bad"),
-                "fraction {f} -> {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn blocks_cannot_exceed_node() {
-        let n = node();
-        let err = Nqs::with_blocks(
-            &n,
-            vec![
-                ResourceBlock { name: "x".into(), procs: 20, memory_bytes: 4 << 30 },
-                ResourceBlock { name: "y".into(), procs: 20, memory_bytes: 4 << 30 },
-            ],
-        )
-        .unwrap_err();
-        assert_eq!(err, NqsError::BlocksOversubscribed { requested: 40, available: 32 });
     }
 
     #[test]

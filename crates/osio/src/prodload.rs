@@ -21,11 +21,11 @@ use sxsim::{MachineModel, Node};
 #[derive(Debug, Clone, Copy)]
 pub struct CcmRates {
     /// Seconds per step, T42 on 4 processors.
-    pub t42_4p: f64,
+    pub(crate) t42_4p: f64,
     /// Seconds per step, T106 on 4 processors.
-    pub t106_4p: f64,
+    pub(crate) t106_4p: f64,
     /// Seconds per step, T170 on 16 processors.
-    pub t170_16p: f64,
+    pub(crate) t170_16p: f64,
     /// Memory demand per processor (bytes/cycle) of a CCM2 run.
     pub bpc: f64,
 }
@@ -90,7 +90,6 @@ fn sequence_jobs(rates: &CcmRates, sequences: usize, hippi_s: f64) -> Vec<JobSpe
                 memory_bytes: 64 << 20,
                 solo_seconds: hippi_s,
                 bytes_per_cycle_per_proc: 2.0,
-                block: 0,
                 after: prev_job.clone(),
             });
             this_job.push(jobs.len() - 1);
@@ -102,7 +101,6 @@ fn sequence_jobs(rates: &CcmRates, sequences: usize, hippi_s: f64) -> Vec<JobSpe
                     memory_bytes: 512 << 20,
                     solo_seconds: secs,
                     bytes_per_cycle_per_proc: rates.bpc,
-                    block: 0,
                     after: prev_job.clone(),
                 });
                 this_job.push(jobs.len() - 1);
@@ -131,7 +129,6 @@ pub fn prodload(node: &Node, rates: &CcmRates) -> ProdloadResult {
         memory_bytes: 2 << 30,
         solo_seconds: t170_secs,
         bytes_per_cycle_per_proc: rates.bpc,
-        block: 0,
         after: vec![],
     };
     test_seconds[3] =

@@ -13,30 +13,30 @@ use crate::nqs::{JobSpec, Nqs, Schedule};
 /// One NQS queue.
 #[derive(Debug, Clone)]
 pub struct Queue {
-    pub name: String,
+    pub(crate) name: String,
     /// Higher dispatches first.
-    pub priority: i32,
+    pub(crate) priority: i32,
     /// Maximum jobs from this queue running at once.
-    pub run_limit: usize,
+    pub(crate) run_limit: usize,
     /// Maximum processors a single job may request here.
-    pub max_procs_per_job: usize,
+    pub(crate) max_procs_per_job: usize,
 }
 
 /// A queue complex: a cap on the aggregate running jobs of its members.
 #[derive(Debug, Clone)]
 pub struct QueueComplex {
-    pub name: String,
+    pub(crate) name: String,
     /// Member queue names.
-    pub members: Vec<String>,
+    pub(crate) members: Vec<String>,
     /// Aggregate run limit across the members.
-    pub run_limit: usize,
+    pub(crate) run_limit: usize,
 }
 
 /// A job as submitted to a queue.
 #[derive(Debug, Clone)]
-pub struct QueuedJob {
-    pub queue: String,
-    pub spec: JobSpec,
+pub(crate) struct QueuedJob {
+    pub(crate) queue: String,
+    pub(crate) spec: JobSpec,
 }
 
 /// Submission errors.
@@ -52,8 +52,8 @@ pub enum SubmitError {
 /// dependencies).
 #[derive(Debug)]
 pub struct QueueManager {
-    pub queues: Vec<Queue>,
-    pub complexes: Vec<QueueComplex>,
+    pub(crate) queues: Vec<Queue>,
+    pub(crate) complexes: Vec<QueueComplex>,
     accepted: Vec<QueuedJob>,
 }
 
@@ -110,7 +110,7 @@ impl QueueManager {
     /// - within a queue: submission (FIFO) order;
     /// - run limits (queue and complex): job k depends on job k - limit of
     ///   the same scope, the classic token trick.
-    pub fn build_jobs(&self) -> Vec<JobSpec> {
+    pub(crate) fn build_jobs(&self) -> Vec<JobSpec> {
         let mut order: Vec<usize> = (0..self.accepted.len()).collect();
         order.sort_by_key(|&i| {
             let prio = self.queue(&self.accepted[i].queue).map(|q| q.priority).unwrap_or(0);
@@ -168,7 +168,6 @@ mod tests {
             memory_bytes: 256 << 20,
             solo_seconds: secs,
             bytes_per_cycle_per_proc: 20.0,
-            block: 0,
             after: vec![],
         }
     }

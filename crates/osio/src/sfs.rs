@@ -11,27 +11,17 @@
 use crate::chan::DiskArray;
 use sxsim::Xmu;
 
-/// Write-back policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WriteBack {
-    /// Stage in XMU, drain in the background (the fast default).
-    Async,
-    /// Write through to disk (checkpoint safety).
-    Sync,
-}
-
 /// An SFS instance: XMU staging in front of a disk array.
 #[derive(Debug)]
 pub struct Sfs {
-    pub xmu: Xmu,
-    pub disks: DiskArray,
-    pub writeback: WriteBack,
+    pub(crate) xmu: Xmu,
+    pub(crate) disks: DiskArray,
     /// Simulated time at which the background drain finishes.
     drain_done_s: f64,
     /// Bytes currently staged and not yet drained.
     staged_bytes: u64,
     /// Total bytes written since creation.
-    pub total_written: u64,
+    pub(crate) total_written: u64,
 }
 
 /// Result of one file operation.
@@ -40,7 +30,7 @@ pub struct IoOutcome {
     /// Seconds the *application* was blocked.
     pub blocked_s: f64,
     /// Seconds until the data is durable on disk.
-    pub durable_s: f64,
+    pub(crate) durable_s: f64,
 }
 
 impl Sfs {
@@ -49,7 +39,6 @@ impl Sfs {
         Sfs {
             xmu: Xmu::benchmarked(),
             disks: DiskArray::benchmarked(),
-            writeback: WriteBack::Async,
             drain_done_s: 0.0,
             staged_bytes: 0,
             total_written: 0,
@@ -62,38 +51,29 @@ impl Sfs {
     pub fn write(&mut self, now_s: f64, bytes: u64, records: usize) -> IoOutcome {
         self.total_written += bytes;
         let disk_s = self.disks.write_seconds(bytes, records);
-        match self.writeback {
-            WriteBack::Sync => {
-                let xmu_s = self.xmu.transfer_seconds(bytes);
-                let t = xmu_s + disk_s;
-                self.drain_done_s = now_s + t;
-                IoOutcome { blocked_s: t, durable_s: t }
-            }
-            WriteBack::Async => {
-                // Catch up the background drain.
-                if now_s >= self.drain_done_s {
-                    self.staged_bytes = 0;
-                }
-                let mut blocked = self.xmu.transfer_seconds(bytes);
-                // If staging would overflow the XMU, the application waits
-                // for enough drain to make room.
-                if self.staged_bytes + bytes > self.xmu.capacity_bytes {
-                    let overflow = self.staged_bytes + bytes - self.xmu.capacity_bytes;
-                    let frac = overflow as f64 / self.staged_bytes.max(1) as f64;
-                    let wait = (self.drain_done_s - now_s).max(0.0) * frac.min(1.0);
-                    blocked += wait;
-                    self.staged_bytes = self.staged_bytes.saturating_sub(overflow);
-                }
-                self.staged_bytes += bytes;
-                let drain_start = self.drain_done_s.max(now_s + blocked);
-                self.drain_done_s = drain_start + disk_s;
-                IoOutcome { blocked_s: blocked, durable_s: self.drain_done_s - now_s }
-            }
+        // Stage in the XMU and drain to disk in the background: catch up
+        // the drain first.
+        if now_s >= self.drain_done_s {
+            self.staged_bytes = 0;
         }
+        let mut blocked = self.xmu.transfer_seconds(bytes);
+        // If staging would overflow the XMU, the application waits for
+        // enough drain to make room.
+        if self.staged_bytes + bytes > self.xmu.capacity_bytes {
+            let overflow = self.staged_bytes + bytes - self.xmu.capacity_bytes;
+            let frac = overflow as f64 / self.staged_bytes.max(1) as f64;
+            let wait = (self.drain_done_s - now_s).max(0.0) * frac.min(1.0);
+            blocked += wait;
+            self.staged_bytes = self.staged_bytes.saturating_sub(overflow);
+        }
+        self.staged_bytes += bytes;
+        let drain_start = self.drain_done_s.max(now_s + blocked);
+        self.drain_done_s = drain_start + disk_s;
+        IoOutcome { blocked_s: blocked, durable_s: self.drain_done_s - now_s }
     }
 
     /// Read `bytes`; `cached` says whether it is still staged in the XMU.
-    pub fn read(&mut self, bytes: u64, records: usize, cached: bool) -> f64 {
+    pub(crate) fn read(&mut self, bytes: u64, records: usize, cached: bool) -> f64 {
         if cached {
             self.xmu.transfer_seconds(bytes)
         } else {
@@ -113,15 +93,6 @@ mod tests {
         // 1 GB at 16 GB/s ~ 62 ms blocked; durable only after disk drain.
         assert!(out.blocked_s < 0.1, "blocked {}", out.blocked_s);
         assert!(out.durable_s > 2.0, "durable {}", out.durable_s);
-    }
-
-    #[test]
-    fn sync_write_blocks_for_disk() {
-        let mut fs = Sfs::benchmarked();
-        fs.writeback = WriteBack::Sync;
-        let out = fs.write(0.0, 1 << 30, 64);
-        assert!(out.blocked_s > 2.0);
-        assert!((out.blocked_s - out.durable_s).abs() < 1e-12);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! - [`mod@linpack`] — dense LU (order 100/1000): "tends to measure peak
 //!   performance";
-//! - [`mod@hint`] — hierarchical integration (QUIPS): "better tuned to
+//! - `hint` — hierarchical integration (QUIPS): "better tuned to
 //!   measuring scalar processor performance than the performance of
 //!   vector processors" (the famous Table 1 inversion);
 //! - [`mod@stream`] — the four fixed-size long-vector bandwidth operations,
@@ -17,7 +17,7 @@
 //! the paper discusses but never runs; they are intentionally not built
 //! (see DESIGN.md).
 
-pub mod hint;
+mod hint;
 pub mod linpack;
 pub mod linpack_tpp;
 pub mod stream;

@@ -142,7 +142,7 @@ pub fn lu_blocked(vm: &mut Vm, a: &mut Matrix, block: usize) -> Result<(), Strin
 }
 
 /// A diagonally dominant test matrix (safe for unpivoted LU).
-pub fn dominant_matrix(n: usize, seed: u64) -> Matrix {
+pub(crate) fn dominant_matrix(n: usize, seed: u64) -> Matrix {
     let mut m = Matrix::linpack(n, seed);
     for i in 0..n {
         let row_sum: f64 = (0..n).map(|j| m.at(i, j).abs()).sum();

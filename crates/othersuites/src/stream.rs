@@ -36,7 +36,7 @@ impl StreamOp {
     }
 
     /// Bytes counted per iteration by STREAM's convention.
-    pub fn bytes_per_iter(self) -> usize {
+    pub(crate) fn bytes_per_iter(self) -> usize {
         match self {
             StreamOp::Copy | StreamOp::Scale => 16,
             StreamOp::Add | StreamOp::Triad => 24,
@@ -45,7 +45,7 @@ impl StreamOp {
 }
 
 /// STREAM's fixed array length (the classic 2,000,000-element default).
-pub const STREAM_N: usize = 2_000_000;
+pub(crate) const STREAM_N: usize = 2_000_000;
 
 /// One result row.
 #[derive(Debug, Clone, Copy)]

@@ -26,7 +26,7 @@ impl Fixture {
     /// expected code present, and no findings at all for clean fixtures.
     pub fn satisfied(&self) -> bool {
         if self.expect.is_empty() {
-            return self.report.is_empty();
+            return self.report.finding_count() == 0;
         }
         self.expect.iter().all(|c| self.report.has_code(c))
     }
@@ -59,7 +59,7 @@ fn lint_vm(vm: &mut Vm) -> Report {
 /// A copy loop marching through memory at stride 128: with 1024 banks,
 /// every access lands on one of 8 banks and the stream crawls. This is the
 /// classic power-of-two leading-dimension mistake of §2.2.
-pub fn stride128_copy() -> Fixture {
+pub(crate) fn stride128_copy() -> Fixture {
     let mut vm = Vm::new(presets::sx4_benchmarked());
     vm.start_trace();
     let mut ft = Ftrace::new();
@@ -75,7 +75,7 @@ pub fn stride128_copy() -> Fixture {
 }
 
 /// A healthy long unit-stride kernel: nothing to report.
-pub fn clean_copy() -> Fixture {
+pub(crate) fn clean_copy() -> Fixture {
     let mut vm = Vm::new(presets::sx4_benchmarked());
     vm.start_trace();
     let mut ft = Ftrace::new();
@@ -94,7 +94,7 @@ pub fn clean_copy() -> Fixture {
 /// Many individually modest power-of-two strides: none moves enough to
 /// trip SXC004 on its own, but together the region's strided traffic runs
 /// at a quarter of the achievable rate.
-pub fn bank_pressure() -> Fixture {
+pub(crate) fn bank_pressure() -> Fixture {
     let mut vm = Vm::new(presets::sx4_benchmarked());
     vm.start_trace();
     let mut ft = Ftrace::new();
@@ -112,7 +112,7 @@ pub fn bank_pressure() -> Fixture {
 /// The same reduction re-reads its operand stream every iteration with
 /// nothing written in between — memory traffic a common-subexpression
 /// pass (or a hoisted scalar) would eliminate.
-pub fn reload_reduction() -> Fixture {
+pub(crate) fn reload_reduction() -> Fixture {
     let mut vm = Vm::new(presets::sx4_benchmarked());
     vm.start_trace();
     let mut ft = Ftrace::new();
@@ -127,7 +127,7 @@ pub fn reload_reduction() -> Fixture {
 
 /// A loop count sitting just above four full vector strips: every pass
 /// pays a fifth startup charge for a 16-element remainder.
-pub fn short_strip_remainder() -> Fixture {
+pub(crate) fn short_strip_remainder() -> Fixture {
     let mut vm = Vm::new(presets::sx4_benchmarked());
     vm.start_trace();
     let mut ft = Ftrace::new();
@@ -153,7 +153,7 @@ fn lock_report(obs: &LockObservations) -> Report {
 /// canonical ABBA deadlock. Observations are synthesized directly (the
 /// global registry is process-wide and would cross-pollute parallel
 /// tests).
-pub fn inverted_locks() -> Fixture {
+pub(crate) fn inverted_locks() -> Fixture {
     let mut obs = LockObservations::new();
     obs.record_stack(&["sxd.cache", "sxd.journal"]);
     obs.record_stack(&["sxd.journal", "sxd.cache"]);
@@ -162,7 +162,7 @@ pub fn inverted_locks() -> Fixture {
 
 /// A guard held across a journal fsync: every thread wanting the cache
 /// lock waits out the disk.
-pub fn guard_across_io() -> Fixture {
+pub(crate) fn guard_across_io() -> Fixture {
     let mut obs = LockObservations::new();
     obs.record_crossing("sxd.journal.append", "sxd.cache");
     Fixture { name: "guard-across-io", expect: &["SXC302"], report: lock_report(&obs) }
@@ -170,7 +170,7 @@ pub fn guard_across_io() -> Fixture {
 
 /// A consistent lock hierarchy (every path takes `inflight`, then
 /// `cache`, then `journal` in that order): nothing to report.
-pub fn lock_hierarchy_clean() -> Fixture {
+pub(crate) fn lock_hierarchy_clean() -> Fixture {
     let mut obs = LockObservations::new();
     obs.record_stack(&["sxd.inflight", "sxd.cache"]);
     obs.record_stack(&["sxd.inflight", "sxd.cache", "sxd.journal"]);

@@ -4,7 +4,7 @@
 //! crate consumes the op streams a tracing [`Vm`](sxsim::Vm) records and
 //! turns them into deterministic diagnostics:
 //!
-//! - **[`vlint`]** — vectorization lints per FTRACE region: short average
+//! - **`vlint`** — vectorization lints per FTRACE region: short average
 //!   vector length (SXC001), low vector-operation ratio (SXC002),
 //!   gather/scatter-dominated traffic (SXC003), power-of-two strides
 //!   colliding on the banked memory (SXC004), Amdahl warnings when too
@@ -46,10 +46,10 @@ pub mod audit;
 pub mod fixtures;
 pub mod lockgraph;
 pub mod report;
-pub mod vlint;
+mod vlint;
 
 pub use report::{Diagnostic, Report, Severity};
-pub use vlint::VectorLinter;
+pub(crate) use vlint::VectorLinter;
 
 use sxsim::{MachineModel, OpTrace};
 

@@ -76,19 +76,16 @@ impl Report {
         &self.diags
     }
 
-    pub fn len(&self) -> usize {
+    /// Number of findings.
+    pub fn finding_count(&self) -> usize {
         self.diags.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.diags.is_empty()
-    }
-
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         self.diags.iter().filter(|d| d.severity == Severity::Error).count()
     }
 
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.diags.iter().filter(|d| d.severity == Severity::Warning).count()
     }
 

@@ -24,36 +24,36 @@ use sxsim::timing::Access;
 use sxsim::{MachineModel, Recorder, TraceEvent};
 
 /// Events outside any FTRACE region are attributed to this pseudo-region.
-pub const TOPLEVEL: &str = "(outside regions)";
+pub(crate) const TOPLEVEL: &str = "(outside regions)";
 
 /// Minimum average vector length before SXC001 stays quiet.
-pub const SHORT_AVL: f64 = 64.0;
+pub(crate) const SHORT_AVL: f64 = 64.0;
 /// Vector ops a region must issue before average length is judged.
-pub const MIN_OPS_FOR_AVL: u64 = 16;
+pub(crate) const MIN_OPS_FOR_AVL: u64 = 16;
 /// Vector-operation ratio (%) below which SXC002 fires.
-pub const MIN_VRATIO_PCT: f64 = 90.0;
+pub(crate) const MIN_VRATIO_PCT: f64 = 90.0;
 /// Elements a region must process before its ratio is judged.
-pub const MIN_ELEMENTS: u64 = 10_000;
+pub(crate) const MIN_ELEMENTS: u64 = 10_000;
 /// Fraction of stream elements through gather/scatter that triggers SXC003.
-pub const INDEXED_FRACTION: f64 = 0.30;
+pub(crate) const INDEXED_FRACTION: f64 = 0.30;
 /// Elements a stride must move before it is judged for bank conflicts.
-pub const MIN_STRIDE_ELEMS: u64 = 4_096;
+pub(crate) const MIN_STRIDE_ELEMS: u64 = 4_096;
 /// Bank-conflict ratio (efficiency relative to the generic non-unit-stride
 /// baseline) below which SXC004 fires.
-pub const CONFLICT_RATIO: f64 = 0.90;
+pub(crate) const CONFLICT_RATIO: f64 = 0.90;
 /// Fraction of region cycles outside vector work that triggers SXC005.
-pub const SCALAR_FRACTION: f64 = 0.25;
+pub(crate) const SCALAR_FRACTION: f64 = 0.25;
 /// Cycles a region must cost before its scalar fraction is judged.
-pub const MIN_REGION_CYCLES: f64 = 10_000.0;
+pub(crate) const MIN_REGION_CYCLES: f64 = 10_000.0;
 /// Aggregate strided efficiency (relative to the non-unit-stride rate)
 /// below which SXC006 fires for a region's combined strided traffic.
-pub const PRESSURE_RATIO: f64 = 0.75;
+pub(crate) const PRESSURE_RATIO: f64 = 0.75;
 /// Redundant load-only operations a region must repeat before SXC007
 /// fires (each repeat of an already-pending stream counts once).
-pub const MIN_REDUNDANT_LOADS: u64 = 2;
+pub(crate) const MIN_REDUNDANT_LOADS: u64 = 2;
 /// A strip-mine remainder is "short" when it is at most `reg_len` divided
 /// by this (SX-4: 256/8 = 32 elements riding a full startup charge).
-pub const STRIP_REMAINDER_DIV: usize = 8;
+pub(crate) const STRIP_REMAINDER_DIV: usize = 8;
 
 /// Per-region aggregates accumulated during replay.
 #[derive(Debug, Clone, Default)]
@@ -85,13 +85,13 @@ struct RegionAgg {
 /// Aggregates an op stream into per-region statistics and emits
 /// vectorization lints.
 #[derive(Debug, Default)]
-pub struct VectorLinter {
+pub(crate) struct VectorLinter {
     regions: BTreeMap<String, RegionAgg>,
     open: Option<String>,
 }
 
 impl VectorLinter {
-    pub fn new() -> VectorLinter {
+    pub(crate) fn new() -> VectorLinter {
         VectorLinter::default()
     }
 
@@ -102,7 +102,7 @@ impl VectorLinter {
 
     /// Judge every region seen so far against `model`. Vector-specific
     /// lints (SXC001–SXC004) only apply to vector machines.
-    pub fn diagnostics(&self, model: &MachineModel) -> Vec<Diagnostic> {
+    pub(crate) fn diagnostics(&self, model: &MachineModel) -> Vec<Diagnostic> {
         let mut out = Vec::new();
         let wpc = model.memory.port_words_per_cycle();
         for (name, a) in &self.regions {

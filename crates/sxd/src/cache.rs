@@ -23,7 +23,7 @@ struct Entry {
 
 /// Bounded map from run identity to its serialized result.
 #[derive(Debug)]
-pub struct ResultCache {
+pub(crate) struct ResultCache {
     cap: usize,
     map: HashMap<u64, Entry>,
     /// `(seq, key)` stamps from oldest to newest. A key may appear many
@@ -38,7 +38,7 @@ pub struct ResultCache {
 impl ResultCache {
     /// A cache holding at most `cap` results (`cap == 0` disables caching
     /// but still counts misses).
-    pub fn new(cap: usize) -> ResultCache {
+    pub(crate) fn new(cap: usize) -> ResultCache {
         ResultCache {
             cap,
             map: HashMap::new(),
@@ -51,7 +51,7 @@ impl ResultCache {
     }
 
     /// Look up a result, counting a hit or miss and refreshing recency.
-    pub fn get(&mut self, key: u64) -> Option<String> {
+    pub(crate) fn get(&mut self, key: u64) -> Option<String> {
         let hit = self.probe(key);
         if hit.is_none() {
             self.misses += 1;
@@ -64,7 +64,7 @@ impl ResultCache {
     /// absence. The daemon probes on the reactor thread before deciding
     /// whether to dispatch; a missed probe is dispatched, and the
     /// dispatcher's own `get` counts the miss exactly once.
-    pub fn probe(&mut self, key: u64) -> Option<String> {
+    pub(crate) fn probe(&mut self, key: u64) -> Option<String> {
         let v = self.map.get(&key)?.value.clone();
         self.hits += 1;
         self.touch(key);
@@ -73,7 +73,7 @@ impl ResultCache {
 
     /// Insert (or refresh) a result, evicting the least-recently used
     /// entry when full.
-    pub fn insert(&mut self, key: u64, value: String) {
+    pub(crate) fn insert(&mut self, key: u64, value: String) {
         if self.cap == 0 {
             return;
         }
@@ -124,28 +124,24 @@ impl ResultCache {
         }
     }
 
-    pub fn hits(&self) -> u64 {
+    pub(crate) fn hits(&self) -> u64 {
         self.hits
     }
 
-    pub fn misses(&self) -> u64 {
+    pub(crate) fn misses(&self) -> u64 {
         self.misses
     }
 
     /// Entries evicted to make room (not counting same-key refreshes).
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    pub fn cap(&self) -> usize {
+    pub(crate) fn cap(&self) -> usize {
         self.cap
     }
 
@@ -153,7 +149,7 @@ impl ResultCache {
     /// This is the journal-compaction feed: replaying the snapshot
     /// oldest-first through [`ResultCache::insert`] rebuilds the same
     /// recency order, so eviction behaves identically across a restart.
-    pub fn entries_lru(&self) -> Vec<(u64, String)> {
+    pub(crate) fn entries_lru(&self) -> Vec<(u64, String)> {
         let mut v: Vec<(u64, u64, &String)> =
             self.map.iter().map(|(k, e)| (e.seq, *k, &e.value)).collect();
         v.sort_unstable_by_key(|&(seq, _, _)| seq);
@@ -226,7 +222,7 @@ mod tests {
         c.insert(1, "a".into());
         assert!(c.get(1).is_none());
         assert_eq!(c.misses(), 1);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl Client {
     /// whose listener is not up yet. Exhaustion is the *terminal* typed
     /// error [`SxdError::Retries`]: the caller has already waited through
     /// the whole schedule, so there is no point retrying the error itself.
-    pub fn connect_with_retry(
+    pub(crate) fn connect_with_retry(
         addr: &str,
         attempts: usize,
         base: Duration,
@@ -288,13 +288,6 @@ impl Client {
             params: params.clone(),
         };
         self.roundtrip(&req.to_line()).map(|(doc, _)| doc)
-    }
-
-    /// Insert an already-rendered result under its content address (the
-    /// hand-off path). `payload` must be the result object's exact bytes.
-    pub fn put(&mut self, key: u64, payload: &str) -> Result<(), SxdError> {
-        let req = Request::Put { key, payload: payload.to_string() };
-        self.roundtrip(&req.to_line()).map(|_| ())
     }
 }
 

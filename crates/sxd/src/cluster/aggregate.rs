@@ -43,7 +43,7 @@ fn any_true(members: &[Json], key: &str) -> bool {
 /// cache tallies sum; `draining`/`shutting_down` are true when any member
 /// says so; `journal` sums across the durable members, or is `null` when
 /// no member has one.
-pub fn merge_stats(members: &[Json]) -> String {
+pub(crate) fn merge_stats(members: &[Json]) -> String {
     let mut suite_seconds: BTreeMap<String, f64> = BTreeMap::new();
     for m in members {
         if let Some(obj) = m.get("suite_seconds").and_then(Json::as_obj) {
@@ -194,7 +194,7 @@ const RATIO_GAUGES: &[&str] = &["admission_stretch"];
 /// `reconciled` when every member reported itself reconciled *and* the
 /// merged `job` histogram count equals the merged `done + rejected` — the
 /// cross-member restatement of the single-node guarantee.
-pub fn merge_metrics(members: &[Json]) -> String {
+pub(crate) fn merge_metrics(members: &[Json]) -> String {
     let stats_docs: Vec<Json> = members.iter().filter_map(|m| m.get("stats").cloned()).collect();
     let stats = merge_stats(&stats_docs);
 

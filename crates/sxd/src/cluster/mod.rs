@@ -17,21 +17,21 @@
 //!                └────────┘└────────┘└────────┘
 //! ```
 //!
-//! - [`ring`] — rendezvous placement: key → member, minimal disruption on
+//! - `ring` — rendezvous placement: key → member, minimal disruption on
 //!   membership change;
-//! - [`router`] — the forwarding front end, fan-out verbs, and the drain
+//! - `router` — the forwarding front end, fan-out verbs, and the drain
 //!   hand-off that moves a leaving member's durable keyspace to its
 //!   successors;
-//! - [`aggregate`] — merging member STATS/METRICS into one cluster view
+//! - `aggregate` — merging member STATS/METRICS into one cluster view
 //!   that preserves the reconciliation invariant.
 //!
 //! [`spawn`] stands the whole fabric up in one process tree (the
 //! `ncar-bench serve --cluster N` shape): member listeners on ephemeral
 //! ports, the router on the public address.
 
-pub mod aggregate;
-pub mod ring;
-pub mod router;
+pub(crate) mod aggregate;
+pub(crate) mod ring;
+pub(crate) mod router;
 
 use std::net::SocketAddr;
 use std::path::PathBuf;

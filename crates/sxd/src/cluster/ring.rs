@@ -45,12 +45,8 @@ impl Ring {
         (0..n).map(|i| format!("shard-{i}")).collect()
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.names.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
     }
 
     pub fn name(&self, member: usize) -> &str {
@@ -58,7 +54,7 @@ impl Ring {
     }
 
     /// One member's claim on one key. Deterministic, stateless.
-    pub fn score(&self, key: u64, member: usize) -> u64 {
+    pub(crate) fn score(&self, key: u64, member: usize) -> u64 {
         mix64(key ^ self.seeds[member])
     }
 
@@ -98,7 +94,7 @@ mod tests {
     #[test]
     fn empty_ring_owns_nothing() {
         let ring = Ring::new(Vec::<String>::new());
-        assert!(ring.is_empty());
+        assert_eq!(ring.len(), 0);
         assert_eq!(ring.owner(42), None);
     }
 

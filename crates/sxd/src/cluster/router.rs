@@ -68,17 +68,17 @@ const CONNECT_BACKOFF: Duration = Duration::from_millis(20);
 /// Join handle for an in-process member daemon, `None` for shards this
 /// process does not own. A hand-off joins the handle so the drained
 /// member's journal is final before replication starts.
-pub type MemberHandle = Option<JoinHandle<Result<(), SxdError>>>;
+pub(crate) type MemberHandle = Option<JoinHandle<Result<(), SxdError>>>;
 
 /// One shard as the router addresses it.
 #[derive(Debug, Clone)]
 pub struct RouterMember {
     /// Ring name (`shard-i` by default); feeds the rendezvous scores.
-    pub name: String,
+    pub(crate) name: String,
     /// Wire address of the member daemon.
-    pub addr: String,
+    pub(crate) addr: String,
     /// The member's durable state directory, read at hand-off time.
-    pub state_dir: Option<PathBuf>,
+    pub(crate) state_dir: Option<PathBuf>,
 }
 
 /// Live membership state, guarded by `sxd.router.members`.
@@ -177,7 +177,7 @@ impl Router {
     /// Serve on the reactor event loop until a `shutdown` (or a
     /// full-cluster `drain`) retires every member and the router itself.
     /// A frame's forwarding I/O runs on a dispatcher thread, never on the
-    /// event loop; `route` and parse errors answer inline ([`classify`]).
+    /// event loop; `route` and parse errors answer inline (`classify`).
     pub fn run(self) -> Result<(), SxdError> {
         let inner = Arc::clone(&self.inner);
         let reactor = Reactor::new(

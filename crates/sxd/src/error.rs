@@ -60,7 +60,7 @@ impl From<&DecodeError> for SxdError {
 }
 
 impl SxdError {
-    pub fn io(e: std::io::Error) -> SxdError {
+    pub(crate) fn io(e: std::io::Error) -> SxdError {
         SxdError::Io { detail: e.to_string() }
     }
 
@@ -84,7 +84,7 @@ impl SxdError {
     }
 
     /// The human detail (what Display prints after the kind).
-    pub fn detail(&self) -> String {
+    pub(crate) fn detail(&self) -> String {
         match self {
             SxdError::Io { detail }
             | SxdError::BadJson { detail }
@@ -111,7 +111,7 @@ impl SxdError {
     }
 
     /// The one-line error reply the server sends for this failure.
-    pub fn to_reply(&self) -> String {
+    pub(crate) fn to_reply(&self) -> String {
         format!(
             "{{\"ok\":false,\"error\":{{\"kind\":\"{}\",\"detail\":\"{}\"}}}}",
             json_escape(self.kind()),

@@ -34,7 +34,9 @@ pub const FAULT_POINTS: &[&str] = &[
     "drain.persist",
 ];
 
-/// What an armed fault point does when execution reaches it.
+/// What an armed fault point does when execution reaches it. Public
+/// because only a `faults` build constructs it, while the journal matches
+/// on it in every build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Abort the process on the spot (the `kill -9` model).
@@ -50,7 +52,7 @@ mod armed {
 
     static ARMED: OnceLock<Option<(String, Fault)>> = OnceLock::new();
 
-    pub fn armed(name: &str) -> Option<Fault> {
+    pub(crate) fn armed(name: &str) -> Option<Fault> {
         let slot = ARMED.get_or_init(|| {
             let spec = std::env::var("SXD_FAULTPOINT").ok()?;
             let (point, fault) = match spec.split_once(':') {
@@ -69,20 +71,20 @@ mod armed {
 
 /// Is the named point armed in this process, and to do what?
 #[cfg(feature = "faults")]
-pub fn armed(name: &str) -> Option<Fault> {
+pub(crate) fn armed(name: &str) -> Option<Fault> {
     armed::armed(name)
 }
 
 /// Is the named point armed in this process, and to do what?
 #[cfg(not(feature = "faults"))]
-pub fn armed(_name: &str) -> Option<Fault> {
+pub(crate) fn armed(_name: &str) -> Option<Fault> {
     None
 }
 
 /// Execute the named fault point: abort if armed to crash, return a typed
 /// IO error if armed to fail, fall straight through otherwise (and always,
 /// when the `faults` feature is off).
-pub fn check(name: &str) -> std::io::Result<()> {
+pub(crate) fn check(name: &str) -> std::io::Result<()> {
     match armed(name) {
         Some(Fault::Crash) => std::process::abort(),
         Some(Fault::IoError) => Err(std::io::Error::other(format!("fault injected at {name}"))),

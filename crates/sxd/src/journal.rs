@@ -50,9 +50,9 @@ const KIND_RESULT: u16 = 1;
 const KIND_RESTART: u16 = 2;
 
 /// Journal file name under the state directory.
-pub const JOURNAL_FILE: &str = "results.sxj";
+pub(crate) const JOURNAL_FILE: &str = "results.sxj";
 /// Restart-spec file name under the state directory.
-pub const RESTART_FILE: &str = "restart.sxj";
+pub(crate) const RESTART_FILE: &str = "restart.sxj";
 
 /// Append-only result journal with torn-tail recovery and snapshot
 /// compaction. All methods take `&mut self`; the server wraps the journal
@@ -232,19 +232,19 @@ impl Journal {
         Ok(())
     }
 
-    pub fn appended(&self) -> u64 {
+    pub(crate) fn appended(&self) -> u64 {
         self.appended
     }
 
-    pub fn replayed(&self) -> u64 {
+    pub(crate) fn replayed(&self) -> u64 {
         self.replayed
     }
 
-    pub fn truncated_bytes(&self) -> u64 {
+    pub(crate) fn truncated_bytes(&self) -> u64 {
         self.truncated_bytes
     }
 
-    pub fn compactions(&self) -> u64 {
+    pub(crate) fn compactions(&self) -> u64 {
         self.compactions
     }
 }
@@ -254,8 +254,9 @@ fn encode_result(key: u64, payload: &str) -> Vec<u8> {
     inner.put_u16(KIND_RESULT);
     inner.put_u64(key);
     inner.put_bytes(payload.as_bytes());
+    let inner = inner.into_vec();
     let mut w = WireWriter::with_capacity(inner.len() + 12);
-    w.put_record(&inner.into_vec());
+    w.put_record(&inner);
     w.into_vec()
 }
 
@@ -268,7 +269,7 @@ pub struct RestartSpec {
     /// The machine as the request spelled it: a [`sxsim::presets::by_name`] key.
     pub machine: String,
     /// Sorted `(key, value)` parameter pairs, as the cache key uses them.
-    pub params: Vec<(String, String)>,
+    pub(crate) params: Vec<(String, String)>,
 }
 
 impl RestartSpec {
@@ -305,7 +306,7 @@ impl RestartSpec {
 /// rename). The caller only marks jobs as checkpointed *after* this
 /// returns `Ok`, so a crash or IO fault here leaves them un-checkpointed —
 /// work is never considered saved until it durably is.
-pub fn write_restart_specs(dir: &Path, specs: &[RestartSpec]) -> io::Result<()> {
+pub(crate) fn write_restart_specs(dir: &Path, specs: &[RestartSpec]) -> io::Result<()> {
     faultpoint::check("drain.persist")?;
     fs::create_dir_all(dir)?;
     let path = dir.join(RESTART_FILE);
@@ -352,7 +353,7 @@ pub fn load_restart_specs(dir: &Path) -> Vec<RestartSpec> {
 /// Delete the restart-spec file: called only after every loaded spec has
 /// been re-admitted and retired, so a crash mid-boot re-loads (and the
 /// result cache dedupes) rather than losing work.
-pub fn clear_restart_specs(dir: &Path) -> io::Result<()> {
+pub(crate) fn clear_restart_specs(dir: &Path) -> io::Result<()> {
     match fs::remove_file(dir.join(RESTART_FILE)) {
         Ok(()) => Ok(()),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),

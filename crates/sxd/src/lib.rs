@@ -10,42 +10,41 @@
 //! worker pool, and answering repeats from a content-addressed result
 //! cache.
 //!
-//! - [`proto`] — frame reading with a hard cap, fallible request parsing,
+//! - `proto` — frame reading with a hard cap, fallible request parsing,
 //!   the FNV-1a cache key over (code version, suite, machine model bytes,
 //!   parameter set);
-//! - [`cache`] — the LRU result cache with hit/miss accounting;
+//! - `cache` — the LRU result cache with hit/miss accounting;
 //! - [`journal`] — the durable write-ahead result journal (checksummed
 //!   records, torn-tail truncation, snapshot compaction) and the drain-
 //!   checkpoint restart specs, the daemon's SUPER-UX checkpoint/restart
 //!   analogue (paper §2.6.2);
 //! - [`faultpoint`] — named crash/IO-error injection points (behind the
 //!   `faults` feature) that the kill-and-restart tests arm one at a time;
-//! - [`server`] — the daemon: accept loop, bounded admission wait,
+//! - `server` — the daemon: accept loop, bounded admission wait,
 //!   contention-stretched simulated seconds, single-flighted identical
 //!   submits, always-consistent counters, and the `METRICS` verb serving
 //!   per-stage latency histograms and level gauges (the daemon's PROGINF/
 //!   FTRACE analogue, backed by `ncar_suite::metrics`);
-//! - [`client`] — typed client, plus the `flood` load generator that
+//! - `client` — typed client, plus the `flood` load generator that
 //!   reproduces the ensemble regime of Table 6 over live connections;
 //! - [`cluster`] — the multi-node fabric (the paper's IXS crossbar, §1):
 //!   N shard daemons behind a rendezvous-hash router with cluster-wide
 //!   merged observability and keyspace hand-off on member drain;
-//! - [`error`] — [`SxdError`]: every failure as a value; the serving path
+//! - `error` — [`SxdError`]: every failure as a value; the serving path
 //!   never panics on client input.
 
-pub mod cache;
-pub mod client;
+mod cache;
+mod client;
 pub mod cluster;
-pub mod error;
+mod error;
 pub mod faultpoint;
 pub mod journal;
-pub mod proto;
-pub mod server;
+mod proto;
+mod server;
 
-pub use cache::ResultCache;
 pub use client::{flood, Client, FloodConfig, FloodOutcome, Submission};
 pub use cluster::{Cluster, ClusterConfig, Ring, Router, RouterMember};
 pub use error::SxdError;
-pub use journal::{Journal, RestartSpec};
-pub use proto::{cache_key, read_frame, Request, CODE_VERSION, MAX_REPLY_FRAME, MAX_REQUEST_FRAME};
-pub use server::{Counters, Demand, JobEntry, RunFn, Server, ServerConfig, SuiteStat};
+pub use journal::Journal;
+pub use proto::{cache_key, Request, MAX_REQUEST_FRAME};
+pub use server::{Demand, JobEntry, Server, ServerConfig};

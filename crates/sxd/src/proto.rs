@@ -63,26 +63,26 @@ use crate::error::SxdError;
 
 /// Cap on one request line's *content* — the terminating newline is not
 /// counted, so a request of exactly this many bytes plus its `\n` is the
-/// largest frame accepted. The server's [`read_frame`] and the client's
+/// largest frame accepted. The server's `read_frame` and the client's
 /// pre-send check in [`crate::Client`] enforce the same boundary, so an
 /// oversized request fails identically (kind `frame_too_long`) whichever
 /// side catches it first.
 pub const MAX_REQUEST_FRAME: usize = 64 * 1024;
 
 /// Cap on one reply line (replies embed whole rendered reports).
-pub const MAX_REPLY_FRAME: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_REPLY_FRAME: usize = 16 * 1024 * 1024;
 
 /// Version stamp mixed into every cache key. Bump when runner semantics
 /// change so stale cached reports can never be served for new code.
-pub const CODE_VERSION: u32 = 1;
+pub(crate) const CODE_VERSION: u32 = 1;
 
 /// Machine preset assumed when a submit names none.
-pub const DEFAULT_MACHINE: &str = "sx4-9.2";
+pub(crate) const DEFAULT_MACHINE: &str = "sx4-9.2";
 
 /// Read one `\n`-terminated frame of at most `max` bytes. `Ok(None)` is a
 /// clean EOF. Never blocks past the newline, never allocates past the cap,
 /// never panics: an oversized frame is a typed error.
-pub fn read_frame<R: BufRead>(r: &mut R, max: usize) -> Result<Option<String>, SxdError> {
+pub(crate) fn read_frame<R: BufRead>(r: &mut R, max: usize) -> Result<Option<String>, SxdError> {
     let mut buf: Vec<u8> = Vec::new();
     let n = std::io::Read::take(r.by_ref(), max as u64 + 1)
         .read_until(b'\n', &mut buf)
@@ -300,7 +300,7 @@ pub fn cache_key(suite: &str, machine: &MachineModel, params: &BTreeMap<String, 
 /// The successful submit reply line. `payload` is the cached/fresh result
 /// object, spliced verbatim so cache hits are byte-identical to the run
 /// that populated them.
-pub fn submit_reply(cached: bool, key: u64, payload: &str) -> String {
+pub(crate) fn submit_reply(cached: bool, key: u64, payload: &str) -> String {
     format!("{{\"ok\":true,\"cached\":{cached},\"key\":\"{key:016x}\",\"result\":{payload}}}")
 }
 

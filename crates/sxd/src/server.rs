@@ -116,28 +116,30 @@ impl Demand {
 /// How a runner produces a result: pure function of the requested machine
 /// and the canonicalized parameters. Determinism here is what makes the
 /// result cache sound.
-pub type RunFn = Arc<
+pub(crate) type RunFn = Arc<
     dyn Fn(&MachineModel, &BTreeMap<String, String>) -> Result<Vec<Artifact>, String> + Send + Sync,
 >;
 
 /// A runnable suite as the daemon sees it.
 #[derive(Clone)]
 pub struct JobEntry {
-    pub demand: Demand,
-    pub description: String,
-    pub runner: RunFn,
+    pub(crate) demand: Demand,
+    pub(crate) runner: RunFn,
 }
 
 impl JobEntry {
+    /// A suite that needs `demand` and computes with `runner`.
+    /// `_description` labels the entry where it is registered; the daemon
+    /// does not keep it.
     pub fn new(
         demand: Demand,
-        description: impl Into<String>,
+        _description: impl Into<String>,
         runner: impl Fn(&MachineModel, &BTreeMap<String, String>) -> Result<Vec<Artifact>, String>
             + Send
             + Sync
             + 'static,
     ) -> JobEntry {
-        JobEntry { demand, description: description.into(), runner: Arc::new(runner) }
+        JobEntry { demand, runner: Arc::new(runner) }
     }
 }
 
@@ -184,46 +186,46 @@ impl Default for ServerConfig {
 
 /// Per-suite serving totals (the FTRACE-style breakdown's raw data).
 #[derive(Debug, Default, Clone)]
-pub struct SuiteStat {
+pub(crate) struct SuiteStat {
     /// Actual simulations executed (cache hits and coalesced followers
     /// replay a payload without running).
-    pub runs: u64,
+    pub(crate) runs: u64,
     /// Simulated seconds charged, contention stretch included.
-    pub sim_seconds: f64,
+    pub(crate) sim_seconds: f64,
     /// Sum of the stretch factors seen, for the average.
-    pub stretch_sum: f64,
+    pub(crate) stretch_sum: f64,
 }
 
 /// Job counters. All transitions happen under one lock (see module docs).
 #[derive(Debug, Default, Clone)]
-pub struct Counters {
-    pub accepted: u64,
-    pub rejected: u64,
-    pub queued: u64,
-    pub running: u64,
-    pub done: u64,
+pub(crate) struct Counters {
+    pub(crate) accepted: u64,
+    pub(crate) rejected: u64,
+    pub(crate) queued: u64,
+    pub(crate) running: u64,
+    pub(crate) done: u64,
     /// Frames that never became jobs (garbage, unknown suite/machine).
-    pub bad_requests: u64,
+    pub(crate) bad_requests: u64,
     /// Submits that coalesced onto another in-flight identical run.
-    pub coalesced: u64,
+    pub(crate) coalesced: u64,
     /// Jobs a drain deadline checkpointed to restart specs instead of
     /// finishing. Informational: every checkpointed job is also counted in
     /// `rejected` (its client got a typed `checkpointed` error), so the
     /// `accepted == done + rejected + queued + running` invariant is
     /// untouched.
-    pub checkpointed: u64,
+    pub(crate) checkpointed: u64,
     /// Results absorbed via the cluster hand-off `put` verb. Informational:
     /// puts never enter the job pipeline, so the counters invariant is
     /// untouched.
-    pub absorbed: u64,
+    pub(crate) absorbed: u64,
     /// Frames [`Daemon::classify`] answered inline on the reactor thread:
     /// cache hits, `stats`, typed bad requests and shutting-down refusals.
     /// Informational: an inline hit retires through the same
     /// `accepted`/`done` transition as a dispatched one, so the counters
     /// invariant is untouched.
-    pub fastpath_hits: u64,
+    pub(crate) fastpath_hits: u64,
     /// Per-suite serving totals, keyed by lowercased suite name.
-    pub suites: BTreeMap<String, SuiteStat>,
+    pub(crate) suites: BTreeMap<String, SuiteStat>,
 }
 
 /// Bucket edges for the `sim_throughput` histogram: simulated seconds
@@ -777,7 +779,6 @@ impl Daemon {
             memory_bytes: demand.memory_bytes,
             solo_seconds: demand.solo_seconds,
             bytes_per_cycle_per_proc: demand.bytes_per_cycle_per_proc,
-            block: 0,
             after: Vec::new(),
         };
         let reject = |detail: String| {

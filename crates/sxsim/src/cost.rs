@@ -67,16 +67,6 @@ impl Cost {
             self.cray_flops / s / 1e6
         }
     }
-
-    /// Memory bandwidth in MB/s (10^6 bytes per second, as the paper plots).
-    pub fn mb_per_s(&self, clock_ns: f64) -> f64 {
-        let s = self.seconds(clock_ns);
-        if s == 0.0 {
-            0.0
-        } else {
-            self.bytes as f64 / s / 1e6
-        }
-    }
 }
 
 impl std::ops::Add for Cost {
@@ -112,7 +102,6 @@ mod tests {
         assert_eq!(Cost::ZERO.cycles, 0.0);
         assert_eq!(Cost::ZERO.seconds(8.0), 0.0);
         assert_eq!(Cost::ZERO.mflops(8.0), 0.0);
-        assert_eq!(Cost::ZERO.mb_per_s(8.0), 0.0);
         assert_eq!(Cost::ZERO.cray_mflops(8.0), 0.0);
     }
 
@@ -147,12 +136,5 @@ mod tests {
         let costs = vec![Cost::cycles(1.0), Cost::cycles(2.0), Cost::cycles(3.0)];
         let total: Cost = costs.into_iter().sum();
         assert_eq!(total.cycles, 6.0);
-    }
-
-    #[test]
-    fn bandwidth_mb_per_s() {
-        // 128 bytes/cycle at 8ns => 16 GB/s => 16000 MB/s.
-        let c = Cost { cycles: 1e6, flops: 0, cray_flops: 0.0, bytes: 128_000_000 };
-        assert!((c.mb_per_s(8.0) - 16_000.0).abs() < 1e-6);
     }
 }

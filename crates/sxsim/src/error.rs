@@ -15,8 +15,6 @@ pub enum SimError {
     NoOpenRegion,
     /// A parallel region asked for more processors than the node has.
     TooManyProcs { requested: usize, available: usize },
-    /// A communications-register index outside the hardware's range.
-    BadRegister { set: usize, reg: usize, sets: usize, regs_per_set: usize },
 }
 
 impl fmt::Display for SimError {
@@ -28,12 +26,6 @@ impl fmt::Display for SimError {
             SimError::NoOpenRegion => write!(f, "FTRACE exit without a matching enter"),
             SimError::TooManyProcs { requested, available } => {
                 write!(f, "parallel region wants {requested} processors; the node has {available}")
-            }
-            SimError::BadRegister { set, reg, sets, regs_per_set } => {
-                write!(
-                    f,
-                    "communications register {set}:{reg} out of range ({sets} sets of {regs_per_set})"
-                )
             }
         }
     }

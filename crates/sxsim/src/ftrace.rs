@@ -128,7 +128,7 @@ impl Ftrace {
     /// The analysis list as data: one row per region with the classic
     /// extra columns (MFLOPS, vector operation ratio, average vector
     /// length), for programmatic consumers of the breakdown.
-    pub fn rows(&self, clock_ns: f64) -> Vec<FtraceRow> {
+    pub(crate) fn rows(&self, clock_ns: f64) -> Vec<FtraceRow> {
         self.regions
             .iter()
             .map(|(name, r)| FtraceRow {
@@ -149,7 +149,7 @@ impl Ftrace {
 /// One row of an FTRACE-style analysis list: a named region, how often it
 /// was entered, its exclusive seconds, and caller-defined extra columns.
 ///
-/// [`Ftrace::rows`] produces these for simulator regions; other exclusive
+/// `Ftrace::rows` produces these for simulator regions; other exclusive
 /// breakdowns (the `sxd` daemon's per-suite simulated-seconds table) build
 /// their own rows and share [`render_analysis_list`] so every breakdown in
 /// the system reads the same way.
@@ -243,9 +243,9 @@ mod tests {
         let mut vm = vm();
         ft.enter("outer", &mut vm).unwrap();
         let err = ft.enter("inner", &mut vm).unwrap_err();
-        assert!(matches!(err, crate::SimError::RegionAlreadyOpen { .. }), "{err}");
+        assert!(matches!(err, SimError::RegionAlreadyOpen { .. }), "{err}");
         assert!(ft.exit(&mut vm).is_ok());
-        assert_eq!(ft.exit(&mut vm), Err(crate::SimError::NoOpenRegion));
+        assert_eq!(ft.exit(&mut vm), Err(SimError::NoOpenRegion));
     }
 
     #[test]

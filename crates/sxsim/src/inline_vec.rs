@@ -13,14 +13,14 @@ use std::ops::Deref;
 
 /// Up to `N` elements of `T` stored inline; the live prefix is the value.
 #[derive(Debug, Clone, Copy)]
-pub struct InlineVec<T, const N: usize> {
+pub(crate) struct InlineVec<T, const N: usize> {
     data: [T; N],
     len: u8,
 }
 
 impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Empty list.
-    pub fn new() -> InlineVec<T, N> {
+    pub(crate) fn new() -> InlineVec<T, N> {
         assert!(N <= u8::MAX as usize, "InlineVec capacity must fit in a u8");
         InlineVec { data: [T::default(); N], len: 0 }
     }
@@ -28,7 +28,7 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
     /// Copy a slice in. Panics if `items.len() > N` — descriptor widths
     /// are static properties of call sites, so overflow is a programming
     /// error, not a runtime condition.
-    pub fn from_slice(items: &[T]) -> InlineVec<T, N> {
+    pub(crate) fn from_slice(items: &[T]) -> InlineVec<T, N> {
         assert!(items.len() <= N, "InlineVec<_, {N}> cannot hold {} items", items.len());
         let mut v = InlineVec::new();
         v.data[..items.len()].copy_from_slice(items);
@@ -38,15 +38,10 @@ impl<T: Copy + Default, const N: usize> InlineVec<T, N> {
 
     /// Append one element. Panics when full (same contract as
     /// [`InlineVec::from_slice`]).
-    pub fn push(&mut self, item: T) {
+    pub(crate) fn push(&mut self, item: T) {
         assert!((self.len as usize) < N, "InlineVec<_, {N}> is full");
         self.data[self.len as usize] = item;
         self.len += 1;
-    }
-
-    /// The live prefix.
-    pub fn as_slice(&self) -> &[T] {
-        &self.data[..self.len as usize]
     }
 }
 
@@ -105,7 +100,7 @@ mod tests {
     fn slice_roundtrip_and_deref() {
         let v: InlineVec<u32, 4> = InlineVec::from_slice(&[1, 2, 3]);
         assert_eq!(v.len(), 3);
-        assert_eq!(v.as_slice(), &[1, 2, 3]);
+        assert_eq!(&v[..], &[1, 2, 3]);
         assert_eq!(v.iter().sum::<u32>(), 6);
         assert_eq!(v.to_vec(), vec![1, 2, 3]);
     }
@@ -127,8 +122,8 @@ mod tests {
         v.push(5);
         let copy = v; // Copy, not move
         v.push(6);
-        assert_eq!(v.as_slice(), &[5, 6]);
-        assert_eq!(copy.as_slice(), &[5]);
+        assert_eq!(&v[..], &[5, 6]);
+        assert_eq!(&copy[..], &[5]);
     }
 
     #[test]

@@ -12,13 +12,13 @@
 #[derive(Debug, Clone)]
 pub struct Ixs {
     /// Number of nodes attached (1..=16).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Per-node, per-direction channel bandwidth in bytes/second (8 GB/s).
-    pub channel_bytes_per_s: f64,
+    pub(crate) channel_bytes_per_s: f64,
     /// Aggregate bisection bandwidth in bytes/second (128 GB/s full system).
-    pub bisection_bytes_per_s: f64,
+    pub(crate) bisection_bytes_per_s: f64,
     /// One-way message latency through the crossbar, seconds.
-    pub latency_s: f64,
+    pub(crate) latency_s: f64,
 }
 
 impl Ixs {
@@ -33,11 +33,6 @@ impl Ixs {
             bisection_bytes_per_s: 128e9 * (nodes as f64 / 16.0).min(1.0),
             latency_s: 5e-6,
         }
-    }
-
-    /// Seconds for one point-to-point transfer of `bytes` between two nodes.
-    pub fn p2p_seconds(&self, bytes: u64) -> f64 {
-        self.latency_s + bytes as f64 / self.channel_bytes_per_s
     }
 
     /// Seconds for an all-to-all exchange where every node sends `bytes`
@@ -71,13 +66,6 @@ mod tests {
     fn full_system_bisection_is_128_gb() {
         let ixs = Ixs::new(16);
         assert!((ixs.bisection_bytes_per_s - 128e9).abs() < 1.0);
-    }
-
-    #[test]
-    fn p2p_rate_is_8gb_per_s() {
-        let ixs = Ixs::new(2);
-        let s = ixs.p2p_seconds(8_000_000_000);
-        assert!((s - 1.0).abs() < 1e-3);
     }
 
     #[test]

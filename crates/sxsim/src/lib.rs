@@ -18,23 +18,20 @@
 //!   from it (no wall clocks — runs are bit-reproducible);
 //! - [`timing`] — the analytic cost of vector ops, scalar loops and
 //!   intrinsic calls;
-//! - [`vm`] — the functional facade kernels program against; a pricing
+//! - `vm` — the functional facade kernels program against; a pricing
 //!   processor ([`Vm::pricing`]) takes every charge and skips the
 //!   arithmetic, which is how the applications price a step without
 //!   computing it;
-//! - [`error`] — [`SimError`], the typed error for misuse of the facade
-//!   (oversubscribed nodes, out-of-range communications registers,
-//!   mismatched regions);
-//! - [`node`] — multi-processor regions, barriers, contention,
-//!   co-scheduling;
-//! - [`commreg`] — the communications registers: register sets, the
-//!   [`SpinLock`], and the 6-cycle access charge barriers are built from;
-//! - [`trace`] — the [`Recorder`] hook and [`OpTrace`]: the one charge
+//! - `error` — [`SimError`], the typed error for misuse of the facade
+//!   (oversubscribed nodes, mismatched regions);
+//! - [`node`] — multi-processor regions, barriers (a per-preset constant,
+//!   `MachineModel::barrier_cycles`), contention, co-scheduling;
+//! - `trace` — the [`Recorder`] hook and [`OpTrace`]: the one charge
 //!   recorder, optional and pay-only-if-used, storing every charged
 //!   operation with its exact cost as runs of identical events;
-//! - [`proginf`], [`ftrace`] — the two SUPER-UX diagnostic reports,
+//! - [`proginf`], `ftrace` — the two SUPER-UX diagnostic reports,
 //!   reproduced from the ledger (see below);
-//! - [`xmu`], [`ixs`] — extended memory and internode crossbar.
+//! - `xmu`, `ixs` — extended memory and internode crossbar.
 //!
 //! ## Diagnostics: PROGINF, FTRACE, and sxcheck
 //!
@@ -75,26 +72,23 @@
 //! assert!(t > 0.0);
 //! ```
 
-pub mod commreg;
 pub mod cost;
-pub mod error;
-pub mod ftrace;
-pub mod inline_vec;
-pub mod ixs;
+mod error;
+mod ftrace;
+mod inline_vec;
+mod ixs;
 pub mod model;
 pub mod node;
 pub mod presets;
 pub mod proginf;
 pub mod timing;
-pub mod trace;
-pub mod vm;
-pub mod xmu;
+mod trace;
+mod vm;
+mod xmu;
 
-pub use commreg::{CommRegisters, RegisterSet, SpinLock};
 pub use cost::Cost;
 pub use error::SimError;
-pub use ftrace::{render_analysis_list, Ftrace, FtraceRow};
-pub use inline_vec::InlineVec;
+pub use ftrace::{render_analysis_list, Ftrace, FtraceRow, RegionTotals};
 pub use ixs::Ixs;
 pub use model::{Intrinsic, MachineModel, VopClass};
 pub use node::{JobDemand, Node, NodeTiming, Region};

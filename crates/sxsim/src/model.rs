@@ -59,7 +59,7 @@ impl Intrinsic {
     /// counts of the classic rational/polynomial kernels used by those
     /// libraries. They define the "Cray Y-MP equivalent Mflops" metric the
     /// paper reports for RADABS and CCM2.
-    pub fn cray_equiv_flops(self) -> f64 {
+    pub(crate) fn cray_equiv_flops(self) -> f64 {
         match self {
             Intrinsic::Exp => 22.0,
             Intrinsic::Log => 24.0,
@@ -77,28 +77,28 @@ pub struct VectorUnit {
     /// Cray Y-MP/J90: 64). Operations longer than this strip-mine.
     pub reg_len: usize,
     /// Parallel pipes in the add/shift set (results per cycle).
-    pub pipes_add: usize,
+    pub(crate) pipes_add: usize,
     /// Parallel pipes in the multiply set.
-    pub pipes_mul: usize,
+    pub(crate) pipes_mul: usize,
     /// Sustained divide results per cycle across the divide pipe set.
     /// Divides are iterative, so per-pipe throughput is below one.
-    pub div_results_per_cycle: f64,
+    pub(crate) div_results_per_cycle: f64,
     /// Fixed startup (pipe fill + instruction overhead) charged per chime.
     pub startup_cycles: f64,
     /// Whether a dependent multiply+add pair chains into one pass
     /// (Cray-style chaining / SX concurrent pipe sets).
-    pub chaining: bool,
+    pub(crate) chaining: bool,
     /// Sustained gather (list-vector load) throughput, elements per cycle.
     /// Irregular addressing cannot use the conflict-free stride paths.
     pub gather_elems_per_cycle: f64,
     /// Sustained scatter throughput, elements per cycle.
-    pub scatter_elems_per_cycle: f64,
+    pub(crate) scatter_elems_per_cycle: f64,
 }
 
 impl VectorUnit {
     /// Peak floating point results per cycle with add and multiply pipes
     /// running concurrently (the vendor "peak Gflops" number).
-    pub fn peak_flops_per_cycle(&self) -> f64 {
+    pub(crate) fn peak_flops_per_cycle(&self) -> f64 {
         (self.pipes_add + self.pipes_mul) as f64
     }
 }
@@ -108,14 +108,14 @@ impl VectorUnit {
 pub struct MemorySystem {
     /// Per-processor port bandwidth in bytes per cycle
     /// (SX-4: 16 GB/s at 8 ns = 128 bytes/cycle).
-    pub port_bytes_per_cycle: f64,
+    pub(crate) port_bytes_per_cycle: f64,
     /// Number of interleaved banks (SX-4: up to 1024 SSRAM banks).
     pub banks: usize,
     /// Bank busy time in cycles (SX-4 SSRAM: 2 clocks).
-    pub bank_busy_cycles: f64,
+    pub(crate) bank_busy_cycles: f64,
     /// Word size in bytes for bandwidth accounting (the paper assumes
     /// 64-bit data everywhere).
-    pub word_bytes: usize,
+    pub(crate) word_bytes: usize,
     /// Throughput factor (<= 1) for strided (s > 2) streams even when
     /// bank-conflict-free: strided access cannot use the port's full
     /// contiguous transfer width. Unit and stride-2 streams are exempt,
@@ -157,41 +157,41 @@ impl MemorySystem {
 /// On the SX-4 this is the RISC scalar unit with 64 KB I/D caches; on the
 /// SPARC20 and RS6000/590 presets it is the whole machine.
 #[derive(Debug, Clone)]
-pub struct ScalarUnit {
+pub(crate) struct ScalarUnit {
     /// Instructions issued per cycle.
-    pub issue_per_cycle: f64,
+    pub(crate) issue_per_cycle: f64,
     /// Peak floating point operations per cycle (RS6000/590: 4 via two FMAs).
-    pub flops_per_cycle: f64,
+    pub(crate) flops_per_cycle: f64,
     /// Data cache capacity in bytes.
-    pub dcache_bytes: usize,
+    pub(crate) dcache_bytes: usize,
     /// Cache line size in bytes.
-    pub line_bytes: usize,
+    pub(crate) line_bytes: usize,
     /// Cycles to fill a line from memory on a miss.
-    pub miss_penalty_cycles: f64,
+    pub(crate) miss_penalty_cycles: f64,
     /// Average cost of one conditional branch (misprediction/refill
     /// amortized). Workstations with branch prediction sit near 1; the
     /// Cray-line scalar units, which refetch through memory, are several
     /// cycles. Dominates control-heavy codes like HINT.
-    pub branch_penalty_cycles: f64,
+    pub(crate) branch_penalty_cycles: f64,
 }
 
 /// Per-machine intrinsic function costs.
 #[derive(Debug, Clone)]
-pub struct IntrinsicCosts {
+pub(crate) struct IntrinsicCosts {
     /// Sustained cycles per element for the *vectorized* library routine
     /// (used when the machine has a vector unit and the call site is a
     /// vectorizable loop). Indexed by [`Intrinsic::ALL`] order.
-    pub vector_cycles_per_elem: [f64; 5],
+    pub(crate) vector_cycles_per_elem: [f64; 5],
     /// Cycles per call through the scalar libm path.
-    pub scalar_cycles_per_call: [f64; 5],
+    pub(crate) scalar_cycles_per_call: [f64; 5],
 }
 
 impl IntrinsicCosts {
-    pub fn vector_cost(&self, f: Intrinsic) -> f64 {
+    pub(crate) fn vector_cost(&self, f: Intrinsic) -> f64 {
         self.vector_cycles_per_elem[Self::index(f)]
     }
 
-    pub fn scalar_cost(&self, f: Intrinsic) -> f64 {
+    pub(crate) fn scalar_cost(&self, f: Intrinsic) -> f64 {
         self.scalar_cycles_per_call[Self::index(f)]
     }
 
@@ -216,23 +216,24 @@ pub struct MachineModel {
     /// Vector unit, if the machine has one.
     pub vector: Option<VectorUnit>,
     /// Scalar unit (always present; sole engine on cache machines).
-    pub scalar: ScalarUnit,
+    pub(crate) scalar: ScalarUnit,
     /// Main memory system.
     pub memory: MemorySystem,
     /// Intrinsic library costs.
-    pub intrinsics: IntrinsicCosts,
+    pub(crate) intrinsics: IntrinsicCosts,
     /// Processors in a node sharing [`MachineModel::node_bytes_per_cycle`].
     pub procs: usize,
     /// Sustainable node memory bandwidth, bytes per cycle, shared by all
     /// processors (SX-4/32: 512 GB/s at 8 ns = 4096 bytes/cycle).
     pub node_bytes_per_cycle: f64,
-    /// Cost of a full-node barrier through the communications registers.
-    pub barrier_cycles: f64,
+    /// Cost of a full-node barrier, cycles: a per-preset constant, not
+    /// derived from a model of the communications registers.
+    pub(crate) barrier_cycles: f64,
 }
 
 impl MachineModel {
     /// Clock frequency in MHz.
-    pub fn clock_mhz(&self) -> f64 {
+    pub(crate) fn clock_mhz(&self) -> f64 {
         1000.0 / self.clock_ns
     }
 
@@ -244,11 +245,6 @@ impl MachineModel {
             .map(|v| v.peak_flops_per_cycle())
             .unwrap_or(self.scalar.flops_per_cycle);
         per_cycle * self.clock_mhz() / 1000.0
-    }
-
-    /// Peak Gflops for the whole node.
-    pub fn peak_gflops_node(&self) -> f64 {
-        self.peak_gflops_per_proc() * self.procs as f64
     }
 
     /// True if this machine times loops through the vector unit.

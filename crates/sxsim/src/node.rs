@@ -1,6 +1,7 @@
 //! Node-level timing: parallel regions across the processors of a shared
-//! memory node, barrier costs through the communications registers, and
-//! memory-system contention between processors and between co-scheduled
+//! memory node, a per-preset barrier cost
+//! (`MachineModel::barrier_cycles`),
+//! and memory-system contention between processors and between co-scheduled
 //! jobs.
 //!
 //! The SX-4 memory system guarantees conflict-free unit-stride and
@@ -24,15 +25,7 @@ pub enum Region {
     Parallel(Vec<Cost>),
 }
 
-impl Region {
-    /// Aggregate work in the region (sum over processors).
-    pub fn total(&self) -> Cost {
-        match self {
-            Region::Serial(c) => *c,
-            Region::Parallel(v) => v.iter().copied().sum(),
-        }
-    }
-}
+impl Region {}
 
 /// Result of timing a sequence of regions on a node.
 #[derive(Debug, Clone, Copy, Default)]
@@ -47,16 +40,6 @@ impl NodeTiming {
     /// Wall seconds at the node's clock.
     pub fn seconds(&self, clock_ns: f64) -> f64 {
         self.wall_cycles * clock_ns * 1e-9
-    }
-
-    /// Sustained Gflops over the wall time (actual operations).
-    pub fn gflops(&self, clock_ns: f64) -> f64 {
-        let s = self.seconds(clock_ns);
-        if s == 0.0 {
-            0.0
-        } else {
-            self.work.flops as f64 / s / 1e9
-        }
     }
 
     /// Sustained Cray-equivalent Gflops over the wall time.
@@ -97,12 +80,12 @@ impl Node {
     }
 
     /// Words per cycle the bank subsystem can service node-wide.
-    pub fn bank_capacity_words_per_cycle(&self) -> f64 {
+    pub(crate) fn bank_capacity_words_per_cycle(&self) -> f64 {
         self.model.memory.banks as f64 / self.model.memory.bank_busy_cycles
     }
 
     /// Sustainable node bandwidth in words per cycle (crossbar limit).
-    pub fn node_capacity_words_per_cycle(&self) -> f64 {
+    pub(crate) fn node_capacity_words_per_cycle(&self) -> f64 {
         self.model.node_bytes_per_cycle / self.model.memory.word_bytes as f64
     }
 
@@ -112,7 +95,7 @@ impl Node {
     /// percent as demand approaches the bank service capacity, hard wall at
     /// the crossbar limit. Calibrated so a full node of CCM2-like jobs
     /// degrades by the ~2% the paper's Table 6 reports.
-    pub fn contention_stretch(&self, words_per_cycle_demand: f64) -> f64 {
+    pub(crate) fn contention_stretch(&self, words_per_cycle_demand: f64) -> f64 {
         let cap = self.bank_capacity_words_per_cycle().min(self.node_capacity_words_per_cycle());
         if cap <= 0.0 {
             return 1.0;
@@ -130,7 +113,7 @@ impl Node {
     ///
     /// A parallel region costs the maximum processor ledger, stretched by
     /// memory contention at the region's aggregate demand, plus one barrier
-    /// through the communications registers.
+    /// (the preset's constant `barrier_cycles`).
     ///
     /// Errors if any parallel region wants more processors than the node
     /// has.
@@ -289,10 +272,10 @@ mod tests {
         let err = n.coschedule_stretch(&[job, job]).unwrap_err();
         assert_eq!(
             err,
-            crate::SimError::TooManyProcs { requested: 40, available: n.model().procs }
+            crate::error::SimError::TooManyProcs { requested: 40, available: n.model().procs }
         );
         let err = n.time_regions(&[Region::Parallel(vec![Cost::cycles(1.0); 40])]).unwrap_err();
-        assert!(matches!(err, crate::SimError::TooManyProcs { .. }));
+        assert!(matches!(err, crate::error::SimError::TooManyProcs { .. }));
     }
 
     #[test]
@@ -301,8 +284,7 @@ mod tests {
             wall_cycles: 1e9,
             work: Cost { cycles: 1e9, flops: 16_000_000_000, cray_flops: 2e10, bytes: 0 },
         };
-        // 16e9 flops in 8 seconds (at 8ns) => 2 Gflops.
-        assert!((t.gflops(8.0) - 2.0).abs() < 1e-9);
+        // 2e10 Cray-equivalent flops in 8 seconds (at 8ns) => 2.5 Gflops.
         assert!((t.cray_gflops(8.0) - 2.5).abs() < 1e-9);
     }
 }

@@ -279,7 +279,7 @@ mod tests {
         let m = sx4(8.0);
         // "a peak performance of 2 Gflops per processor ... 64 Gflops per node"
         assert!((m.peak_gflops_per_proc() - 2.0).abs() < 1e-9);
-        assert!((m.peak_gflops_node() - 64.0).abs() < 1e-9);
+        assert!((m.peak_gflops_per_proc() * m.procs as f64 - 64.0).abs() < 1e-9);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct Proginf {
     /// percent — the famous vectorization ratio.
     pub vector_operation_ratio_pct: f64,
     pub average_vector_length: f64,
-    pub mops: f64,
+    pub(crate) mops: f64,
     pub mflops: f64,
     pub cray_equiv_mflops: f64,
     /// Simulator internals: fraction of vector-op timings answered from
@@ -66,7 +66,7 @@ pub struct Proginf {
 
 impl Proginf {
     /// Build the report from a ledger and its op statistics at a clock.
-    pub fn from_stats(stats: &OpStats, cost: &crate::Cost, clock_ns: f64) -> Proginf {
+    pub(crate) fn from_stats(stats: &OpStats, cost: &crate::Cost, clock_ns: f64) -> Proginf {
         let real = cost.seconds(clock_ns);
         let to_s = |c: f64| c * clock_ns * 1e-9;
         let vec_elems = stats.vector_elements as f64;

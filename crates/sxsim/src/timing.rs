@@ -8,7 +8,7 @@
 //! list-vector (gather/scatter) hardware rate for irregular access.
 //!
 //! Cache machines price the same operations through
-//! [`scalar_loop`] with an analytic miss model instead.
+//! `scalar_loop` with an analytic miss model instead.
 
 use crate::cost::Cost;
 use crate::inline_vec::InlineVec;
@@ -37,13 +37,13 @@ pub const MAX_STREAMS: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VecOp {
     /// Elements processed.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Arithmetic class (selects the pipe set and flop count).
-    pub class: VopClass,
+    pub(crate) class: VopClass,
     /// Access pattern of each input stream read from memory.
-    pub loads: InlineVec<Access, MAX_STREAMS>,
+    pub(crate) loads: InlineVec<Access, MAX_STREAMS>,
     /// Access pattern of each output stream written to memory.
-    pub stores: InlineVec<Access, MAX_STREAMS>,
+    pub(crate) stores: InlineVec<Access, MAX_STREAMS>,
 }
 
 impl VecOp {
@@ -139,7 +139,7 @@ fn memory_rate(model: &MachineModel, v: &VectorUnit, op: &VecOp) -> f64 {
 
 /// Time an elementwise vector operation on a vector machine, or fall back to
 /// [`scalar_loop`] on a cache machine.
-pub fn vector_op(model: &MachineModel, op: &VecOp) -> Cost {
+pub(crate) fn vector_op(model: &MachineModel, op: &VecOp) -> Cost {
     let flops = op.flops_per_elem() * op.n as u64;
     // Round to nearest: an `as u64` cast truncates toward zero, which
     // undercounts ledger bytes for non-integral words-per-element
@@ -210,7 +210,7 @@ pub enum LocalityPattern {
 /// vector machines (e.g. unvectorized CSHIFT in POP, HINT's control flow).
 /// The loop's own backward branch is included; extra data-dependent
 /// branches go through [`scalar_loop_branchy`].
-pub fn scalar_loop(
+pub(crate) fn scalar_loop(
     model: &MachineModel,
     iters: usize,
     flops: f64,
@@ -224,7 +224,7 @@ pub fn scalar_loop(
 /// [`scalar_loop`] with an explicit count of conditional branches per
 /// iteration (control-heavy codes: HINT's adaptive subdivision, heap
 /// maintenance, the NQS scheduler's bookkeeping).
-pub fn scalar_loop_branchy(
+pub(crate) fn scalar_loop_branchy(
     model: &MachineModel,
     iters: usize,
     flops: f64,
@@ -279,7 +279,7 @@ pub fn scalar_loop_branchy(
 /// Time `n` calls of a vectorizable intrinsic (vector path on vector
 /// machines, scalar libm otherwise). The ledger records one flop per call
 /// plus the Cray-equivalent weight.
-pub fn intrinsic_op(model: &MachineModel, f: Intrinsic, n: usize) -> Cost {
+pub(crate) fn intrinsic_op(model: &MachineModel, f: Intrinsic, n: usize) -> Cost {
     if n == 0 {
         return Cost::ZERO;
     }

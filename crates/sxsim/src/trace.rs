@@ -136,7 +136,7 @@ impl OpTrace {
     }
 
     /// Every recorded event, in charge order, runs expanded.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
+    pub(crate) fn events(&self) -> impl Iterator<Item = &TraceEvent> + '_ {
         self.runs.iter().flat_map(|(ev, n)| std::iter::repeat_n(ev, *n))
     }
 

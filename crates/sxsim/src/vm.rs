@@ -158,12 +158,6 @@ impl Vm {
         self.cost
     }
 
-    /// Reset the ledger window (e.g. between KTRIES repetitions). The
-    /// lifetime PROGINF statistics keep accumulating.
-    pub fn reset(&mut self) {
-        self.cost = Cost::ZERO;
-    }
-
     /// Lifetime operation statistics (never reset).
     pub fn stats(&self) -> &OpStats {
         &self.stats
@@ -479,11 +473,6 @@ impl Vm {
         self.binary_op(dst, a, b, VopClass::Mul, |x, y| x * y);
     }
 
-    /// `dst = a / b`.
-    pub fn div(&mut self, dst: &mut [f64], a: &[f64], b: &[f64]) {
-        self.binary_op(dst, a, b, VopClass::Div, |x, y| x / y);
-    }
-
     /// `dst = s * a` with a scalar multiplier held in a register.
     pub fn scale(&mut self, dst: &mut [f64], s: f64, a: &[f64]) {
         assert_eq!(dst.len(), a.len());
@@ -642,21 +631,6 @@ impl Vm {
         a.iter().sum()
     }
 
-    /// Dot product (chained multiply-add reduction); zero when pricing.
-    pub fn dot(&mut self, a: &[f64], b: &[f64]) -> f64 {
-        assert_eq!(a.len(), b.len());
-        self.charge_vector_op(&VecOp::new(
-            a.len(),
-            VopClass::Fma,
-            &[Access::Stride(1), Access::Stride(1)],
-            &[],
-        ));
-        if !self.computes {
-            return 0.0;
-        }
-        a.iter().zip(b).map(|(&x, &y)| x * y).sum()
-    }
-
     /// Maximum element and its index (vector max + scan).
     ///
     /// Contract: an empty slice is a valid (zero-cost) query and returns
@@ -733,8 +707,6 @@ mod tests {
         assert_eq!(d, vec![5.0, 5.0, 5.0, 5.0]);
         m.mul(&mut d, &a, &b);
         assert_eq!(d, vec![4.0, 6.0, 6.0, 4.0]);
-        m.div(&mut d, &a, &b);
-        assert_eq!(d, vec![0.25, 2.0 / 3.0, 1.5, 4.0]);
         let mut y = vec![1.0; 4];
         m.axpy(&mut y, 2.0, &a);
         assert_eq!(y, vec![3.0, 5.0, 7.0, 9.0]);
@@ -757,9 +729,7 @@ mod tests {
     fn reductions() {
         let mut m = vm();
         let a = vec![1.0, 2.0, 3.0];
-        let b = vec![2.0, 2.0, 2.0];
         assert_eq!(m.sum(&a), 6.0);
-        assert_eq!(m.dot(&a, &b), 12.0);
         assert_eq!(m.max_abs(&[1.0, -7.0, 3.0]), (1, 7.0));
     }
 
@@ -775,7 +745,7 @@ mod tests {
             vm.pow(&mut d, &a, &a);
             vm.gather(&mut d, &a, &idx);
             vm.transpose(&mut d, &a, 17);
-            let s = vm.sum(&a) + vm.dot(&a, &a) + vm.max_abs(&a).1;
+            let s = vm.sum(&a) + vm.max_abs(&a).1;
             (d, s)
         };
         let mut functional = vm();
@@ -808,7 +778,12 @@ mod tests {
         let b = vec![2.0; 100_000];
         let mut d = vec![0.0; 100_000];
         m1.mul(&mut d, &a, &b);
-        m2.div(&mut d, &a, &b);
+        m2.charge_vector_op(&VecOp::new(
+            d.len(),
+            VopClass::Div,
+            &[Access::Stride(1), Access::Stride(1)],
+            &[Access::Stride(1)],
+        ));
         assert!(m2.cost().cycles > m1.cost().cycles);
     }
 

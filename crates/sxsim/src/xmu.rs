@@ -5,19 +5,15 @@
 //! direct-mapped Fortran arrays, file-system caching, swap and /tmp; the
 //! SFS model in the `superux` crate stages history-tape traffic through it.
 
-use crate::cost::Cost;
-
 /// An XMU configuration attached to one node.
 #[derive(Debug, Clone)]
 pub struct Xmu {
     /// Capacity in bytes (benchmarked system: 4 GB, Table 2).
     pub capacity_bytes: u64,
     /// Transfer bandwidth in bytes per second (16 GB/s).
-    pub bandwidth_bytes_per_s: f64,
+    pub(crate) bandwidth_bytes_per_s: f64,
     /// Access latency per transfer in seconds (DRAM + controller).
-    pub latency_s: f64,
-    /// Bytes currently allocated by files/arrays staged in the XMU.
-    used_bytes: u64,
+    pub(crate) latency_s: f64,
 }
 
 impl Xmu {
@@ -28,39 +24,12 @@ impl Xmu {
 
     /// An XMU of the given capacity at the architectural 16 GB/s.
     pub fn new(capacity_bytes: u64) -> Xmu {
-        Xmu { capacity_bytes, bandwidth_bytes_per_s: 16e9, latency_s: 2e-6, used_bytes: 0 }
-    }
-
-    /// Bytes still allocatable.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity_bytes - self.used_bytes
-    }
-
-    /// Reserve staging space; returns false if it does not fit.
-    pub fn allocate(&mut self, bytes: u64) -> bool {
-        if bytes <= self.free_bytes() {
-            self.used_bytes += bytes;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Release staging space.
-    pub fn release(&mut self, bytes: u64) {
-        self.used_bytes = self.used_bytes.saturating_sub(bytes);
+        Xmu { capacity_bytes, bandwidth_bytes_per_s: 16e9, latency_s: 2e-6 }
     }
 
     /// Seconds to move `bytes` between main memory and the XMU.
     pub fn transfer_seconds(&self, bytes: u64) -> f64 {
         self.latency_s + bytes as f64 / self.bandwidth_bytes_per_s
-    }
-
-    /// The same transfer expressed as a processor-cycle cost at `clock_ns`
-    /// (the processor initiating the transfer waits on it).
-    pub fn transfer_cost(&self, bytes: u64, clock_ns: f64) -> Cost {
-        let cycles = self.transfer_seconds(bytes) / (clock_ns * 1e-9);
-        Cost { cycles, flops: 0, cray_flops: 0.0, bytes }
     }
 }
 
@@ -72,7 +41,6 @@ mod tests {
     fn benchmarked_capacity_is_4gb() {
         let x = Xmu::benchmarked();
         assert_eq!(x.capacity_bytes, 4 << 30);
-        assert_eq!(x.free_bytes(), 4 << 30);
     }
 
     #[test]
@@ -80,26 +48,6 @@ mod tests {
         let x = Xmu::benchmarked();
         let s = x.transfer_seconds(16_000_000_000);
         assert!((s - 1.0).abs() < 1e-3, "16 GB at 16 GB/s should take ~1s, got {s}");
-    }
-
-    #[test]
-    fn allocation_respects_capacity() {
-        let mut x = Xmu::new(1 << 20);
-        assert!(x.allocate(1 << 19));
-        assert!(x.allocate(1 << 19));
-        assert!(!x.allocate(1));
-        x.release(1 << 19);
-        assert!(x.allocate(1 << 18));
-    }
-
-    #[test]
-    fn cost_scales_with_clock() {
-        let x = Xmu::benchmarked();
-        let c8 = x.transfer_cost(1 << 20, 8.0);
-        let c92 = x.transfer_cost(1 << 20, 9.2);
-        // Same seconds => fewer cycles on the slower clock.
-        assert!(c8.cycles > c92.cycles);
-        assert!((c8.seconds(8.0) - c92.seconds(9.2)).abs() < 1e-12);
     }
 
     #[test]

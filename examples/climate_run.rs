@@ -48,6 +48,6 @@ fn main() {
     );
     println!(
         "history volume: {:.1} MB/day written through SFS",
-        model.history_bytes_per_day() as f64 / 1e6
+        res.history_bytes_per_day() as f64 / 1e6
     );
 }

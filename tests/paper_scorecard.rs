@@ -8,7 +8,114 @@ use ncar_sx4::kernels::radabs::radabs_benchmark;
 use ncar_sx4::ocean::{Mom, MomConfig, Pop, PopConfig};
 use ncar_sx4::others::hint_mquips;
 use ncar_sx4::sim::{presets, JobDemand, Node};
-use ncar_sx4::suite::{PaperAnchor, Scorecard, Tolerance};
+
+/// How close a reproduction claims to land.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Tolerance {
+    /// Within `pct` percent of the paper's value.
+    Percent(f64),
+    /// Within a multiplicative factor (e.g. 2.0 = anywhere in [x/2, 2x]).
+    Factor(f64),
+    /// Only the ordering/sign of the comparison matters; any positive
+    /// finite value passes (used where the paper gives no number).
+    ShapeOnly,
+}
+
+/// One published value and the band the reproduction claims.
+#[derive(Debug, Clone)]
+struct PaperAnchor {
+    /// Which experiment this belongs to (e.g. "Table 7").
+    experiment: String,
+    /// What is being measured (e.g. "MOM speedup at 32 CPUs").
+    quantity: String,
+    /// The paper's number.
+    paper: f64,
+    tolerance: Tolerance,
+}
+
+impl PaperAnchor {
+    fn new(
+        experiment: impl Into<String>,
+        quantity: impl Into<String>,
+        paper: f64,
+        tolerance: Tolerance,
+    ) -> PaperAnchor {
+        PaperAnchor { experiment: experiment.into(), quantity: quantity.into(), paper, tolerance }
+    }
+
+    /// Does `measured` fall inside the claimed band?
+    fn check(&self, measured: f64) -> bool {
+        if !measured.is_finite() {
+            return false;
+        }
+        match self.tolerance {
+            Tolerance::Percent(p) => (measured - self.paper).abs() <= self.paper.abs() * p / 100.0,
+            Tolerance::Factor(f) => {
+                assert!(f >= 1.0, "factor tolerance must be >= 1");
+                let (lo, hi) = (self.paper / f, self.paper * f);
+                (lo.min(hi)..=lo.max(hi)).contains(&measured)
+            }
+            Tolerance::ShapeOnly => measured > 0.0,
+        }
+    }
+
+    /// Ratio measured/paper (the number a reviewer asks for first).
+    fn ratio(&self, measured: f64) -> f64 {
+        measured / self.paper
+    }
+}
+
+/// One filled-in comparison.
+#[derive(Debug, Clone)]
+struct Comparison {
+    anchor: PaperAnchor,
+    measured: f64,
+    pass: bool,
+}
+
+/// The audit table.
+#[derive(Debug, Clone, Default)]
+struct Scorecard {
+    rows: Vec<Comparison>,
+}
+
+impl Scorecard {
+    fn new() -> Scorecard {
+        Scorecard::default()
+    }
+
+    /// Record a measurement against an anchor; returns pass/fail.
+    fn record(&mut self, anchor: PaperAnchor, measured: f64) -> bool {
+        let pass = anchor.check(measured);
+        self.rows.push(Comparison { anchor, measured, pass });
+        pass
+    }
+
+    fn all_pass(&self) -> bool {
+        self.rows.iter().all(|r| r.pass)
+    }
+
+    /// Render the audit table.
+    fn render(&self) -> String {
+        let mut out = String::from("paper-vs-measured scorecard\n");
+        out.push_str(&format!(
+            "{:<12} {:<42} {:>12} {:>12} {:>7} {:>6}\n",
+            "experiment", "quantity", "paper", "measured", "ratio", "pass"
+        ));
+        for r in &self.rows {
+            out.push_str(&format!(
+                "{:<12} {:<42} {:>12.2} {:>12.2} {:>7.2} {:>6}\n",
+                r.anchor.experiment,
+                r.anchor.quantity,
+                r.anchor.paper,
+                r.measured,
+                r.anchor.ratio(r.measured),
+                if r.pass { "ok" } else { "FAIL" },
+            ));
+        }
+        out
+    }
+}
 
 #[test]
 fn scorecard_of_published_anchors() {
@@ -109,4 +216,63 @@ fn scorecard_of_published_anchors() {
     let report = sc.render();
     println!("{report}");
     assert!(sc.all_pass(), "scorecard failures:\n{report}");
+}
+
+#[test]
+fn percent_tolerance() {
+    let a = PaperAnchor::new("§4.4", "RADABS Mflops", 865.9, Tolerance::Percent(15.0));
+    assert!(a.check(865.9));
+    assert!(a.check(911.6));
+    assert!(a.check(750.0));
+    assert!(!a.check(600.0));
+    assert!(!a.check(1100.0));
+}
+
+#[test]
+fn factor_tolerance() {
+    let a = PaperAnchor::new("Fig 8", "T170/32 Gflops", 24.0, Tolerance::Factor(2.5));
+    assert!(a.check(24.0));
+    assert!(a.check(11.0));
+    assert!(a.check(55.0));
+    assert!(!a.check(9.0));
+    assert!(!a.check(65.0));
+}
+
+#[test]
+fn shape_only_accepts_any_positive() {
+    let a = PaperAnchor::new("Table 3", "EXP Mcalls/s", 0.0, Tolerance::ShapeOnly);
+    assert!(a.check(44.4));
+    assert!(!a.check(-1.0));
+    assert!(!a.check(f64::NAN));
+}
+
+#[test]
+fn nan_never_passes() {
+    for tol in [Tolerance::Percent(1000.0), Tolerance::Factor(1000.0), Tolerance::ShapeOnly] {
+        let a = PaperAnchor::new("x", "y", 1.0, tol);
+        assert!(!a.check(f64::NAN));
+    }
+}
+
+#[test]
+fn scorecard_collects_and_renders() {
+    let mut sc = Scorecard::new();
+    assert!(sc.record(
+        PaperAnchor::new("Table 6", "ensemble degradation %", 1.89, Tolerance::Factor(3.0)),
+        1.80,
+    ));
+    assert!(!sc
+        .record(PaperAnchor::new("Table 7", "speedup at 32", 9.06, Tolerance::Percent(5.0)), 7.2,));
+    assert!(!sc.all_pass());
+    assert_eq!(sc.rows.iter().filter(|r| !r.pass).count(), 1);
+    let text = sc.render();
+    assert!(text.contains("Table 6"));
+    assert!(text.contains("FAIL"));
+}
+
+#[test]
+#[should_panic(expected = "factor tolerance")]
+fn sub_unit_factor_rejected() {
+    let a = PaperAnchor::new("x", "y", 1.0, Tolerance::Factor(0.5));
+    a.check(1.0);
 }
